@@ -120,7 +120,7 @@ class ExperimentConfig:
     # [perron]
     y: float = 10.5
     heights: list[float] = field(default_factory=lambda: [1e6, 2e6, 4e6])
-    rel_tol: float = 1e-8
+    rel_tol: float = 1e-8  # accepted and checked; the closed form ignores it
 
 
 # section -> key -> (attribute, converter)
@@ -209,6 +209,12 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise InvalidValueError("workers must be at least 1")
     if cfg.moduli_kind not in ("prime-powers", "primes"):
         raise InvalidValueError(f"unknown moduli kind {cfg.moduli_kind!r}")
+    if not (math.isfinite(cfg.y) and cfg.y > 1) or abs(cfg.y - round(cfg.y)) < 1e-9:
+        raise InvalidValueError(f"y {cfg.y} must exceed 1 and not be an integer")
+    if not all(math.isfinite(h) and h > 0 for h in cfg.heights):
+        raise InvalidValueError(f"heights {cfg.heights} must be finite and positive")
+    if not cfg.rel_tol > 0:
+        raise InvalidValueError(f"rel_tol {cfg.rel_tol} must be positive")
 
 
 def parallel_map(fn, items, workers: int):
@@ -466,7 +472,7 @@ def main(argv: list[str] | None = None) -> int:
     except MissingCacheError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISSING_CACHE
-    except (AssertionError, ValueError, perron.QuadratureError) as exc:
+    except (AssertionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ASSERTION
     return EXIT_OK

@@ -1,11 +1,29 @@
 """Truncated vertical-line integration of Dirichlet-polynomial products.
 
 The partial sum sum_{n <= y} c_n of the product coefficients is recovered
-as (1/2 pi i) times the integral of F(s) y^s / s over a truncated vertical
-segment Re s = sigma0 > 1. The integrand is a finite sum of oscillators
-c_n (y/n)^s / s, so composite Gauss-Legendre panels sized to the fastest
-oscillation frequency integrate it to near machine precision; an adaptive
-bisection pass catches the slowly-decaying 1/s variation near t = 0.
+as (1/2 pi i) times the integral of F(s) y^s / s over the truncated
+segment from a = sigma0 - iT to b = sigma0 + iT, sigma0 > 1. The integrand
+is a finite sum of terms c_n e^(lambda_n s) / s with lambda_n = log(y/n),
+and the substitution u = -lambda_n s turns each into e^(-u)/u du, whose
+antiderivative is -E1(u) (DLMF §6.2). So each term integrates exactly to
+
+    c_n [(E1(-lambda_n a) - E1(-lambda_n b)) / (2 pi i) + 1{lambda_n > 0}].
+
+The indicator is the jump of E1 across its branch cut on the negative real
+axis: E1(z) = Ein(z) - log z - gamma with Ein entire (DLMF §6.2), so E1
+jumps by 2 pi i where log z does. The image path -lambda_n s is vertical
+at Re u = -lambda_n sigma0 and crosses the cut exactly when lambda_n > 0.
+The jump equals the residue of e^(lambda s)/s at s = 0, so the truncated
+integral tends to sum_{n < y} c_n as T grows.
+
+The exact side is exact: coefficients live in the ring Q[x]/(x^L - 1),
+with x standing for exp(2 pi i / L) and L the lcm of the characters'
+orders (times 4 when a base coefficient is non-real, so that i = x^(L/4)).
+Character values become shifts of the exponent, unit and Mobius
+coefficients integer multiplicities, and explicit float coefficients
+exact Fractions. Two independent routes to sum_{n <= y} c_n (a
+convolution array and a tuple enumeration) must agree as vectors, and
+the agreed vector is converted to a complex number once.
 """
 
 from __future__ import annotations
@@ -13,6 +31,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -20,12 +39,6 @@ from .dpoly import DirichletPolynomial
 from .reports import BoundReport
 
 HORIZONTAL_TOLERANCE = 1e-12
-MAX_REFINE_ROUNDS = 40
-NODE_CHUNK = 1 << 19
-
-
-class QuadratureError(RuntimeError):
-    """Adaptive integration failed to reach the requested tolerance."""
 
 
 @dataclass(frozen=True)
@@ -59,98 +72,106 @@ class PerronResult:
         return abs(self.approx - self.exact)
 
 
+def _ring_order(family: list[DirichletPolynomial]) -> int:
+    """L for the ring Q[x]/(x^L - 1) holding every product coefficient."""
+    L = 1
+    for P in family:
+        L = math.lcm(L, P.chi.order)
+    if any(np.any(P.base_coefficients().imag != 0) for P in family):
+        L *= 4
+    return L
+
+
+def _ring_terms(P: DirichletPolynomial, L: int) -> list[tuple[int, dict]]:
+    """(n, {k: m}) with a_n chi(n) = sum_k m x^k, over the nonzero terms."""
+    out = []
+    for n, c in zip(P.support.tolist(), P.base_coefficients().tolist()):
+        value = P.chi.evaluate(n)
+        if value.zero_flag or c == 0:
+            continue
+        k = value.numerator * (L // value.denominator)
+        if P.kind == "explicit":
+            parts = ((k, Fraction(c.real)), ((k + L // 4) % L, Fraction(c.imag)))
+        else:
+            parts = ((k, int(c.real)),)
+        out.append((n, {e: m for e, m in parts if m != 0}))
+    return out
+
+
 def product_coefficients(family: list[DirichletPolynomial]) -> np.ndarray:
-    """Coefficient array of prod_j F_j as a Dirichlet series; index n holds
-    the coefficient of n^(-s). Empty family gives the convolution identity."""
+    """Exact coefficients of prod_j F_j as a Dirichlet series: row n of the
+    (n_max + 1, L) object array holds the multiplicities of x^0..x^(L-1)
+    in the coefficient of n^(-s). Empty family gives the identity."""
+    L = _ring_order(family)
     n_max = 1
     for P in family:
         n_max *= int(P.N_prime)
-    out = np.zeros(n_max + 1, dtype=np.complex128)
-    out[1] = 1.0
+    out = np.zeros((n_max + 1, L), dtype=object)
+    out[1, 0] = 1
     for P in family:
-        nxt = np.zeros(n_max + 1, dtype=np.complex128)
-        coeffs = P.twisted_coefficients()
-        for n, c in zip(P.support.tolist(), coeffs.tolist()):
-            if c != 0:
-                nxt[n::n] += c * out[1 : n_max // n + 1]
+        nxt = np.zeros_like(out)
+        for n, terms in _ring_terms(P, L):
+            block = out[1 : n_max // n + 1]
+            for k, m in terms.items():
+                nxt[n::n] += m * np.roll(block, k, axis=1)
         out = nxt
     return out
 
 
+def _ring_partial_sum(coeffs: np.ndarray, y: float) -> tuple:
+    top = min(len(coeffs) - 1, int(math.floor(y)))
+    return tuple(coeffs[1 : max(top, 0) + 1].sum(axis=0, initial=0))
+
+
+def _ring_partial_sum_bruteforce(family: list[DirichletPolynomial], L: int,
+                                 y: float) -> tuple:
+    total = [0] * L
+    terms = [_ring_terms(P, L) for P in family]
+
+    def rec(idx: int, prod: int, acc: dict):
+        if idx == len(family):
+            for k, m in acc.items():
+                total[k] += m
+            return
+        for n, c in terms[idx]:
+            if prod * n <= y:
+                nxt: dict = {}
+                for k1, m1 in acc.items():
+                    for k2, m2 in c.items():
+                        k = (k1 + k2) % L
+                        nxt[k] = nxt.get(k, 0) + m1 * m2
+                rec(idx + 1, prod * n, nxt)
+
+    rec(0, 1, {0: 1})
+    return tuple(total)
+
+
+def _unit_roots(L: int) -> np.ndarray:
+    """exp(2 pi i j / L) for j < L, exact at the quarter turns."""
+    exact = {0: 1 + 0j, 1: 1j, 2: -1 + 0j, 3: -1j}
+    return np.array([exact[4 * j // L] if (4 * j) % L == 0
+                     else complex(math.cos(math.tau * j / L),
+                                  math.sin(math.tau * j / L))
+                     for j in range(L)])
+
+
+def _to_complex(vec: tuple) -> complex:
+    roots = _unit_roots(len(vec))
+    return complex(math.fsum(float(m) * r.real for m, r in zip(vec, roots)),
+                   math.fsum(float(m) * r.imag for m, r in zip(vec, roots)))
+
+
 def exact_partial_sum(family: list[DirichletPolynomial], y: float) -> complex:
     """sum_{n <= y} of the product coefficients, via convolution arrays."""
-    coeffs = product_coefficients(family)
-    top = min(len(coeffs) - 1, int(math.floor(y)))
-    if top < 1:
-        return 0j
-    block = coeffs[1 : top + 1]
-    return complex(math.fsum(block.real), math.fsum(block.imag))
+    return _to_complex(_ring_partial_sum(product_coefficients(family), y))
 
 
 def exact_partial_sum_bruteforce(
     family: list[DirichletPolynomial], y: float
 ) -> complex:
     """Oracle: direct enumeration of coefficient tuples with product <= y."""
-    total = 0j
-
-    def rec(idx: int, prod: int, acc: complex):
-        nonlocal total
-        if idx == len(family):
-            total += acc
-            return
-        P = family[idx]
-        coeffs = P.twisted_coefficients()
-        for n, c in zip(P.support.tolist(), coeffs.tolist()):
-            if prod * n <= y and c != 0:
-                rec(idx + 1, prod * n, acc * c)
-
-    rec(0, 1, 1 + 0j)
-    return total
-
-
-def _panel_edges(height: float, max_freq: float) -> np.ndarray:
-    """Symmetric panel edges on [-height, height]: dyadic blocks outward
-    from the origin, each cut into pieces the oscillation can't outrun."""
-    width = min(max(4.0 / max(max_freq, 1e-9), 0.25), 64.0)
-    edges = [0.0]
-    block_end = 1.0
-    while edges[-1] < height:
-        end = min(block_end, height)
-        start = edges[-1]
-        pieces = max(1, int(math.ceil((end - start) / width)))
-        step = (end - start) / pieces
-        edges.extend(start + step * (i + 1) for i in range(pieces))
-        block_end *= 2.0
-    pos = np.array(edges)
-    return np.concatenate([-pos[::-1], pos[1:]])
-
-
-def _integrate_panels(
-    lo: np.ndarray,
-    hi: np.ndarray,
-    sigma0: float,
-    log_ratios: np.ndarray,
-    coeffs: np.ndarray,
-    order: int,
-) -> np.ndarray:
-    """Gauss-Legendre value of int F(s) y^s / s dt on each panel [lo, hi]."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    n_panels = len(lo)
-    out = np.zeros(n_panels, dtype=np.complex128)
-    half = (hi - lo) / 2.0
-    mid = (hi + lo) / 2.0
-    panels_per_chunk = max(1, NODE_CHUNK // order)
-    for start in range(0, n_panels, panels_per_chunk):
-        sl = slice(start, min(start + panels_per_chunk, n_panels))
-        t = mid[sl, None] + half[sl, None] * nodes[None, :]
-        s_t = t.ravel()
-        vals = np.zeros(s_t.shape, dtype=np.complex128)
-        for lr, c in zip(log_ratios, coeffs):
-            vals += c * np.exp(sigma0 * lr) * np.exp(1j * s_t * lr)
-        vals /= sigma0 + 1j * s_t
-        vals = vals.reshape(t.shape)
-        out[sl] = half[sl] * (vals @ weights)
-    return out
+    return _to_complex(
+        _ring_partial_sum_bruteforce(family, _ring_order(family), y))
 
 
 def truncated_perron(
@@ -159,57 +180,32 @@ def truncated_perron(
     spec: ContourSpec,
     rel_tol: float = 1e-8,
 ) -> PerronResult:
-    """Approximate sum_{n <= y} c_n by the truncated contour integral and
-    compare against the exact partial sum (both routes must agree)."""
+    """Evaluate the truncated contour integral in closed form and pair it
+    with the exact partial sum (both exact routes must agree). rel_tol is
+    accepted for compatibility; the closed form does not depend on it."""
+    from scipy.special import exp1  # deferred: importing scipy.special is slow
+
+    if not y > 0:
+        raise ValueError("y must be positive")
     if abs(y - round(y)) < 1e-9:
         raise ValueError("y must stay away from integers")
-    exact = exact_partial_sum(family, y)
-    brute = exact_partial_sum_bruteforce(family, y)
-    if exact != brute:
+    coeffs_exact = product_coefficients(family)
+    L = coeffs_exact.shape[1]
+    exact_vec = _ring_partial_sum(coeffs_exact, y)
+    brute_vec = _ring_partial_sum_bruteforce(family, L, y)
+    if exact_vec != brute_vec:
         raise AssertionError(
-            f"exact-side routes disagree: {exact} vs {brute}"
+            f"exact-side routes disagree: {exact_vec} vs {brute_vec}"
         )
+    exact = _to_complex(exact_vec)
 
-    coeffs_full = product_coefficients(family)
-    ns = np.nonzero(coeffs_full)[0]
-    ns = ns[ns >= 1]
-    if len(ns) == 0:
-        return PerronResult(y=y, height=spec.height, approx=0j, exact=exact)
-    coeffs = coeffs_full[ns]
-    log_ratios = np.log(y / ns.astype(np.float64))
-    max_freq = float(np.max(np.abs(log_ratios)))
-
-    edges = _panel_edges(spec.height, max_freq)
-    lo, hi = edges[:-1], edges[1:]
-    sigma0 = float(spec.sigma0)
-
-    coarse = _integrate_panels(lo, hi, sigma0, log_ratios, coeffs, 12)
-    fine = _integrate_panels(lo, hi, sigma0, log_ratios, coeffs, 24)
-    reference = max(1.0, float(abs(np.sum(fine))))
-    tol_density = rel_tol * reference / (2.0 * spec.height)
-    # integrand amplitude at t = 0 sets the attainable floating-point floor
-    amp = float(np.sum(np.abs(coeffs) * np.exp(sigma0 * log_ratios)))
-
-    total = 0j
-    for _ in range(MAX_REFINE_ROUNDS):
-        err = np.abs(fine - coarse)
-        budget = np.maximum(tol_density * (hi - lo),
-                            1e-15 * amp * (hi - lo))
-        ok = err <= budget
-        total += complex(np.sum(fine[ok]))
-        if np.all(ok):
-            break
-        lo_bad, hi_bad = lo[~ok], hi[~ok]
-        mid = (lo_bad + hi_bad) / 2.0
-        lo = np.concatenate([lo_bad, mid])
-        hi = np.concatenate([mid, hi_bad])
-        coarse = _integrate_panels(lo, hi, sigma0, log_ratios, coeffs, 12)
-        fine = _integrate_panels(lo, hi, sigma0, log_ratios, coeffs, 24)
-    else:
-        raise QuadratureError(
-            f"tolerance {rel_tol} not reached after {MAX_REFINE_ROUNDS} rounds"
-        )
-    approx = total / (2.0 * math.pi)
+    coeffs = coeffs_exact.astype(np.float64) @ _unit_roots(L)
+    ns = np.nonzero(coeffs)[0]
+    lam = np.log(y / ns.astype(np.float64))
+    a = complex(spec.sigma0, -spec.height)
+    b = complex(spec.sigma0, spec.height)
+    terms = (exp1(-lam * a) - exp1(-lam * b)) / (2j * math.pi) + (lam > 0)
+    approx = complex(np.dot(coeffs[ns], terms))
     return PerronResult(y=y, height=spec.height, approx=approx, exact=exact)
 
 

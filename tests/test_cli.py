@@ -130,3 +130,13 @@ def test_help_documents_exit_codes(capsys):
     out = capsys.readouterr().out
     assert "exit codes" in out
     assert "5 malformed config file" in out
+
+
+@pytest.mark.parametrize("line", [
+    "y = 10", "y = 10.0000000001", "y = 1", "y = 0.5", "y = -3.5", "y = inf", "y = nan",
+    "heights = 1e3 0", "heights = -1e3", "heights = 1e3 inf", "heights = nan",
+    "rel_tol = 0", "rel_tol = -1e-8", "rel_tol = nan",
+])
+def test_perron_bad_value_exit_code(tmp_path, line):
+    cfg = _write(tmp_path, f"[perron]\n{line}\n")
+    assert cli.main(["perron", "--config", cfg]) == cli.EXIT_INVALID_VALUE

@@ -1,5 +1,7 @@
+import itertools
 import math
 
+import numpy as np
 import pytest
 
 from bvlab.characters import character_group
@@ -16,6 +18,110 @@ from bvlab.perron import (
 )
 
 CHI1 = character_group(1)[0]
+MAX_REFINE_ROUNDS = 40
+NODE_CHUNK = 1 << 19
+
+
+def _float_coefficients(family):
+    """(ns, coeffs): the nonzero coefficients of the product in floats,
+    summed tuple by tuple, independently of the exact ring arithmetic."""
+    out = {}
+    pairs = [list(zip(P.support.tolist(), P.twisted_coefficients().tolist()))
+             for P in family]
+    for combo in itertools.product(*pairs):
+        n = math.prod(m for m, _ in combo)
+        out[n] = out.get(n, 0j) + math.prod((c for _, c in combo), start=1 + 0j)
+    ns = np.array([n for n, c in out.items() if c != 0], dtype=np.int64)
+    return ns, np.array([out[int(n)] for n in ns], dtype=np.complex128)
+
+
+def _panel_edges(height, max_freq):
+    """Symmetric panel edges on [-height, height]: dyadic blocks outward
+    from the origin, each cut into pieces the oscillation can't outrun."""
+    width = min(max(4.0 / max(max_freq, 1e-9), 0.25), 64.0)
+    edges = [0.0]
+    block_end = 1.0
+    while edges[-1] < height:
+        end = min(block_end, height)
+        start = edges[-1]
+        pieces = max(1, int(math.ceil((end - start) / width)))
+        step = (end - start) / pieces
+        edges.extend(start + step * (i + 1) for i in range(pieces))
+        block_end *= 2.0
+    pos = np.array(edges)
+    return np.concatenate([-pos[::-1], pos[1:]])
+
+
+def _integrate_panels(lo, hi, sigma0, log_ratios, coeffs, order):
+    """Gauss-Legendre value of int F(s) y^s / s dt on each panel [lo, hi]."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    n_panels = len(lo)
+    out = np.zeros(n_panels, dtype=np.complex128)
+    half = (hi - lo) / 2.0
+    mid = (hi + lo) / 2.0
+    panels_per_chunk = max(1, NODE_CHUNK // order)
+    for start in range(0, n_panels, panels_per_chunk):
+        sl = slice(start, min(start + panels_per_chunk, n_panels))
+        t = mid[sl, None] + half[sl, None] * nodes[None, :]
+        s_t = t.ravel()
+        vals = np.zeros(s_t.shape, dtype=np.complex128)
+        for lr, c in zip(log_ratios, coeffs):
+            vals += c * np.exp(sigma0 * lr) * np.exp(1j * s_t * lr)
+        vals /= sigma0 + 1j * s_t
+        vals = vals.reshape(t.shape)
+        out[sl] = half[sl] * (vals @ weights)
+    return out
+
+
+def quadrature_perron(family, y, spec, rel_tol=1e-8):
+    """Oracle: the truncated Perron integral by adaptive composite
+    Gauss-Legendre panels (12 against 24 nodes, bisecting the panels
+    whose two values disagree), independent of the closed form."""
+    ns, coeffs = _float_coefficients(family)
+    if len(ns) == 0:
+        return 0j
+    log_ratios = np.log(y / ns.astype(np.float64))
+    edges = _panel_edges(spec.height, float(np.max(np.abs(log_ratios))))
+    lo, hi = edges[:-1], edges[1:]
+    sigma0 = float(spec.sigma0)
+
+    coarse = _integrate_panels(lo, hi, sigma0, log_ratios, coeffs, 12)
+    fine = _integrate_panels(lo, hi, sigma0, log_ratios, coeffs, 24)
+    reference = max(1.0, float(abs(np.sum(fine))))
+    tol_density = rel_tol * reference / (2.0 * spec.height)
+    # integrand amplitude at t = 0 sets the attainable floating-point floor
+    amp = float(np.sum(np.abs(coeffs) * np.exp(sigma0 * log_ratios)))
+
+    total = 0j
+    for _ in range(MAX_REFINE_ROUNDS):
+        err = np.abs(fine - coarse)
+        budget = np.maximum(tol_density * (hi - lo), 1e-15 * amp * (hi - lo))
+        ok = err <= budget
+        total += complex(np.sum(fine[ok]))
+        if np.all(ok):
+            return total / (2.0 * math.pi)
+        lo_bad, hi_bad = lo[~ok], hi[~ok]
+        mid = (lo_bad + hi_bad) / 2.0
+        lo = np.concatenate([lo_bad, mid])
+        hi = np.concatenate([mid, hi_bad])
+        coarse = _integrate_panels(lo, hi, sigma0, log_ratios, coeffs, 12)
+        fine = _integrate_panels(lo, hi, sigma0, log_ratios, coeffs, 24)
+    raise AssertionError(f"quadrature did not reach {rel_tol}")
+
+
+def _families(q, tables, real=True):
+    """(label, family) in the shapes [P], [P, U], [P, P] for each character
+    mod q, P on (4, 8] twisted by it and U the untwisted unit block on (2, 4]."""
+    U = _poly(2, 4, "unit", tables)
+    out = []
+    for chi in character_group(q):
+        if chi.is_real and not real:
+            continue
+        P = DirichletPolynomial(N=4, N_prime=8, kind="unit", chi=chi)
+        P.attach_tables(tables)
+        for shape, fam in (("P", [P]), ("PU", [P, U]), ("PP", [P, P])):
+            out.append((f"{chi!r} {shape}", fam))
+    return out
 
 
 def _poly(N, Np, kind, tables):
@@ -39,7 +145,7 @@ def test_exact_sides_agree(tables):
         [_poly(2, 4, "unit", tables), _poly(2, 4, "mobius", tables)],
         [_poly(2, 4, "unit", tables), _poly(4, 8, "unit", tables),
          _poly(2, 4, "mobius", tables)],
-    ]
+    ] + [fam for q in (5, 13) for _, fam in _families(q, tables, real=False)]
     for fam in fams:
         for y in (4.5, 10.5, 30.5, 100.5):
             assert exact_partial_sum(fam, y) == \
@@ -66,6 +172,8 @@ def test_integer_y_rejected(tables):
     fam = [_poly(4, 8, "unit", tables)]
     with pytest.raises(ValueError):
         truncated_perron(fam, 10.0, default_contour(10.5, 100.0))
+    with pytest.raises(ValueError):
+        truncated_perron(fam, -2.5, default_contour(10.5, 100.0))
 
 
 def test_empty_sum_is_near_zero(tables):
@@ -102,3 +210,41 @@ def test_height_trend_and_csv(tmp_path, tables):
     lines = path.read_text().splitlines()
     assert lines[0].startswith("y,height,approx_re")
     assert len(lines) == 4
+
+
+@pytest.mark.parametrize("q", [1, 5, 13])
+def test_closed_form_matches_quadrature(q, tables):
+    for label, fam in _families(q, tables):
+        for y in (4.5, 10.5, 30.5, 60.5):
+            for height in (1e2, 1e3, 1e4):
+                spec = default_contour(y, height)
+                r = truncated_perron(fam, y, spec)
+                oracle = quadrature_perron(fam, y, spec)
+                assert abs(r.approx - oracle) <= 1e-12 * max(1.0, abs(r.exact)), \
+                    (label, y, height, r.approx, oracle)
+
+
+def test_non_real_characters_exact_side(tables):
+    fams = _families(5, tables, real=False) + _families(13, tables, real=False)
+    assert len(fams) == 3 * (2 + 10)
+    for label, fam in fams:
+        r = truncated_perron(fam, 10.5, default_contour(10.5, 1e4))
+        assert r.exact == exact_partial_sum_bruteforce(fam, 10.5), label
+        assert r.abs_error < 1e-3, (label, r.abs_error)
+
+
+def test_exact_side_explicit_complex_coefficients(tables):
+    chi = character_group(5)[1]
+    P = DirichletPolynomial(N=4, N_prime=8, kind="explicit", chi=chi,
+                            coefficients={5: 0.1 + 0.3j, 6: -0.7, 7: 1j / 3})
+    P.attach_tables(tables)
+    U = _poly(2, 4, "unit", tables)
+    for fam in ([P], [P, U], [P, P]):
+        for y in (10.5, 30.5, 60.5):
+            ns, coeffs = _float_coefficients(fam)
+            want = complex(np.sum(coeffs[ns <= y]))
+            got = exact_partial_sum(fam, y)
+            assert got == exact_partial_sum_bruteforce(fam, y)
+            assert abs(got - want) <= 1e-12
+        r = truncated_perron(fam, 30.5, default_contour(30.5, 1e4))
+        assert r.abs_error < 1e-2
