@@ -15,6 +15,8 @@ from math import gcd
 
 import numpy as np
 
+from .characters import factorize
+
 DEFAULT_LIMIT_CEILING = 10**8
 
 CACHE_MAGIC = b"BVML1"
@@ -147,41 +149,24 @@ def tau_b(n: int, b: int, tables: MultiplicativeTables | None = None) -> int:
     if tables is not None and n <= tables.limit:
         factors = tables.factorize(n).factors
     else:
-        factors = _trial_factorize(n)
+        factors = factorize(n)
     out = 1
     for _, e in factors:
         out *= math.comb(e + b - 1, b - 1)
     return out
 
 
-def _trial_factorize(n: int) -> list[tuple[int, int]]:
-    factors = []
-    m = n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            e = 0
-            while m % d == 0:
-                m //= d
-                e += 1
-            factors.append((d, e))
-        d += 1 if d == 2 else 2
-    if m > 1:
-        factors.append((m, 1))
-    return factors
-
-
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for p, _ in _trial_factorize(n):
+    for p, _ in factorize(n):
         return p == n
     return True
 
 
 def _is_prime_power(n: int) -> int | None:
     """Return the base prime if n = p^e with e >= 1, else None."""
-    f = _trial_factorize(n)
+    f = factorize(n)
     if len(f) == 1:
         return f[0][0]
     return None

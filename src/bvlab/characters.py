@@ -16,6 +16,8 @@ from functools import lru_cache
 from math import gcd
 
 DEFAULT_MODULUS_CEILING = 10**6
+_QUARTER_TURNS = (complex(1.0, 0.0), complex(0.0, 1.0),
+                  complex(-1.0, 0.0), complex(0.0, -1.0))
 
 
 @dataclass(frozen=True)
@@ -57,6 +59,8 @@ class RootOfUnity:
     def to_complex(self) -> complex:
         if self.zero_flag:
             return 0j
+        if 4 % self.denominator == 0:  # exact at quarter turns
+            return _QUARTER_TURNS[self.numerator * (4 // self.denominator) % 4]
         angle = math.tau * self.numerator / self.denominator
         return complex(math.cos(angle), math.sin(angle))
 
@@ -202,7 +206,7 @@ def _smallest_primitive_root(p: int, e: int) -> int:
     """Smallest primitive root modulo p^e (p odd)."""
     m = p**e
     order = p ** (e - 1) * (p - 1)
-    prime_factors = _prime_factors(order)
+    prime_factors = [r for r, _ in factorize(order)]
     for g in range(2, m):
         if g % p == 0:
             continue
@@ -211,33 +215,39 @@ def _smallest_primitive_root(p: int, e: int) -> int:
     raise ValueError(f"no primitive root mod {p}^{e}")
 
 
-def _prime_factors(n: int) -> list[int]:
+def factorize(n: int) -> list[tuple[int, int]]:
+    """Prime factorisation of n >= 1 by trial division: (p, e) pairs in
+    increasing p, empty for n = 1."""
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
     out = []
     d = 2
     while d * d <= n:
         if n % d == 0:
-            out.append(d)
+            e = 0
             while n % d == 0:
                 n //= d
-        d += 1
+                e += 1
+            out.append((d, e))
+        d += 1 if d == 2 else 2
     if n > 1:
-        out.append(n)
+        out.append((n, 1))
     return out
 
 
-def _factorize(q: int) -> list[tuple[int, int]]:
-    out = []
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
-            e = 0
-            while q % d == 0:
-                q //= d
-                e += 1
-            out.append((d, e))
-        d += 1
-    if q > 1:
-        out.append((q, 1))
+def euler_phi(n: int) -> int:
+    out = n
+    for p, _ in factorize(n):
+        out = out // p * (p - 1)
+    return out
+
+
+def mobius(n: int) -> int:
+    out = 1
+    for _, e in factorize(n):
+        if e > 1:
+            return 0
+        out = -out
     return out
 
 
@@ -249,7 +259,7 @@ class CharacterGroup:
             raise ValueError(f"modulus must be in [1, {ceiling}], got {q}")
         self.q = q
         self.components: list[_OddComponent | _TwoComponent] = []
-        for p, e in _factorize(q):
+        for p, e in factorize(q):
             if p == 2:
                 self.components.append(_TwoComponent(e))
             else:
@@ -393,21 +403,6 @@ def primitive_count(q: int) -> int:
     for d in range(1, q + 1):
         if q % d:
             continue
-        total += _mobius(d) * _phi(q // d)
+        total += mobius(d) * euler_phi(q // d)
     return total
 
-
-def _mobius(n: int) -> int:
-    out = 1
-    for _, e in _factorize(n) if n > 1 else []:
-        if e > 1:
-            return 0
-        out = -out
-    return out
-
-
-def _phi(n: int) -> int:
-    out = n
-    for p, _ in _factorize(n) if n > 1 else []:
-        out = out // p * (p - 1)
-    return out

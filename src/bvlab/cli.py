@@ -205,6 +205,14 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise InvalidValueError("ranges must be non-empty")
     if cfg.limit < 2 or cfg.x < 2:
         raise InvalidValueError("limit and x must be at least 2")
+    ceiling = arith.DEFAULT_LIMIT_CEILING
+    for name, value in (("limit", cfg.limit), ("x", cfg.x), ("hb x", cfg.hb_x)):
+        if value > ceiling:
+            raise InvalidValueError(f"{name} {value} exceeds the sieve ceiling {ceiling}")
+    # 2^(n_max_exp + 1) > ceiling, without building a huge power
+    if cfg.n_max_exp + 1 >= ceiling.bit_length():
+        raise InvalidValueError(f"n_max_exp {cfg.n_max_exp} needs tables past "
+                                f"the sieve ceiling {ceiling}")
     if cfg.workers < 1:
         raise InvalidValueError("workers must be at least 1")
     if cfg.moduli_kind not in ("prime-powers", "primes"):

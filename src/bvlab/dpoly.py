@@ -67,9 +67,7 @@ class DirichletPolynomial:
         return float(np.sum(np.abs(base) ** 2))
 
     def twisted_coefficients(self) -> np.ndarray:
-        vals = self.chi.value_table()
-        q = self.chi.q
-        chi_vals = np.array([vals[int(n) % q] for n in self._ns])
+        chi_vals = np.asarray(self.chi.value_table())[self._ns % self.chi.q]
         return self.base_coefficients() * chi_vals
 
     def eval(self, t: float, sigma: float = 0.5) -> complex:
@@ -98,10 +96,6 @@ def _base_coefficients(kind, ns, tables, explicit):
     raise ValueError(f"unknown coefficient kind {kind!r}")
 
 
-def dp_eval(P: DirichletPolynomial, t: float, sigma: float = 0.5) -> complex:
-    return P.eval(t, sigma=sigma)
-
-
 @dataclass
 class WellSpacedSet:
     chi: DirichletCharacter
@@ -121,16 +115,27 @@ def select_well_spaced(P: DirichletPolynomial, T: float,
     """Greedy 1-spaced selection of local peaks of |S| on a sampling grid."""
     if T < 1:
         raise ValueError("T must be at least 1")
+    t_grid = _t_grid(T, grid_step)
+    C = P.twisted_coefficients()[:, None]
+    vals = _grid_abs_values(t_grid, P.support, sigma, C)[:, 0]
+    return WellSpacedSet(chi=P.chi, points=_greedy_spaced(t_grid, vals))
+
+
+def _t_grid(T: float, grid_step: float) -> np.ndarray:
     steps = int(round(T / grid_step))
-    t_grid = np.arange(-steps, steps + 1, dtype=np.float64) * grid_step
-    ns = P.support.astype(np.float64)
+    return np.arange(-steps, steps + 1, dtype=np.float64) * grid_step
+
+
+def _grid_abs_values(t_grid: np.ndarray, ns: np.ndarray, sigma: float,
+                     C: np.ndarray) -> np.ndarray:
+    """|sum_n C[n, j] n^(-sigma - it)| for every t in t_grid (rows) and
+    every coefficient column j: one matrix product for all columns."""
     if len(ns) == 0:
-        vals = np.zeros(len(t_grid))
-    else:
-        c = P.twisted_coefficients() * ns ** (-sigma)
-        vals = np.abs(np.exp(-1j * np.outer(t_grid, np.log(ns))) @ c)
-    points = _greedy_spaced(t_grid, vals)
-    return WellSpacedSet(chi=P.chi, points=points)
+        return np.zeros((len(t_grid), C.shape[1]))
+    nf = ns.astype(np.float64)
+    phase = np.exp(-1j * np.outer(t_grid, np.log(nf)))
+    phase *= nf ** (-sigma)
+    return np.abs(phase @ C)
 
 
 def _greedy_spaced(t_grid: np.ndarray, vals: np.ndarray) -> list[float]:
@@ -188,40 +193,34 @@ def build_triple_family(
     sigma: float = 0.0,
     grid_step: float = GRID_STEP,
     min_conductor: int = 1,
+    coefficients: dict[int, complex] | None = None,
 ) -> TripleFamily:
+    """``coefficients`` is the a_n map of the "explicit" kind."""
     if N_prime is None:
         N_prime = 2 * N
     chis = primitive_characters(Q, min_conductor=min_conductor)
-    steps = int(round(T / grid_step))
-    t_grid = np.arange(-steps, steps + 1, dtype=np.float64) * grid_step
+    t_grid = _t_grid(T, grid_step)
     ns = np.arange(N + 1, N_prime + 1, dtype=np.int64)
+    base = _base_coefficients(kind, ns, tables, coefficients)
 
-    if len(ns):
-        base = _base_coefficients(kind, ns, tables, None)
-        phase = np.exp(-1j * np.outer(t_grid, np.log(ns.astype(np.float64))))
-        phase *= ns.astype(np.float64) ** (-sigma)
-        # all characters at once: one matrix product
-        C = np.empty((len(ns), len(chis)), dtype=np.complex128)
-        for j, chi in enumerate(chis):
-            vals = chi.value_table()
-            C[:, j] = base * np.array([vals[int(n) % chi.q] for n in ns])
-        grid_vals = np.abs(phase @ C)
-    else:
-        grid_vals = np.zeros((len(t_grid), len(chis)))
-
-    polys, spaced, abs_vals = [], [], []
-    g_value = float(np.sum(np.abs(_base_coefficients(kind, ns, tables, None)) ** 2)) if len(ns) else 0.0
+    polys = []
+    C = np.empty((len(ns), len(chis)), dtype=np.complex128)
     for j, chi in enumerate(chis):
-        P = DirichletPolynomial(N=N, N_prime=N_prime, kind=kind, chi=chi)
-        P.attach_tables(tables)
-        points = _greedy_spaced(t_grid, grid_vals[:, j])
-        idx = [int(round((t + steps * grid_step) / grid_step)) for t in points]
+        P = DirichletPolynomial(N=N, N_prime=N_prime, kind=kind, chi=chi,
+                                coefficients=coefficients)
+        P._base = base  # a_n does not depend on chi: shared, not recomputed
+        C[:, j] = P.twisted_coefficients()
         polys.append(P)
+    grid_vals = _grid_abs_values(t_grid, ns, sigma, C)
+
+    spaced, abs_vals = [], []
+    for j, chi in enumerate(chis):
+        points = _greedy_spaced(t_grid, grid_vals[:, j])
         spaced.append(WellSpacedSet(chi=chi, points=points))
-        abs_vals.append(grid_vals[idx, j])
+        abs_vals.append(grid_vals[np.searchsorted(t_grid, points), j])
     return TripleFamily(Q=Q, T=T, N=N, N_prime=N_prime, kind=kind, sigma=sigma,
-                        polynomials=polys, spaced_sets=spaced,
-                        abs_values=abs_vals, G=g_value)
+                        polynomials=polys, spaced_sets=spaced, abs_values=abs_vals,
+                        G=float(np.sum(np.abs(base) ** 2)))
 
 
 def mean_value_report(family: TripleFamily,
@@ -270,18 +269,11 @@ def derivative_second_moment_report(Q: int, T: float, N: int,
                                     x_scale: int = DEFAULT_X_SCALE) -> BoundReport:
     """Optional extra: second moment of the derivative polynomial
     (coefficients a_n log n) against Q^2 T L^13."""
-    ns = np.arange(N + 1, 2 * N + 1, dtype=np.int64)
-    coeffs = {int(n): math.log(int(n)) for n in ns}
-    chis = primitive_characters(Q)
+    coeffs = {n: math.log(n) for n in range(N + 1, 2 * N + 1)}
+    family = build_triple_family(Q, T, N, None, "explicit", tables, sigma=0.5,
+                                 coefficients=coeffs)
     L = math.log(x_scale)
-    total = []
-    for chi in chis:
-        P = DirichletPolynomial(N=N, N_prime=2 * N, kind="explicit", chi=chi,
-                                coefficients=coeffs)
-        P.attach_tables(tables)
-        J = select_well_spaced(P, T, sigma=0.5)
-        total.extend(abs(P.eval(t, sigma=0.5)) ** 2 for t in J.points)
-    lhs = math.fsum(total)
+    lhs = math.fsum(float(np.sum(v**2)) for v in family.abs_values)
     rhs = Q**2 * T * L**13
     return BoundReport(lhs=lhs, rhs_formula_value=rhs,
                        parameters={"Q": Q, "T": T, "N": N},

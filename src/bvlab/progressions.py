@@ -18,7 +18,8 @@ from math import gcd
 import numpy as np
 
 from .arith import ModuliSet, MultiplicativeTables
-from .characters import CharacterGroup, DirichletCharacter, conductor_and_primitivity
+from .characters import (CharacterGroup, DirichletCharacter, conductor_and_primitivity,
+                         euler_phi, factorize)
 
 
 @dataclass
@@ -61,28 +62,12 @@ def psi_coprime(y: float, q: int, tables: MultiplicativeTables) -> float:
     contribution of prime powers of primes dividing q."""
     total = psi(y, tables)
     correction = []
-    for p in {p for p, _ in _small_factorize(q)}:
+    for p in {p for p, _ in factorize(q)}:
         pe = p
         while pe <= y:
             correction.append(math.log(p))
             pe *= p
     return total - math.fsum(correction)
-
-
-def _small_factorize(q: int) -> list[tuple[int, int]]:
-    out = []
-    d = 2
-    while d * d <= q:
-        if q % d == 0:
-            e = 0
-            while q % d == 0:
-                q //= d
-                e += 1
-            out.append((d, e))
-        d += 1
-    if q > 1:
-        out.append((q, 1))
-    return out
 
 
 def _residue_weights(y: float, q: int, tables: MultiplicativeTables) -> np.ndarray:
@@ -151,7 +136,7 @@ def e_star(x: float, q: int, tables: MultiplicativeTables) -> ErrorTermRecord:
     """max over residues a coprime to q and over y <= x of
     |psi(y; q, a) - y/phi(q)|, exact via jump-point evaluation."""
     _check_range(x, tables)
-    phi_q = int(tables.phi[q]) if q <= tables.limit else _phi_small(q)
+    phi_q = int(tables.phi[q]) if q <= tables.limit else euler_phi(q)
     inv_phi = 1.0 / phi_q
     k = int(np.searchsorted(tables.prime_powers, x, side="right"))
     pp = tables.prime_powers[:k]
@@ -182,7 +167,7 @@ def e_star_bruteforce(x: int, q: int, tables: MultiplicativeTables) -> float:
     """Independent oracle: scan every integer y <= x directly."""
     _check_range(x, tables)
     x = int(x)
-    phi_q = _phi_small(q)
+    phi_q = euler_phi(q)
     lam = np.zeros(x + 1)
     idx = tables.prime_powers[tables.prime_powers <= x]
     lam[idx] = tables.prime_power_logs[: len(idx)]
@@ -200,7 +185,7 @@ def e_dagger(x: float, q: int, tables: MultiplicativeTables) -> ErrorTermRecord:
     """max over y <= x and a coprime to q of
     |psi(y; q, a) - psi(y)/phi(q)| (centered at the full Chebyshev sum)."""
     _check_range(x, tables)
-    phi_q = _phi_small(q)
+    phi_q = euler_phi(q)
     if q == 1:
         return ErrorTermRecord(q=1, a="max", y_star=1.0, E_value=0.0,
                                threshold=None, exceptional=False)
@@ -229,7 +214,7 @@ def e_dagger(x: float, q: int, tables: MultiplicativeTables) -> ErrorTermRecord:
 def e_dagger_bruteforce(x: int, q: int, tables: MultiplicativeTables) -> float:
     """Oracle for e_dagger: integer-y scan."""
     x = int(x)
-    phi_q = _phi_small(q)
+    phi_q = euler_phi(q)
     if q == 1:
         return 0.0
     lam = np.zeros(x + 1)
@@ -252,7 +237,7 @@ def reduction_gap(
     """The two reduction gaps, both O(L^2 log L / Q) with an empirical
     constant: (1/phi)|psi(y) - psi_coprime(y, q)| and
     (1/phi)|psi(y, chi_inducing) - psi(y, chi)|."""
-    phi_q = _phi_small(q)
+    phi_q = euler_phi(q)
     g1 = abs(psi(y, tables) - psi_coprime(y, q, tables)) / phi_q
     _, _, inducing = conductor_and_primitivity(chi)
     g2 = abs(psi_chi(y, inducing, tables) - psi_chi(y, chi, tables)) / phi_q
@@ -273,7 +258,7 @@ def exception_scan(
     records = []
     for q in S.members:
         rec = e_star(x, q, tables)
-        phi_q = _phi_small(q)
+        phi_q = euler_phi(q)
         rec.threshold = x / (phi_q * log_x**A)
         rec.exceptional = rec.E_value > rec.threshold
         records.append(rec)
@@ -295,7 +280,7 @@ def write_error_csv(records: list[ErrorTermRecord], path: str) -> None:
         writer.writerow(["q", "phi_q", "E_star", "y_star", "threshold", "exceptional"])
         for r in records:
             writer.writerow(
-                [r.q, _phi_small(r.q), f"{r.E_value:.12g}", f"{r.y_star:.12g}",
+                [r.q, euler_phi(r.q), f"{r.E_value:.12g}", f"{r.y_star:.12g}",
                  "" if r.threshold is None else f"{r.threshold:.12g}",
                  int(r.exceptional)]
             )
@@ -305,13 +290,6 @@ def write_scan_summary(summary: dict, path: str) -> None:
     with open(path, "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _phi_small(q: int) -> int:
-    out = q
-    for p, _ in _small_factorize(q):
-        out = out // p * (p - 1)
-    return out
 
 
 def _check_range(y: float, tables: MultiplicativeTables) -> None:

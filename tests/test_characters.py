@@ -1,15 +1,22 @@
 import math
+import os
+import subprocess
+import sys
 from math import gcd
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bvlab
 from bvlab.characters import (
     CharacterGroup,
     RootOfUnity,
     character_group,
     conductor_and_primitivity,
+    euler_phi,
+    factorize,
+    mobius,
     primitive_count,
 )
 
@@ -139,3 +146,37 @@ def test_real_characters_take_pm_one():
                 for n in range(q):
                     v = chi(n).to_complex()
                     assert abs(v.imag) < 1e-15
+
+
+def test_quarter_turn_values_are_exact():
+    assert [RootOfUnity.of(k, 4).to_complex() for k in range(4)] == \
+        [1, 1j, -1, -1j]
+    for q in range(1, 61):
+        for chi in character_group(q):
+            table = chi.value_table()
+            if chi.is_real:
+                assert all(v.imag == 0.0 for v in table), chi
+            if chi.order == 4:
+                assert all(v in (0, 1, -1, 1j, -1j) for v in table), chi
+                assert {table[r] for r in range(q) if gcd(r, q) == 1} == \
+                    {1, -1, 1j, -1j}, chi
+
+
+def test_factorize_helpers_match_sieve(tables):
+    for n in range(1, tables.limit + 1):
+        f = factorize(n)
+        assert math.prod(p**e for p, e in f) == n
+        assert [p for p, _ in f] == sorted(p for p, _ in f)
+        assert euler_phi(n) == int(tables.phi[n]), n
+        assert mobius(n) == int(tables.mobius[n]), n
+    with pytest.raises(ValueError):
+        factorize(0)
+
+
+def test_characters_and_exponents_import_without_numpy():
+    # the exact Fraction workloads must not pay for numpy at import time
+    code = ("import sys, bvlab.characters, bvlab.exponents; "
+            "assert 'numpy' not in sys.modules")
+    src = os.path.dirname(os.path.dirname(bvlab.__file__))
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})

@@ -140,3 +140,18 @@ def test_help_documents_exit_codes(capsys):
 def test_perron_bad_value_exit_code(tmp_path, line):
     cfg = _write(tmp_path, f"[perron]\n{line}\n")
     assert cli.main(["perron", "--config", cfg]) == cli.EXIT_INVALID_VALUE
+
+
+@pytest.mark.parametrize("section, line", [
+    ("sieve", "limit = 1000000000"), ("exceptions", "x = 100000001"),
+    ("hb", "x = 100000001"), ("meanvalue", "n_max_exp = 26"),
+    ("meanvalue", "n_max_exp = 100000000"),
+])
+def test_sieve_ceiling_exit_code(tmp_path, section, line):
+    cfg = _write(tmp_path, f"[{section}]\n{line}\n")
+    assert cli.main(["sieve", "--config", cfg]) == cli.EXIT_INVALID_VALUE
+
+
+def test_sieve_ceiling_boundary_accepted():
+    cfg = cli.ExperimentConfig(limit=10**8, x=10**8, hb_x=10**8, n_max_exp=25)
+    cli._validate(cfg)  # 2^26 <= 10^8 < 2^27

@@ -13,7 +13,6 @@ from bvlab.dpoly import (
     build_triple_family,
     derivative_second_moment_report,
     divisor_moment_report,
-    dp_eval,
     fourth_moment_report,
     large_value_count_bruteforce,
     large_value_report,
@@ -34,7 +33,7 @@ def _poly(N, Np, kind, tables, chi=CHI1):
 
 def test_unit_eval_closed_form(tables):
     P = _poly(4, 8, "unit", tables)
-    v = dp_eval(P, 0.0, sigma=0.5)
+    v = P.eval(0.0, sigma=0.5)
     expected = sum(n**-0.5 for n in (5, 6, 7, 8))
     assert v == pytest.approx(expected, abs=1e-12)
 
@@ -42,19 +41,19 @@ def test_unit_eval_closed_form(tables):
 def test_mobius_eval_closed_form(tables):
     P = _poly(2, 4, "mobius", tables)
     # mu(3) = -1, mu(4) = 0, at sigma = 0 the sum is -1
-    assert dp_eval(P, 0.0, sigma=0.0) == pytest.approx(-1.0, abs=1e-12)
+    assert P.eval(0.0, sigma=0.0) == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_empty_interval(tables):
     P = _poly(5, 5, "unit", tables)
-    assert dp_eval(P, 1.0) == 0j
+    assert P.eval(1.0) == 0j
 
 
 def test_conjugate_symmetry(tables):
     P = _poly(8, 16, "unit", tables)
     for t in (0.7, 3.2, 11.0):
-        a = dp_eval(P, t, sigma=0.5)
-        b = dp_eval(P, -t, sigma=0.5)
+        a = P.eval(t, sigma=0.5)
+        b = P.eval(-t, sigma=0.5)
         assert a == pytest.approx(b.conjugate(), abs=1e-12)
 
 
@@ -108,6 +107,32 @@ def test_mean_value_and_fourth_moment_finite(tables):
     assert math.isfinite(r2.ratio) and r2.ratio > 0
     r3 = derivative_second_moment_report(4, 16.0, 64, tables)
     assert math.isfinite(r3.ratio)
+
+
+@pytest.mark.parametrize("Q, T, N", [(4, 16.0, 64), (8, 16.0, 128)])
+def test_derivative_moment_matches_pointwise_eval(tables, Q, T, N):
+    # oracle: re-evaluate S' point by point with compensated sums at the
+    # triples the report's family selects
+    coeffs = {n: math.log(n) for n in range(N + 1, 2 * N + 1)}
+    fam = build_triple_family(Q, T, N, None, "explicit", tables, sigma=0.5,
+                              coefficients=coeffs)
+    oracle = math.fsum(abs(P.eval(t, sigma=0.5)) ** 2
+                       for P, J in zip(fam.polynomials, fam.spaced_sets)
+                       for t in J.points)
+    lhs = derivative_second_moment_report(Q, T, N, tables).lhs
+    assert fam.N_prime == 2 * N and sum(len(J.points) for J in fam.spaced_sets) > 0
+    assert lhs == pytest.approx(oracle, rel=1e-12, abs=0)
+
+
+def test_explicit_family_twists_the_given_coefficients(tables):
+    coeffs = {n: complex(n % 3, 1) for n in range(9, 17)}
+    fam = build_triple_family(4, 8.0, 8, None, "explicit", tables,
+                              coefficients=coeffs)
+    assert fam.G == pytest.approx(sum(abs(c) ** 2 for c in coeffs.values()))
+    for P in fam.polynomials:
+        vals = P.chi.value_table()
+        want = [coeffs[n] * vals[n % P.chi.q] for n in range(9, 17)]
+        assert np.allclose(P.twisted_coefficients(), want, rtol=1e-15, atol=0)
 
 
 def test_fourth_moment_rejects_non_unit(tables):
