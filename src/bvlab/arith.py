@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 import struct
+import zlib
+from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
 from math import gcd
 
@@ -19,9 +21,11 @@ from .characters import factorize
 
 DEFAULT_LIMIT_CEILING = 10**8
 
-CACHE_MAGIC = b"BVML1"
-# per-entry record, one per n in [0, limit]:
+CACHE_MAGIC = b"BVML2"
+# header after the magic: limit uint64 LE, CRC32 of the records uint32 LE;
+# then one record per n in [0, limit]:
 #   smallest_prime_factor uint32, mobius int8, phi uint32
+CACHE_HEADER = struct.Struct("<QI")
 CACHE_ENTRY_DTYPE = np.dtype(
     [("spf", "<u4"), ("mobius", "i1"), ("phi", "<u4")]
 )
@@ -31,18 +35,51 @@ class LimitError(ValueError):
     """Requested sieve limit outside the configured range."""
 
 
+class LambdaSupport(Mapping):
+    """Read-only mapping n -> p for every prime power n = p^e, over the
+    sorted ``prime_powers`` array and the matching array of base primes."""
+
+    __slots__ = ("_powers", "_bases")
+
+    def __init__(self, powers: np.ndarray, bases: np.ndarray):
+        self._powers = powers
+        self._bases = bases
+
+    def __getitem__(self, n: int) -> int:
+        i = int(np.searchsorted(self._powers, n))
+        if i < len(self._powers) and self._powers[i] == n:
+            return int(self._bases[i])
+        raise KeyError(n)
+
+    def __len__(self) -> int:
+        return len(self._powers)
+
+    def __iter__(self):
+        return iter(self._powers.tolist())
+
+    def items(self) -> "_LambdaItems":
+        return _LambdaItems(self)
+
+
+class _LambdaItems(ItemsView):
+    def __iter__(self):
+        m = self._mapping
+        return zip(m._powers.tolist(), m._bases.tolist())
+
+
 @dataclass(frozen=True)
 class MultiplicativeTables:
     """Sieved arithmetic functions up to ``limit`` (inclusive).
 
     ``lambda_support[n]`` is the prime p when n = p^e, absent otherwise;
-    the von Mangoldt value is then log(lambda_support[n]).
+    the von Mangoldt value is then log(lambda_support[n]). It is a
+    read-only view over ``prime_powers`` and their base primes.
     ``mobius`` and ``phi`` are exact integer arrays indexed by n.
     Immutable after construction; safe to share across workers.
     """
 
     limit: int
-    lambda_support: dict[int, int]
+    lambda_support: Mapping[int, int]
     mobius: np.ndarray
     phi: np.ndarray
     smallest_prime_factor: np.ndarray
@@ -106,35 +143,59 @@ def build_tables(limit: int, ceiling: int = DEFAULT_LIMIT_CEILING) -> Multiplica
 
     primes = n[2:][spf[2:] == n[2:]]
 
+    # Only primes <= sqrt(limit) are sieved one by one; each is divided
+    # fully out of rem, which leaves rem[n] = 1 or the one prime above
+    # sqrt(limit) that divides n, and whole-array ops account for it.
     mobius = np.ones(limit + 1, dtype=np.int8)
     mobius[0] = 0
     phi = np.arange(limit + 1, dtype=np.int64)
-    for p in primes.tolist():
+    rem = n
+    for p in primes[: int(np.searchsorted(primes, root, side="right"))].tolist():
         mobius[p::p] *= -1
         phi[p::p] //= p
         phi[p::p] *= p - 1
-        if p * p <= limit:
-            mobius[p * p :: p * p] = 0
-
-    lambda_support: dict[int, int] = {}
-    for p in primes.tolist():
+        mobius[p * p :: p * p] = 0
         pe = p
         while pe <= limit:
-            lambda_support[pe] = p
+            rem[pe::pe] //= p
             pe *= p
+    rem[0] = 1
+    np.negative(mobius, out=mobius, where=rem > 1)
+    phi //= rem
+    rem -= 1
+    np.maximum(rem, 1, out=rem)
+    phi *= rem
 
-    prime_powers = np.array(sorted(lambda_support), dtype=np.int64)
-    bases = np.array([lambda_support[int(m)] for m in prime_powers], dtype=np.int64)
-    prime_power_logs = np.log(bases.astype(np.float64))
+    return _assemble(limit, spf, mobius, phi, primes)
 
+
+def _assemble(limit: int, spf: np.ndarray, mobius: np.ndarray, phi: np.ndarray,
+              primes: np.ndarray) -> MultiplicativeTables:
+    """Tables from the sieved arrays: adds the sorted prime powers p^e <= limit,
+    their base primes (behind ``lambda_support``) and the base logs."""
+    powers = [primes.astype(np.int64)]
+    bases = [powers[0]]
+    p = powers[0][: int(np.searchsorted(powers[0], math.isqrt(limit), side="right"))]
+    pe = p * p
+    while p.size:
+        keep = pe <= limit
+        p, pe = p[keep], pe[keep]
+        powers.append(pe)
+        bases.append(p)
+        pe = pe * p
+    powers = np.concatenate(powers)
+    bases = np.concatenate(bases)
+    order = np.argsort(powers, kind="stable")
+    prime_powers = powers[order]
+    bases = bases[order]
     return MultiplicativeTables(
-        limit=limit,
-        lambda_support=lambda_support,
+        limit=int(limit),
+        lambda_support=LambdaSupport(prime_powers, bases),
         mobius=mobius,
         phi=phi,
         smallest_prime_factor=spf,
         prime_powers=prime_powers,
-        prime_power_logs=prime_power_logs,
+        prime_power_logs=np.log(bases.astype(np.float64)),
     )
 
 
@@ -217,47 +278,42 @@ def enumerate_moduli_set(Q: int, kind: str = "prime-powers",
 
 
 def save_tables(tables: MultiplicativeTables, path: str) -> None:
-    """Binary cache: magic, limit (8-byte LE), then per-entry records."""
+    """Binary cache: magic, limit (8-byte LE), CRC32 of the records (4-byte
+    LE), then the per-entry records."""
     records = np.empty(tables.limit + 1, dtype=CACHE_ENTRY_DTYPE)
     records["spf"] = tables.smallest_prime_factor
     records["mobius"] = tables.mobius
     records["phi"] = tables.phi.astype(np.uint32)
+    raw = records.tobytes()
     with open(path, "wb") as fh:
         fh.write(CACHE_MAGIC)
-        fh.write(struct.pack("<Q", tables.limit))
-        fh.write(records.tobytes())
+        fh.write(CACHE_HEADER.pack(tables.limit, zlib.crc32(raw)))
+        fh.write(raw)
 
 
 def load_tables(path: str) -> MultiplicativeTables:
+    """Read a ``save_tables`` cache; raises ValueError on a wrong magic or
+    length, a CRC mismatch, or records that are not a valid sieve."""
     with open(path, "rb") as fh:
         magic = fh.read(len(CACHE_MAGIC))
         if magic != CACHE_MAGIC:
             raise ValueError(f"bad cache magic {magic!r}")
-        (limit,) = struct.unpack("<Q", fh.read(8))
+        header = fh.read(CACHE_HEADER.size)
+        if len(header) != CACHE_HEADER.size:
+            raise ValueError("cache header truncated")
+        limit, crc = CACHE_HEADER.unpack(header)
         raw = fh.read()
-    records = np.frombuffer(raw, dtype=CACHE_ENTRY_DTYPE)
-    if len(records) != limit + 1:
+    if len(raw) != (limit + 1) * CACHE_ENTRY_DTYPE.itemsize:
         raise ValueError("cache truncated or corrupt")
+    if zlib.crc32(raw) != crc:
+        raise ValueError("cache checksum mismatch")
+    records = np.frombuffer(raw, dtype=CACHE_ENTRY_DTYPE)
     spf = records["spf"].copy()
     mobius = records["mobius"].copy()
     phi = records["phi"].astype(np.int64)
-
-    lambda_support: dict[int, int] = {}
-    n = np.arange(limit + 1, dtype=np.int64)
-    primes = n[2:][spf[2:] == n[2:].astype(np.uint32)]
-    for p in primes.tolist():
-        pe = p
-        while pe <= limit:
-            lambda_support[pe] = p
-            pe *= p
-    prime_powers = np.array(sorted(lambda_support), dtype=np.int64)
-    bases = np.array([lambda_support[int(m)] for m in prime_powers], dtype=np.int64)
-    return MultiplicativeTables(
-        limit=int(limit),
-        lambda_support=lambda_support,
-        mobius=mobius,
-        phi=phi,
-        smallest_prime_factor=spf,
-        prime_powers=prime_powers,
-        prime_power_logs=np.log(bases.astype(np.float64)),
-    )
+    if np.any((mobius < -1) | (mobius > 1)):
+        raise ValueError("cache mobius value outside {-1, 0, 1}")
+    n = np.arange(limit + 1, dtype=np.uint32)
+    if np.any((spf[2:] < 2) | (spf[2:] > n[2:])) or np.any(n[2:] % spf[2:]):
+        raise ValueError("cache smallest prime factor table is invalid")
+    return _assemble(limit, spf, mobius, phi, n[2:][spf[2:] == n[2:]])

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy.integrate import quad
 
 from .arith import MultiplicativeTables
 from .reports import BoundReport
@@ -80,22 +79,19 @@ def reconstruct(x: float, n_max: int, tables: MultiplicativeTables) -> np.ndarra
     if n_max >= 1:
         logs[1:] = np.log(np.arange(1, n_max + 1, dtype=np.float64))
 
+    unit = np.ones(n_max + 1)
+    unit[0] = 0.0
+
     out = np.zeros(n_max + 1)
     m_conv = np.zeros(n_max + 1)  # delta at 1: identity for convolution
     m_conv[1] = 1.0
+    t_conv = logs  # log * 1^(j-1), extended by one unit factor per j
     for j in range(1, 5):
         m_conv = _dirichlet_convolve(m_conv, mu_trunc)
-        t_conv = logs.copy()  # log * 1^(j-1)
-        for _ in range(j - 1):
-            t_conv = _dirichlet_convolve(t_conv, _unit_array(n_max))
+        if j > 1:
+            t_conv = _dirichlet_convolve(t_conv, unit)
         out += (-1) ** (j - 1) * math.comb(4, j) * _dirichlet_convolve(m_conv, t_conv)
     return out
-
-
-def _unit_array(n_max: int) -> np.ndarray:
-    u = np.ones(n_max + 1)
-    u[0] = 0.0
-    return u
 
 
 def _dirichlet_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -147,9 +143,8 @@ def verify_identity(x: float, n_max: int, tables: MultiplicativeTables) -> Bound
     is exact, so the residual is pure floating error."""
     rec = reconstruct(x, n_max, tables)
     lam = np.zeros(int(n_max) + 1)
-    for n, p in tables.lambda_support.items():
-        if n <= n_max:
-            lam[n] = math.log(p)
+    k = int(np.searchsorted(tables.prime_powers, n_max, side="right"))
+    lam[tables.prime_powers[:k]] = tables.prime_power_logs[:k]
     resid = np.abs(rec - lam)
     worst = int(np.argmax(resid / (1.0 + np.log(np.maximum(np.arange(len(resid)), 1)))))
     return BoundReport(
@@ -228,7 +223,6 @@ def log_removal_check(
     N1: int,
     f: dict[int, float],
     upper_limit: str = "exact",
-    quadrature: bool = False,
 ) -> BoundReport:
     """Compare sum of f(n) log n on (N1, 2N1] with the layer integral
     int (1/v) sum over n in (max(v, N1), 2N1] of f(n) dv.
@@ -246,24 +240,12 @@ def log_removal_check(
     lhs = math.fsum(w * math.log(n) for n, w in support.items())
 
     top = 2 * N1 if upper_limit == "exact" else N1
-    if quadrature:
-        def integrand(v: float) -> float:
-            lo = max(v, N1)
-            return sum(w for n, w in support.items() if n > lo) / v
-
-        breakpoints = sorted({1.0, float(N1), float(top)}
-                             | {float(n) for n in support if n <= top})
-        rhs = 0.0
-        for a, b in zip(breakpoints, breakpoints[1:]):
-            val, _ = quad(integrand, a, b, epsabs=1e-12, epsrel=1e-12)
-            rhs += val
-    else:
-        # closed form: each point n contributes log(min(n, top)) relative
-        # to the v-layers below it
-        rhs = math.fsum(
-            w * (math.log(N1) + max(0.0, math.log(min(n, top) / N1)))
-            for n, w in support.items()
-        ) if top >= N1 else 0.0
+    # closed form: each point n contributes log(min(n, top)) relative
+    # to the v-layers below it
+    rhs = math.fsum(
+        w * (math.log(N1) + max(0.0, math.log(min(n, top) / N1)))
+        for n, w in support.items()
+    ) if top >= N1 else 0.0
 
     return BoundReport(
         lhs=lhs,

@@ -1,4 +1,6 @@
 import math
+import warnings
+import zlib
 from math import gcd
 
 import numpy as np
@@ -6,6 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bvlab.arith import (
+    CACHE_ENTRY_DTYPE,
+    CACHE_HEADER,
+    CACHE_MAGIC,
     FactoredInteger,
     LimitError,
     ModuliSet,
@@ -36,6 +41,86 @@ def _naive_mobius(n):
 
 def _naive_phi(n):
     return sum(1 for a in range(1, n + 1) if gcd(a, n) == 1)
+
+
+def _sieve_reference(limit):
+    """Reference sieve: the per-prime loop over every prime <= limit, with
+    the von Mangoldt support built as a dict and sorted."""
+    spf = np.zeros(limit + 1, dtype=np.uint32)
+    root = math.isqrt(limit)
+    for i in range(2, root + 1):
+        if spf[i] == 0:
+            block = spf[i * i :: i]
+            block[block == 0] = i
+    n = np.arange(limit + 1, dtype=np.uint32)
+    unmarked = (spf == 0) & (n >= 2)
+    spf[unmarked] = n[unmarked]
+    primes = n[2:][spf[2:] == n[2:]]
+
+    mobius = np.ones(limit + 1, dtype=np.int8)
+    mobius[0] = 0
+    phi = np.arange(limit + 1, dtype=np.int64)
+    for p in primes.tolist():
+        mobius[p::p] *= -1
+        phi[p::p] //= p
+        phi[p::p] *= p - 1
+        if p * p <= limit:
+            mobius[p * p :: p * p] = 0
+
+    lambda_support = {}
+    for p in primes.tolist():
+        pe = p
+        while pe <= limit:
+            lambda_support[pe] = p
+            pe *= p
+    prime_powers = np.array(sorted(lambda_support), dtype=np.int64)
+    bases = np.array([lambda_support[int(m)] for m in prime_powers], dtype=np.int64)
+    return {
+        "smallest_prime_factor": spf,
+        "mobius": mobius,
+        "phi": phi,
+        "prime_powers": prime_powers,
+        "prime_power_logs": np.log(bases.astype(np.float64)),
+        "lambda_support": lambda_support,
+    }
+
+
+@pytest.mark.parametrize(
+    "limit",
+    [2, 3, 4, 8, 9, 25, 48, 49, 50, 97, 121, 1000, 9973, 10**4, 2**16,
+     10**5, 10**6],
+)
+def test_sieve_matches_reference_bit_for_bit(limit):
+    ref = _sieve_reference(limit)
+    tables = build_tables(limit)
+    for name in ("smallest_prime_factor", "mobius", "phi", "prime_powers",
+                 "prime_power_logs"):
+        got = getattr(tables, name)
+        assert got.dtype == ref[name].dtype, name
+        assert np.array_equal(got, ref[name]), name
+    assert tables.lambda_support == ref["lambda_support"]
+
+
+def test_sieve_raises_no_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        build_tables(10**5)
+
+
+def test_lambda_support_mapping(tables):
+    lam = tables.lambda_support
+    ref = _sieve_reference(tables.limit)["lambda_support"]
+    assert lam == ref and ref == lam
+    assert lam != {**ref, 6: 2}
+    assert len(lam) == len(ref)
+    assert 243 in lam and 12 not in lam and 0 not in lam
+    assert lam.get(243) == 3 and lam.get(12) is None
+    assert lam.get(tables.limit + 1) is None
+    with pytest.raises(KeyError):
+        lam[1]
+    assert list(lam.items()) == sorted(ref.items())
+    assert len(lam.items()) == len(ref)
+    assert list(lam) == sorted(ref)
 
 
 def test_limit_validation():
@@ -164,4 +249,58 @@ def test_cache_rejects_garbage(tmp_path):
     path = tmp_path / "bad.bin"
     path.write_bytes(b"not a cache")
     with pytest.raises(ValueError):
+        load_tables(str(path))
+    path.write_bytes(CACHE_MAGIC + b"\0\0\0")
+    with pytest.raises(ValueError, match="header"):
+        load_tables(str(path))
+
+
+def _cache_records(tmp_path, tables):
+    path = tmp_path / "tables.bin"
+    save_tables(tables, str(path))
+    raw = path.read_bytes()[len(CACHE_MAGIC) + CACHE_HEADER.size :]
+    return path, np.frombuffer(raw, dtype=CACHE_ENTRY_DTYPE).copy()
+
+
+def _write_records(path, limit, records):
+    raw = records.tobytes()
+    path.write_bytes(CACHE_MAGIC + CACHE_HEADER.pack(limit, zlib.crc32(raw)) + raw)
+
+
+def test_cache_rejects_flipped_byte(tmp_path, tables):
+    path, _ = _cache_records(tmp_path, tables)
+    data = bytearray(path.read_bytes())
+    record_1234 = len(CACHE_MAGIC) + CACHE_HEADER.size + 1234 * CACHE_ENTRY_DTYPE.itemsize
+    # mu(1234) = 1 becomes 0: still a valid value, so only the CRC catches it
+    data[record_1234 + CACHE_ENTRY_DTYPE.fields["mobius"][1]] ^= 0x01
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match="checksum"):
+        load_tables(str(path))
+
+
+def test_cache_rejects_old_format_and_bad_length(tmp_path, tables):
+    path, _ = _cache_records(tmp_path, tables)
+    data = path.read_bytes()
+    path.write_bytes(b"BVML1" + data[len(CACHE_MAGIC) :])
+    with pytest.raises(ValueError, match="magic"):
+        load_tables(str(path))
+    path.write_bytes(data[: -CACHE_ENTRY_DTYPE.itemsize])
+    with pytest.raises(ValueError, match="truncated"):
+        load_tables(str(path))
+
+
+@pytest.mark.parametrize("field, n, value, match", [
+    ("mobius", 30, 2, "mobius"),
+    ("mobius", 30, -2, "mobius"),
+    ("spf", 2, 0, "smallest prime factor"),
+    ("spf", 9, 10, "smallest prime factor"),
+    ("spf", 35, 2, "smallest prime factor"),
+])
+def test_cache_rejects_invalid_records(tmp_path, tables, field, n, value, match):
+    path, records = _cache_records(tmp_path, tables)
+    _write_records(path, tables.limit, records)
+    assert load_tables(str(path)).lambda_support == tables.lambda_support
+    records[field][n] = value
+    _write_records(path, tables.limit, records)
+    with pytest.raises(ValueError, match=match):
         load_tables(str(path))

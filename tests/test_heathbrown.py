@@ -1,7 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+
+import bvlab
 
 from bvlab.heathbrown import (
     dyadic_grid,
@@ -30,6 +36,43 @@ def test_reconstruction_matches_von_mangoldt(tables):
     for n in range(1, x + 1):
         lam = tables.von_mangoldt(n)
         assert abs(rec[n] - lam) <= 1e-9 * (1.0 + math.log(n))
+
+
+def _reconstruct_reference(x, n_max, tables):
+    """Reference: log * 1^(j-1) rebuilt from the logs for every j."""
+    z = int(math.floor(x ** 0.25 + 1e-9))
+
+    def convolve(a, b):
+        out = np.zeros(n_max + 1)
+        for d in range(1, n_max + 1):
+            if a[d] != 0.0:
+                out[d::d] += a[d] * b[1 : n_max // d + 1]
+        return out
+
+    mu_trunc = np.zeros(n_max + 1)
+    top = min(z, n_max)
+    mu_trunc[1 : top + 1] = tables.mobius[1 : top + 1]
+    logs = np.zeros(n_max + 1)
+    logs[1:] = np.log(np.arange(1, n_max + 1, dtype=np.float64))
+    unit = np.ones(n_max + 1)
+    unit[0] = 0.0
+    out = np.zeros(n_max + 1)
+    m_conv = np.zeros(n_max + 1)
+    m_conv[1] = 1.0
+    for j in range(1, 5):
+        m_conv = convolve(m_conv, mu_trunc)
+        t_conv = logs.copy()
+        for _ in range(j - 1):
+            t_conv = convolve(t_conv, unit)
+        out += (-1) ** (j - 1) * math.comb(4, j) * convolve(m_conv, t_conv)
+    return out
+
+
+@pytest.mark.parametrize("n_max", [1, 100, 2000])
+def test_reconstruction_matches_reference_bit_for_bit(tables, n_max):
+    rec = reconstruct(2000.0, n_max, tables)
+    ref = _reconstruct_reference(2000.0, n_max, tables)
+    assert rec.tobytes() == ref.tobytes()
 
 
 def test_reconstruction_agrees_with_bruteforce(tables):
@@ -98,10 +141,37 @@ def test_log_removal_printed_mode_undershoots():
     assert printed.rhs_formula_value == pytest.approx(4 * math.log(4), abs=1e-12)
 
 
+def _log_removal_quadrature(N1, f, top):
+    """Oracle: integrate the layer integrand piecewise with scipy's quad."""
+    support = {n: w for n, w in f.items() if N1 < n <= 2 * N1 and w != 0.0}
+
+    def integrand(v):
+        lo = max(v, N1)
+        return sum(w for n, w in support.items() if n > lo) / v
+
+    breakpoints = sorted({1.0, float(N1), float(top)}
+                         | {float(n) for n in support if n <= top})
+    total = 0.0
+    for a, b in zip(breakpoints, breakpoints[1:]):
+        val, _ = quad(integrand, a, b, epsabs=1e-12, epsrel=1e-12)
+        total += val
+    return total
+
+
 def test_log_removal_quadrature_agrees():
     f = {5: 1.0, 7: 2.0}
-    closed = log_removal_check(4, f, upper_limit="exact", quadrature=False)
-    quad = log_removal_check(4, f, upper_limit="exact", quadrature=True)
+    closed = log_removal_check(4, f, upper_limit="exact")
     assert closed.rhs_formula_value == pytest.approx(
-        quad.rhs_formula_value, abs=1e-9
+        _log_removal_quadrature(4, f, top=8), abs=1e-9
     )
+
+
+def test_cli_imports_no_scipy():
+    # importing scipy costs more time and memory than the rest of bvlab;
+    # only perron's first call should pay for it
+    code = ("import sys, bvlab.cli; "
+            "loaded = [m for m in sys.modules if m.startswith('scipy')]; "
+            "assert not loaded, loaded[:3]")
+    src = os.path.dirname(os.path.dirname(bvlab.__file__))
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
