@@ -1,18 +1,18 @@
 #!/usr/bin/env python3
 """Survey exceptional-modulus counts across x and threshold strength A.
 
-For each x the moduli are the prime powers in [Q, 2Q) with Q = x^(9/40);
-a modulus is flagged when its worst progression error E*(x, q) exceeds
-x / (phi(q) (log x)^A). Emits a CSV of (x, A, Q, set size, exceptional
-count, max observed ratio) and prints a table.
+For each x the moduli are the prime powers in [Q, 2Q), with Q the largest
+integer such that Q^40 <= x^9; a modulus is flagged when its worst
+progression error E*(x, q) exceeds x / (phi(q) (log x)^A). Emits a CSV
+of (x, A, Q, set size, exceptional count, max observed ratio) and prints
+a table.
 """
 
 import argparse
 import csv
-import math
 
 from bvlab.arith import build_tables, enumerate_moduli_set
-from bvlab.progressions import exception_scan
+from bvlab.progressions import exception_scan, max_modulus
 
 
 def main() -> None:
@@ -27,7 +27,7 @@ def main() -> None:
     tables = build_tables(max(args.x_values))
     rows = []
     for x in args.x_values:
-        Q = int(math.floor(x ** (9 / 40)))
+        Q = max_modulus(x)
         S = enumerate_moduli_set(Q, "prime-powers")
         for A in args.a_values:
             _, summary = exception_scan(float(x), Q, A, S, tables)

@@ -96,9 +96,6 @@ class _OddComponent:
     def dlogs(self, r: int) -> tuple[int, ...]:
         return (self.dlog_table()[r],)
 
-    def kernel_divisors(self) -> list[int]:
-        return [self.p**j for j in range(self.e + 1)]
-
     def conductor_of(self, exps: tuple[int, ...]) -> int:
         # test each divisor p^j in increasing order: the character is
         # trivial on the reduction kernel iff it kills the kernel's

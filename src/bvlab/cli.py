@@ -12,6 +12,7 @@ Exit codes:
   3  unknown configuration section or key
   4  table cache named in the config but missing on disk
   5  malformed configuration file
+  6  table cache named in the config but failing its integrity checks
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import random
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from multiprocessing.dummy import Pool
 
 import numpy as np
 
@@ -37,22 +37,27 @@ EXIT_INVALID_VALUE = 2
 EXIT_UNKNOWN_KEY = 3
 EXIT_MISSING_CACHE = 4
 EXIT_CONFIG_PARSE = 5
+EXIT_INVALID_CACHE = 6
 
 
 class ConfigParseError(Exception):
-    pass
+    exit_code = EXIT_CONFIG_PARSE
 
 
 class UnknownKeyError(Exception):
-    pass
+    exit_code = EXIT_UNKNOWN_KEY
 
 
 class InvalidValueError(Exception):
-    pass
+    exit_code = EXIT_INVALID_VALUE
 
 
 class MissingCacheError(Exception):
-    pass
+    exit_code = EXIT_MISSING_CACHE
+
+
+class InvalidCacheError(Exception):
+    exit_code = EXIT_INVALID_CACHE
 
 
 def _fraction(raw: str) -> Fraction:
@@ -91,7 +96,7 @@ class ExperimentConfig:
     # [general]
     seed: int = 0
     output_dir: str = "out"
-    workers: int = 1
+    workers: int = 1  # accepted and checked; every command runs serially
     table_cache: str = ""
     # [sieve]
     limit: int = 10**6
@@ -225,20 +230,16 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise InvalidValueError(f"rel_tol {cfg.rel_tol} must be positive")
 
 
-def parallel_map(fn, items, workers: int):
-    """Ordered map; results are independent of the worker count."""
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with Pool(workers) as pool:
-        return pool.map(fn, items)
-
-
 def _tables(cfg: ExperimentConfig, limit: int) -> arith.MultiplicativeTables:
     if cfg.table_cache:
         if not os.path.exists(cfg.table_cache):
             raise MissingCacheError(f"table cache {cfg.table_cache!r} not found")
-        tables = arith.load_tables(cfg.table_cache)
+        try:
+            tables = arith.load_tables(cfg.table_cache)
+        except ValueError as exc:
+            raise InvalidCacheError(
+                f"table cache {cfg.table_cache!r}: {exc}; rebuild it with "
+                f"bvlab sieve") from exc
         if tables.limit >= limit:
             return tables
         raise MissingCacheError(
@@ -294,7 +295,7 @@ def cmd_characters(cfg: ExperimentConfig) -> None:
 
 def cmd_exceptions(cfg: ExperimentConfig) -> None:
     tables = _tables(cfg, cfg.x)
-    Q = int(math.floor(cfg.x ** (9 / 40)))
+    Q = progressions.max_modulus(cfg.x)
     kind = cfg.moduli_kind
     S = arith.enumerate_moduli_set(Q, kind)
     records, summary = progressions.exception_scan(
@@ -332,19 +333,16 @@ def cmd_meanvalue(cfg: ExperimentConfig) -> None:
         for T in cfg.t_values
         for k in range(cfg.n_min_exp, cfg.n_max_exp + 1)
     ]
-
-    def run(job):
-        Q, T, N = job
+    reports = []
+    for Q, T, N in jobs:
         fam = dpoly.build_triple_family(Q, float(T), N, None, "unit", tables)
-        return [
+        reports += [
             dpoly.mean_value_report(fam, x_scale=cfg.x_scale),
             dpoly.fourth_moment_report(Q, float(T), N, tables,
                                        x_scale=cfg.x_scale),
             dpoly.derivative_second_moment_report(Q, float(T), N, tables,
                                                   x_scale=cfg.x_scale),
         ]
-
-    reports = [r for rs in parallel_map(run, jobs, cfg.workers) for r in rs]
     if any(not math.isfinite(r.ratio) for r in reports):
         raise AssertionError("non-finite mean-value ratio")
     write_reports_csv(reports, _out(cfg, "meanvalue.csv"))
@@ -445,7 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=(
             "exit codes: 0 success; 1 verification failure; "
             "2 invalid config value; 3 unknown config key; "
-            "4 missing table cache; 5 malformed config file"
+            "4 missing table cache; 5 malformed config file; "
+            "6 invalid table cache"
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -468,21 +467,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed is not None:
             cfg.seed = args.seed
         _COMMANDS[args.command](cfg)
-    except ConfigParseError as exc:
+    except (ConfigParseError, UnknownKeyError, InvalidValueError,
+            MissingCacheError, InvalidCacheError, AssertionError,
+            ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_PARSE
-    except UnknownKeyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNKNOWN_KEY
-    except InvalidValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_VALUE
-    except MissingCacheError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISSING_CACHE
-    except (AssertionError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ASSERTION
+        return getattr(exc, "exit_code", EXIT_ASSERTION)
     return EXIT_OK
 
 

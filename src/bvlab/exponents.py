@@ -11,6 +11,7 @@ bounds certify the target T^(39/40) x^(1/2) exponent shape on a grid.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction as F
 from itertools import combinations
@@ -167,9 +168,7 @@ def partition_bruteforce(u: tuple[F, ...]) -> PartitionOutcome | None:
     Integer arithmetic over a common denominator."""
     u = tuple(F(x) for x in u)
     validate_exponents(u)
-    D = 1
-    for x in u:
-        D = D * x.denominator // _gcd(D, x.denominator)
+    D = math.lcm(*(x.denominator for x in u))
     a = [int(x * D) for x in u]
     total = sum(a)
     subset_sum = [0] * 256
@@ -205,12 +204,6 @@ def partition_bruteforce(u: tuple[F, ...]) -> PartitionOutcome | None:
     return None
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 @dataclass(frozen=True)
 class CaseBound:
     """One exponent bound: the quantity is at most
@@ -228,11 +221,6 @@ class CaseBound:
     def slack(self, tau: F) -> F:
         return (self.x_exponent + self.T_exponent * tau) - (
             self.claim_x + self.claim_T * tau
-        )
-
-    def global_slack(self, tau: F) -> F:
-        return (self.x_exponent + self.T_exponent * tau) - (
-            TARGET_X + TARGET_T * tau
         )
 
     def admissible(self, taus=(F(0), F(1))) -> bool:
@@ -444,7 +432,6 @@ def polytope_scan(
     grid_step: F,
     theta: F = THETA_MAX,
     taus: tuple[F, ...] = (F(0), F(1)),
-    check_partition: bool = False,
 ) -> ScanResult:
     """Exhaustive exact-rational certificate over the exponent grid:
     every case bound must close under its claimed exponent pair (which
@@ -462,10 +449,6 @@ def polytope_scan(
     for u in grid_tuples(grid_step):
         count += 1
         outcome = partition_exponents(u)
-        if check_partition:
-            oracle = partition_bruteforce(u)
-            if oracle is None:
-                raise AssertionError(f"no admissible split found for {u}")
         tuple_bad = False
         for bound in case_bounds(u, outcome, theta=theta):
             for tau in taus:

@@ -38,10 +38,6 @@ class DyadicTuple:
     def sizes(self) -> tuple[int, ...]:
         return tuple(2**e for e in self.exponents)
 
-    @property
-    def degenerate_flags(self) -> tuple[bool, ...]:
-        return tuple(e == 0 for e in self.exponents)
-
 
 def identity_terms(x: float, K: int = 4) -> list[HBTerm]:
     """Term structure of the K = 4 identity (8 factor slots: the first
@@ -69,7 +65,7 @@ def reconstruct(x: float, n_max: int, tables: MultiplicativeTables) -> np.ndarra
     if n_max > x or x > tables.limit:
         raise ValueError("need n_max <= x <= tables.limit")
     n_max = int(n_max)
-    z = int(math.floor(x ** 0.25 + 1e-9))
+    z, _, _ = _integer_sizes(x)
 
     mu_trunc = np.zeros(n_max + 1)
     top = min(z, n_max)
@@ -94,6 +90,16 @@ def reconstruct(x: float, n_max: int, tables: MultiplicativeTables) -> np.ndarra
     return out
 
 
+def _integer_sizes(x: float) -> tuple[int, int, int]:
+    """Exact integer sizes for x >= 1: z = floor(x^(1/4)), L = floor(log2 x)
+    and cap_high, the largest e with 2 * 2^e <= x^(1/4) (clamped at 0).
+    Each follows from floor(x) alone: 2^k <= x iff 2^k <= floor(x)."""
+    n = int(x)
+    L = n.bit_length() - 1
+    # 2 * 2^e <= x^(1/4)  <=>  2^(4e + 4) <= x  <=>  4e + 4 <= L
+    return math.isqrt(math.isqrt(n)), L, max(0, L // 4 - 1)
+
+
 def _dirichlet_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     n_max = len(a) - 1
     out = np.zeros(n_max + 1)
@@ -106,7 +112,7 @@ def _dirichlet_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def reconstruct_bruteforce(n: int, x: float, tables: MultiplicativeTables) -> float:
     """Oracle: enumerate every tuple (m_1..m_j, n_1..n_j) with product n
     directly. Exponential in divisors; for small n only."""
-    z = int(math.floor(x ** 0.25 + 1e-9))
+    z, _, _ = _integer_sizes(x)
     total = 0.0
     for j in range(1, 5):
         coeff = (-1) ** (j - 1) * math.comb(4, j)
@@ -159,9 +165,7 @@ def dyadic_grid_count(x: float) -> int:
     """Number of admissible dyadic 8-tuples, computed combinatorially."""
     if x < 2**8:
         raise ValueError("x must be at least 2^8")
-    L = int(math.floor(math.log2(x) + 1e-9))
-    cap_high = max(0, int(math.floor(math.log2(x) / 4 + 1e-9)) - 1)
-    # 2 * 2^e <= x^(1/4)  <=>  e <= log2(x)/4 - 1
+    _, L, cap_high = _integer_sizes(x)
     count = 0
     for highs in product(range(cap_high + 1), repeat=4):
         rem = L - sum(highs)
@@ -176,8 +180,7 @@ def dyadic_grid(x: float) -> tuple[list[DyadicTuple], int]:
     the four mobius-slot sizes satisfy 2 * N_i <= x^(1/4)."""
     if x < 2**8:
         raise ValueError("x must be at least 2^8")
-    L = int(math.floor(math.log2(x) + 1e-9))
-    cap_high = max(0, int(math.floor(math.log2(x) / 4 + 1e-9)) - 1)
+    _, L, cap_high = _integer_sizes(x)
     tuples = []
     for highs in product(range(cap_high + 1), repeat=4):
         rem_high = L - sum(highs)

@@ -4,6 +4,13 @@ The max over y of |psi(y; q, a) - y/phi(q)| is evaluated only at jump
 points (prime powers) plus the endpoint, looking at both one-sided limits
 at each jump; between jumps the quantity is piecewise linear in y, so
 this is exact and avoids an O(x) scan per modulus.
+
+One walk over the jumps serves E*, E-dagger and the character extremum:
+``_class_prefix_sums`` groups the prime powers n <= x by n mod q with one
+stable argsort and takes a cumulative sum per class, giving every class
+sum just before and just after each jump. That costs O(pi(x) log pi(x))
+per modulus, and each class sum is added in jump order, so it is
+bit-equal to a running ``+=`` over the jumps.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ import numpy as np
 
 from .arith import ModuliSet, MultiplicativeTables
 from .characters import (CharacterGroup, DirichletCharacter, conductor_and_primitivity,
-                         euler_phi, factorize)
+                         euler_phi)
 
 
 @dataclass
@@ -28,8 +35,8 @@ class ErrorTermRecord:
     a: int | str  # residue, or "max" for the max over residues
     y_star: float
     E_value: float
-    threshold: float | None
-    exceptional: bool
+    threshold: float | None = None
+    exceptional: bool = False
 
 
 @dataclass
@@ -42,8 +49,7 @@ class CharacterExtremum:
 def psi(y: float, tables: MultiplicativeTables) -> float:
     """Chebyshev psi(y) = sum of Lambda(n) over n <= y."""
     _check_range(y, tables)
-    k = int(np.searchsorted(tables.prime_powers, y, side="right"))
-    return math.fsum(tables.prime_power_logs[:k])
+    return math.fsum(_jumps(y, tables)[1])
 
 
 def psi_ap(y: float, q: int, a: int, tables: MultiplicativeTables) -> float:
@@ -51,30 +57,22 @@ def psi_ap(y: float, q: int, a: int, tables: MultiplicativeTables) -> float:
     _check_range(y, tables)
     if q < 1:
         raise ValueError("q must be positive")
-    k = int(np.searchsorted(tables.prime_powers, y, side="right"))
-    pp = tables.prime_powers[:k]
-    logs = tables.prime_power_logs[:k]
+    pp, logs = _jumps(y, tables)
     return math.fsum(logs[pp % q == a % q])
 
 
 def psi_coprime(y: float, q: int, tables: MultiplicativeTables) -> float:
-    """Sum of Lambda(n) over n <= y coprime to q: psi(y) minus the
-    contribution of prime powers of primes dividing q."""
-    total = psi(y, tables)
-    correction = []
-    for p in {p for p, _ in factorize(q)}:
-        pe = p
-        while pe <= y:
-            correction.append(math.log(p))
-            pe *= p
-    return total - math.fsum(correction)
+    """Sum of Lambda(n) over n <= y coprime to q."""
+    _check_range(y, tables)
+    if q < 1:
+        raise ValueError("q must be positive")
+    pp, logs = _jumps(y, tables)
+    return math.fsum(logs[np.gcd(pp, q) == 1])
 
 
 def _residue_weights(y: float, q: int, tables: MultiplicativeTables) -> np.ndarray:
     """w[r] = sum of Lambda(n) over prime powers n <= y, n = r (mod q)."""
-    k = int(np.searchsorted(tables.prime_powers, y, side="right"))
-    pp = tables.prime_powers[:k]
-    logs = tables.prime_power_logs[:k]
+    pp, logs = _jumps(y, tables)
     return np.bincount((pp % q).astype(np.int64), weights=logs, minlength=q)
 
 
@@ -95,14 +93,13 @@ def character_extremum(
     """y(chi) maximizing |psi(y, chi)| over y <= x, with the unimodular
     phase a(chi) that rotates the maximum onto the positive real axis."""
     _check_range(x, tables)
-    vals = chi.value_table()
-    k = int(np.searchsorted(tables.prime_powers, x, side="right"))
-    running = 0j
-    best_abs, best_y = 0.0, 1.0
-    for n, lg in zip(tables.prime_powers[:k].tolist(), tables.prime_power_logs[:k].tolist()):
-        running += lg * vals[n % chi.q]
-        if abs(running) > best_abs:
-            best_abs, best_y = abs(running), float(n)
+    pp, logs = _jumps(x, tables)
+    # one class (q = 1) weighted by Lambda(n) chi(n): its sums are psi(n, chi)
+    _, _, running, _ = _class_prefix_sums(
+        pp, logs * np.asarray(chi.value_table())[pp % chi.q], 1)
+    # a leading 0 stands for y = 1, kept unless some |psi(n, chi)| exceeds 0
+    i = int(np.argmax(np.abs(np.concatenate(([0], running)))))
+    best_y = float(pp[i - 1]) if i else 1.0
     value = psi_chi(best_y, chi, tables)
     a = 1 + 0j if value == 0 else abs(value) / value
     return CharacterExtremum(chi=chi, y_chi=best_y, a_chi=a)
@@ -136,31 +133,23 @@ def e_star(x: float, q: int, tables: MultiplicativeTables) -> ErrorTermRecord:
     """max over residues a coprime to q and over y <= x of
     |psi(y; q, a) - y/phi(q)|, exact via jump-point evaluation."""
     _check_range(x, tables)
-    phi_q = int(tables.phi[q]) if q <= tables.limit else euler_phi(q)
-    inv_phi = 1.0 / phi_q
-    k = int(np.searchsorted(tables.prime_powers, x, side="right"))
-    pp = tables.prime_powers[:k]
-    logs = tables.prime_power_logs[:k]
-
-    sums = {a: 0.0 for a in range(q) if gcd(a, q) == 1} if q > 1 else {0: 0.0}
-    best, y_star, a_star = 0.0, 1.0, "max"
-    for n, lg in zip(pp.tolist(), logs.tolist()):
-        r = n % q
-        if r not in sums:
-            continue
-        left = abs(sums[r] - n * inv_phi)  # limit as y -> n from below
-        if left > best:
-            best, y_star = left, float(n)
-        sums[r] += lg
-        right = abs(sums[r] - n * inv_phi)
-        if right > best:
-            best, y_star = right, float(n)
-    for a, s in sums.items():
-        endpoint = abs(s - x * inv_phi)
-        if endpoint > best:
-            best, y_star = endpoint, float(x)
-    return ErrorTermRecord(q=q, a="max", y_star=y_star, E_value=best,
-                           threshold=None, exceptional=False)
+    inv_phi = 1.0 / euler_phi(q)
+    pp, logs = _jumps(x, tables)
+    coprime, before, after, totals = _class_prefix_sums(pp, logs, q)
+    jumps = pp[coprime]
+    # left then right limit at each jump, so argmax keeps the first maximum
+    dev = np.column_stack((before[coprime], after[coprime]))
+    dev -= (jumps * inv_phi)[:, None]
+    dev = np.abs(dev, out=dev).ravel()
+    best, y_star = 0.0, 1.0
+    if len(dev):
+        i = int(np.argmax(dev))
+        if dev[i] > best:
+            best, y_star = float(dev[i]), float(jumps[i // 2])
+    endpoint = float(np.max(np.abs(totals - x * inv_phi)))
+    if endpoint > best:
+        best, y_star = endpoint, float(x)
+    return ErrorTermRecord(q=q, a="max", y_star=y_star, E_value=best)
 
 
 def e_star_bruteforce(x: int, q: int, tables: MultiplicativeTables) -> float:
@@ -185,30 +174,29 @@ def e_dagger(x: float, q: int, tables: MultiplicativeTables) -> ErrorTermRecord:
     """max over y <= x and a coprime to q of
     |psi(y; q, a) - psi(y)/phi(q)| (centered at the full Chebyshev sum)."""
     _check_range(x, tables)
-    phi_q = euler_phi(q)
-    if q == 1:
-        return ErrorTermRecord(q=1, a="max", y_star=1.0, E_value=0.0,
-                               threshold=None, exceptional=False)
-    inv_phi = 1.0 / phi_q
-    k = int(np.searchsorted(tables.prime_powers, x, side="right"))
-    residues = [a for a in range(q) if gcd(a, q) == 1]
-    sums = dict.fromkeys(residues, 0.0)
-    total = 0.0
+    inv_phi = 1.0 / euler_phi(q)
+    pp, logs = _jumps(x, tables)
     best, y_star = 0.0, 1.0
-    for n, lg in zip(tables.prime_powers[:k].tolist(),
-                     tables.prime_power_logs[:k].tolist()):
-        r = n % q
-        if r in sums:
-            sums[r] += lg
-        total += lg
-        center = total * inv_phi
-        hi = max(sums.values()) - center
-        lo = center - min(sums.values())
-        val = max(hi, lo)
-        if val > best:
-            best, y_star = val, float(n)
-    return ErrorTermRecord(q=q, a="max", y_star=y_star, E_value=best,
-                           threshold=None, exceptional=False)
+    if len(pp):
+        coprime, before, after, totals = _class_prefix_sums(pp, logs, q)
+        center = np.cumsum(logs) * inv_phi
+        # Class sums only grow, so after jump i the largest coprime class
+        # sum is the largest reached so far (0 before any), and the least
+        # is the least value a class still holds at some jump >= i: it
+        # keeps before[j] until its jump j, and its total after its last.
+        dev = np.where(coprime, after, 0.0)
+        np.maximum.accumulate(dev, out=dev)
+        dev -= center
+        held = np.full(len(pp), np.inf)
+        j = np.flatnonzero(coprime[1:]) + 1
+        held[j - 1] = before[j]
+        held[-1] = np.min(totals)
+        np.minimum.accumulate(held[::-1], out=held[::-1])
+        np.maximum(dev, center - held, out=dev)
+        i = int(np.argmax(dev))
+        if dev[i] > best:
+            best, y_star = float(dev[i]), float(pp[i])
+    return ErrorTermRecord(q=q, a="max", y_star=y_star, E_value=best)
 
 
 def e_dagger_bruteforce(x: int, q: int, tables: MultiplicativeTables) -> float:
@@ -244,6 +232,17 @@ def reduction_gap(
     return g1, g2
 
 
+def max_modulus(x: float) -> int:
+    """The largest Q with Q^40 <= x^9 (Q = floor(x^(9/40)) in exact
+    integer arithmetic on floor(x)), the paper's range for the moduli."""
+    Q = int(x ** (9 / 40))
+    while Q**40 > int(x) ** 9:
+        Q -= 1
+    while (Q + 1) ** 40 <= int(x) ** 9:
+        Q += 1
+    return Q
+
+
 def exception_scan(
     x: float,
     Q: int,
@@ -252,7 +251,7 @@ def exception_scan(
     tables: MultiplicativeTables,
 ) -> tuple[list[ErrorTermRecord], dict]:
     """Flag each q in S whose E*(x, q) exceeds x / (phi(q) (log x)^A)."""
-    if Q**40 > int(x) ** 9:
+    if Q > max_modulus(x):
         warnings.warn(f"Q={Q} exceeds x^(9/40); the scan proceeds anyway")
     log_x = math.log(x)
     records = []
@@ -290,6 +289,40 @@ def write_scan_summary(summary: dict, path: str) -> None:
     with open(path, "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _jumps(y: float, tables: MultiplicativeTables) -> tuple[np.ndarray, np.ndarray]:
+    """The jump points of psi up to y (the prime powers n <= y, ascending)
+    and their weights Lambda(n)."""
+    k = int(np.searchsorted(tables.prime_powers, y, side="right"))
+    return tables.prime_powers[:k], tables.prime_power_logs[:k]
+
+
+def _class_prefix_sums(pp: np.ndarray, weights: np.ndarray, q: int):
+    """Walk the jumps pp in order, keeping one running sum of the weights
+    per class mod q. Returns (coprime, before, after, totals): whether
+    (n, q) = 1 for each jump n, the sum of n's class over the jumps < n
+    and over the jumps <= n, and the sums of the phi(q) coprime classes
+    over all jumps. Each class is grouped by a stable argsort and summed
+    by np.cumsum, which adds in sequence, so every sum is bit-equal to a
+    running ``+=`` over the jumps."""
+    r = pp % q
+    order = np.argsort(r, kind="stable")
+    sorted_r = r[order]
+    starts = np.flatnonzero(np.diff(sorted_r, prepend=-1))
+    ends = np.flatnonzero(np.diff(sorted_r, append=q)) + 1
+    sums = weights[order]
+    for lo, hi in zip(starts.tolist(), ends.tolist()):
+        np.cumsum(sums[lo:hi], out=sums[lo:hi])
+    after = np.empty_like(sums)
+    after[order] = sums
+    before = np.empty_like(sums)
+    before[order[1:]] = sums[:-1]
+    before[order[starts]] = 0
+    totals = sums[ends - 1][np.gcd(sorted_r[starts], q) == 1]
+    if len(totals) < euler_phi(q):  # a coprime class without jumps sums to 0
+        totals = np.append(totals, 0)
+    return np.gcd(r, q) == 1, before, after, totals
 
 
 def _check_range(y: float, tables: MultiplicativeTables) -> None:

@@ -8,7 +8,6 @@ and their ratio, plus the full parameter set that produced them.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -50,13 +49,6 @@ def write_reports_csv(reports: list[BoundReport], path: str) -> None:
         writer.writeheader()
         for row in rows:
             writer.writerow({k: _fmt(v) for k, v in row.items()})
-
-
-def write_reports_json(reports: list[BoundReport], path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump([r.as_row() for r in reports], fh, indent=2, default=str,
-                  sort_keys=True)
-        fh.write("\n")
 
 
 def _fmt(v):

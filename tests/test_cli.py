@@ -130,6 +130,40 @@ def test_help_documents_exit_codes(capsys):
     out = capsys.readouterr().out
     assert "exit codes" in out
     assert "5 malformed config file" in out
+    assert "6 invalid table cache" in " ".join(out.split())  # help wraps lines
+
+
+def test_invalid_cache_exit_code(tmp_path):
+    cache = tmp_path / "tables.bin"
+    cfg = _write(
+        tmp_path,
+        f"[general]\noutput_dir = {tmp_path / 'out'}\n"
+        f"table_cache = {cache}\n[sieve]\nlimit = 3000\n"
+        f"[hb]\nx = 2000\nn_max = 1000\n",
+    )
+    assert cli.main(["sieve", "--config", cfg]) == 0
+    good = cache.read_bytes()
+    cache.write_bytes(b"BVML1" + good[5:])  # the previous format's magic
+    assert cli.main(["hb-verify", "--config", cfg]) == cli.EXIT_INVALID_CACHE
+    bad = bytearray(good)
+    bad[-1] ^= 0xFF  # breaks the CRC32
+    cache.write_bytes(bytes(bad))
+    assert cli.main(["hb-verify", "--config", cfg]) == cli.EXIT_INVALID_CACHE
+    cache.write_bytes(good)
+    assert cli.main(["hb-verify", "--config", cfg]) == 0
+
+
+def test_workers_key_accepted_and_checked(tmp_path):
+    out = tmp_path / "out"
+    cfg = "[general]\noutput_dir = {out}\nworkers = {w}\n" \
+          "[meanvalue]\nq_values = 4\nt_values = 16\nn_min_exp = 6\nn_max_exp = 7\n"
+    for w in (1, 2):
+        path = _write(tmp_path, cfg.format(out=out / str(w), w=w), f"c{w}.txt")
+        assert cli.main(["meanvalue", "--config", path]) == 0
+    assert (out / "1" / "meanvalue.csv").read_bytes() == \
+        (out / "2" / "meanvalue.csv").read_bytes()
+    path = _write(tmp_path, cfg.format(out=out, w=0), "c0.txt")
+    assert cli.main(["meanvalue", "--config", path]) == cli.EXIT_INVALID_VALUE
 
 
 @pytest.mark.parametrize("line", [

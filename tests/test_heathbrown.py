@@ -111,6 +111,30 @@ def test_dyadic_grid_count_matches_enumeration():
                 assert 2 * 2**e <= x ** 0.25 + 1e-9
 
 
+@pytest.mark.parametrize("k", [5, 6, 7])
+def test_reconstruction_cutoff_is_the_exact_fourth_root(tables, k):
+    # z = floor(x^(1/4)) is k - 1 just below k^4 and k from k^4 on;
+    # mu(k) != 0, so the truncation at z shows in the bits
+    below = reconstruct(k**4 - 1e-7, 600, tables)
+    assert below.tobytes() == reconstruct(k**4 - 1, 600, tables).tobytes()
+    assert below.tobytes() != reconstruct(k**4, 600, tables).tobytes()
+    assert reconstruct(k**4 + 1e-7, 600, tables).tobytes() == \
+        reconstruct(k**4, 600, tables).tobytes()
+    assert reconstruct_bruteforce(210, k**4 - 1e-7, tables) == \
+        reconstruct_bruteforce(210, k**4 - 1, tables)
+
+
+@pytest.mark.parametrize("L", [9, 12, 16, 20])
+def test_dyadic_grid_count_at_powers_of_two(L):
+    below = 2.0**L * (1 - 1e-12)
+    assert dyadic_grid_count(below) == dyadic_grid_count(2**L - 1)
+    assert dyadic_grid_count(below) != dyadic_grid_count(2**L)
+    assert dyadic_grid_count(2.0**L * (1 + 1e-12)) == dyadic_grid_count(2**L)
+    if L <= 12:
+        for x in (below, 2**L - 1, 2**L):
+            assert len(dyadic_grid(x)[0]) == dyadic_grid_count(x)
+
+
 def test_dyadic_grid_polylog_report():
     report = dyadic_grid_report([2.0**k for k in range(8, 24, 2)])
     assert report.ratio < 1.0  # far below (log x)^8 at desk scale

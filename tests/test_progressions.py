@@ -1,11 +1,13 @@
+import dataclasses
 import math
 import random
 from math import gcd
 
+import numpy as np
 import pytest
 
-from bvlab.arith import enumerate_moduli_set
-from bvlab.characters import character_group
+from bvlab.arith import build_tables, enumerate_moduli_set
+from bvlab.characters import CharacterGroup, character_group, euler_phi
 from bvlab.progressions import (
     character_extremum,
     e_dagger,
@@ -13,6 +15,7 @@ from bvlab.progressions import (
     e_star,
     e_star_bruteforce,
     exception_scan,
+    max_modulus,
     progression_identity_residual,
     psi,
     psi_ap,
@@ -142,3 +145,148 @@ def test_scan_warns_when_q_too_large(tables):
 def test_range_guard(tables):
     with pytest.raises(ValueError):
         psi(float(tables.limit + 10), tables)
+
+
+# Reference copies of the per-prime-power loops that e_star, e_dagger and
+# character_extremum replaced; the vectorised walk must match them bit for
+# bit, including which jump wins a tie.
+
+
+def _e_star_loop(x, q, tables):
+    phi_q = int(tables.phi[q]) if q <= tables.limit else euler_phi(q)
+    inv_phi = 1.0 / phi_q
+    k = int(np.searchsorted(tables.prime_powers, x, side="right"))
+    sums = {a: 0.0 for a in range(q) if gcd(a, q) == 1} if q > 1 else {0: 0.0}
+    best, y_star = 0.0, 1.0
+    for n, lg in zip(tables.prime_powers[:k].tolist(),
+                     tables.prime_power_logs[:k].tolist()):
+        r = n % q
+        if r not in sums:
+            continue
+        left = abs(sums[r] - n * inv_phi)
+        if left > best:
+            best, y_star = left, float(n)
+        sums[r] += lg
+        right = abs(sums[r] - n * inv_phi)
+        if right > best:
+            best, y_star = right, float(n)
+    for s in sums.values():
+        endpoint = abs(s - x * inv_phi)
+        if endpoint > best:
+            best, y_star = endpoint, float(x)
+    return best, y_star
+
+
+def _e_dagger_loop(x, q, tables):
+    if q == 1:
+        return 0.0, 1.0
+    inv_phi = 1.0 / euler_phi(q)
+    k = int(np.searchsorted(tables.prime_powers, x, side="right"))
+    sums = dict.fromkeys((a for a in range(q) if gcd(a, q) == 1), 0.0)
+    total = 0.0
+    best, y_star = 0.0, 1.0
+    for n, lg in zip(tables.prime_powers[:k].tolist(),
+                     tables.prime_power_logs[:k].tolist()):
+        r = n % q
+        if r in sums:
+            sums[r] += lg
+        total += lg
+        center = total * inv_phi
+        val = max(max(sums.values()) - center, center - min(sums.values()))
+        if val > best:
+            best, y_star = val, float(n)
+    return best, y_star
+
+
+def _character_extremum_loop(x, chi, tables):
+    vals = chi.value_table()
+    k = int(np.searchsorted(tables.prime_powers, x, side="right"))
+    running = 0j
+    best_abs, best_y = 0.0, 1.0
+    for n, lg in zip(tables.prime_powers[:k].tolist(),
+                     tables.prime_power_logs[:k].tolist()):
+        running += lg * vals[n % chi.q]
+        if abs(running) > best_abs:
+            best_abs, best_y = abs(running), float(n)
+    return best_y
+
+
+def _record(rec):
+    assert type(rec.E_value) is float and type(rec.y_star) is float
+    return rec.E_value, rec.y_star
+
+
+@pytest.mark.parametrize("x", [2 * 10**4, 10**5, 10**5 + 0.5])
+def test_e_star_matches_loop_bit_for_bit(tables_large, x):
+    for q in range(1, 131):
+        assert _record(e_star(x, q, tables_large)) == \
+            _e_star_loop(x, q, tables_large), q
+
+
+def test_e_dagger_matches_loop_bit_for_bit(tables_large):
+    for q in range(1, 131):
+        assert _record(e_dagger(2 * 10**4, q, tables_large)) == \
+            _e_dagger_loop(2 * 10**4, q, tables_large), q
+
+
+def test_character_extremum_matches_loop_bit_for_bit(tables_large):
+    # every character for q <= 60, two per modulus above that (for time)
+    for q in range(1, 131):
+        chars = CharacterGroup(q).characters()
+        for chi in chars if q <= 60 else (chars[1], chars[-1]):
+            assert character_extremum(2 * 10**4, chi, tables_large).y_chi == \
+                _character_extremum_loop(2 * 10**4, chi, tables_large), (q, chi)
+
+
+@pytest.mark.parametrize("q", [3, 23, 127])
+def test_error_terms_match_loop_at_one_million(tables_large, q):
+    x = float(10**6)
+    assert _record(e_star(x, q, tables_large)) == _e_star_loop(x, q, tables_large)
+    assert _record(e_dagger(x, q, tables_large)) == \
+        _e_dagger_loop(x, q, tables_large)
+    chi = CharacterGroup(q).characters()[1]
+    assert character_extremum(x, chi, tables_large).y_chi == \
+        _character_extremum_loop(x, chi, tables_large)
+
+
+@pytest.mark.parametrize("x", [0.5, 1.0, 1.5, 2.0, 2.5, 30.0, 30.5, 9999.5])
+@pytest.mark.parametrize("q", [1, 2, 3, 12, 9973, 10007, 20011])
+def test_error_terms_match_loop_at_edges(tables, x, q):
+    # q = 10007 and 20011 lie above tables.limit = 10^4
+    assert _record(e_star(x, q, tables)) == _e_star_loop(x, q, tables)
+    if q <= 12:
+        assert _record(e_dagger(x, q, tables)) == _e_dagger_loop(x, q, tables)
+        for chi in CharacterGroup(q).characters():
+            assert character_extremum(x, chi, tables).y_chi == \
+                _character_extremum_loop(x, chi, tables)
+
+
+def test_ties_resolve_to_the_first_jump():
+    # small integer weights on made-up jumps make exactly equal deviations
+    # common; the strict > of the loops keeps the first of them
+    base = build_tables(100)
+    rng = random.Random(5)
+    ties = 0
+    for _ in range(150):
+        pp = np.array(sorted(rng.sample(range(2, 61), rng.randrange(1, 12))))
+        logs = np.array([float(rng.randrange(1, 4)) for _ in pp])
+        fake = dataclasses.replace(base, prime_powers=pp, prime_power_logs=logs)
+        x = float(rng.choice([60, 60.5, pp[-1]]))
+        for q in (1, 2, 3, 4, 6):
+            assert _record(e_star(x, q, fake)) == _e_star_loop(x, q, fake)
+            assert _record(e_dagger(x, q, fake)) == _e_dagger_loop(x, q, fake)
+            for chi in CharacterGroup(q).characters():
+                y = character_extremum(x, chi, fake).y_chi
+                assert y == _character_extremum_loop(x, chi, fake)
+                running = np.cumsum(logs * np.asarray(chi.value_table())[pp % q])
+                ties += np.count_nonzero(np.abs(running) == np.abs(running).max()) > 1
+    assert ties > 50  # the cases above do exercise ties
+
+
+def test_max_modulus_is_exact():
+    for x in [2, 15, 16, 10**4, 10**6, 10**6 + 0.5, 2**40, 3**40 - 1, 3**40,
+              10**8]:
+        Q = max_modulus(x)
+        assert Q**40 <= int(x) ** 9 < (Q + 1) ** 40, x
+    assert max_modulus(2**40) == 2**9
+    assert max_modulus(3**40 - 1) == 3**9 - 1
