@@ -208,8 +208,8 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise InvalidValueError(f"grid_step {cfg.lemma4_grid_step} not allowed")
     if not cfg.q_values or not cfg.t_values or not cfg.heights:
         raise InvalidValueError("ranges must be non-empty")
-    if cfg.limit < 2 or cfg.x < 2:
-        raise InvalidValueError("limit and x must be at least 2")
+    if min(cfg.limit, cfg.x, cfg.hb_x) < 2:
+        raise InvalidValueError("limit, x and hb x must be at least 2")
     ceiling = arith.DEFAULT_LIMIT_CEILING
     for name, value in (("limit", cfg.limit), ("x", cfg.x), ("hb x", cfg.hb_x)):
         if value > ceiling:
@@ -218,6 +218,17 @@ def _validate(cfg: ExperimentConfig) -> None:
     if cfg.n_max_exp + 1 >= ceiling.bit_length():
         raise InvalidValueError(f"n_max_exp {cfg.n_max_exp} needs tables past "
                                 f"the sieve ceiling {ceiling}")
+    if progressions.max_modulus(cfg.x) < 3:
+        raise InvalidValueError(f"x {cfg.x} is too small: the moduli range "
+                                f"x^(9/40) must reach 3")
+    if not 1 <= cfg.hb_n_max <= cfg.hb_x:
+        raise InvalidValueError(f"hb n_max {cfg.hb_n_max} must lie in "
+                                f"[1, hb x = {cfg.hb_x}]")
+    if min(cfg.q_values) < 1 or min(cfg.t_values) < 1:
+        raise InvalidValueError("q_values and t_values must be at least 1")
+    if not 0 <= cfg.n_min_exp <= cfg.n_max_exp:
+        raise InvalidValueError(f"need 0 <= n_min_exp {cfg.n_min_exp} <= "
+                                f"n_max_exp {cfg.n_max_exp}")
     if cfg.workers < 1:
         raise InvalidValueError("workers must be at least 1")
     if cfg.moduli_kind not in ("prime-powers", "primes"):

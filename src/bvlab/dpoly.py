@@ -23,7 +23,11 @@ from .characters import CharacterGroup, DirichletCharacter
 from .reports import BoundReport
 
 DEFAULT_X_SCALE = 2**40
-GRID_STEP = 0.25  # sampling grid for well-spaced point selection
+# Well-spaced points lie on t = k * GRID_STEP. The gap rule holds only because
+# the step is 1/4: every k/4 is an exact float, so |t - c| >= 1 exactly when
+# the index gap is >= SPACING_GAP. Another step needs a float distance test.
+GRID_STEP = 0.25
+SPACING_GAP = round(1 / GRID_STEP)
 
 
 class DifficultIntervalError(ValueError):
@@ -110,20 +114,19 @@ class WellSpacedSet:
 
 
 def select_well_spaced(P: DirichletPolynomial, T: float,
-                       sigma: float = 0.0,
-                       grid_step: float = GRID_STEP) -> WellSpacedSet:
-    """Greedy 1-spaced selection of local peaks of |S| on a sampling grid."""
+                       sigma: float = 0.0) -> WellSpacedSet:
+    """Greedy 1-spaced selection of local peaks of |S| on the grid."""
+    t_grid = _t_grid(T)
+    C = P.twisted_coefficients()[:, None]
+    idx = _greedy_spaced(_grid_abs_values(t_grid, P.support, sigma, C)[:, 0])
+    return WellSpacedSet(chi=P.chi, points=t_grid[idx].tolist())
+
+
+def _t_grid(T: float) -> np.ndarray:
     if T < 1:
         raise ValueError("T must be at least 1")
-    t_grid = _t_grid(T, grid_step)
-    C = P.twisted_coefficients()[:, None]
-    vals = _grid_abs_values(t_grid, P.support, sigma, C)[:, 0]
-    return WellSpacedSet(chi=P.chi, points=_greedy_spaced(t_grid, vals))
-
-
-def _t_grid(T: float, grid_step: float) -> np.ndarray:
-    steps = int(round(T / grid_step))
-    return np.arange(-steps, steps + 1, dtype=np.float64) * grid_step
+    steps = int(round(T / GRID_STEP))
+    return np.arange(-steps, steps + 1, dtype=np.float64) * GRID_STEP
 
 
 def _grid_abs_values(t_grid: np.ndarray, ns: np.ndarray, sigma: float,
@@ -138,14 +141,15 @@ def _grid_abs_values(t_grid: np.ndarray, ns: np.ndarray, sigma: float,
     return np.abs(phase @ C)
 
 
-def _greedy_spaced(t_grid: np.ndarray, vals: np.ndarray) -> list[float]:
-    order = sorted(range(len(t_grid)), key=lambda k: (-vals[k], t_grid[k]))
-    chosen: list[float] = []
-    for k in order:
-        t = float(t_grid[k])
-        if all(abs(t - c) >= 1.0 for c in chosen):
-            chosen.append(t)
-    return sorted(chosen)
+def _greedy_spaced(vals: np.ndarray) -> np.ndarray:
+    """Sorted grid indices picked greedily by falling value, ties by rising t."""
+    free = np.ones(len(vals), dtype=bool)
+    chosen = np.zeros(len(vals), dtype=bool)
+    for k in np.argsort(-vals, kind="stable").tolist():
+        if free[k]:
+            chosen[k] = True
+            free[max(k - SPACING_GAP + 1, 0):k + SPACING_GAP] = False
+    return np.flatnonzero(chosen)
 
 
 def primitive_characters(Q: int,
@@ -177,10 +181,9 @@ class TripleFamily:
     abs_values: list[np.ndarray]  # |S| at the selected points, per chi
     G: float
 
-    def triples(self):
-        for P, J, vals in zip(self.polynomials, self.spaced_sets, self.abs_values):
-            for t, v in zip(J.points, vals):
-                yield P.chi.q, P.chi, t, float(v)
+    def moment(self, p: int) -> float:
+        """Sum of |S|^p over all triples."""
+        return math.fsum(float(np.sum(v**p)) for v in self.abs_values)
 
 
 def build_triple_family(
@@ -191,7 +194,6 @@ def build_triple_family(
     kind: str,
     tables: MultiplicativeTables | None,
     sigma: float = 0.0,
-    grid_step: float = GRID_STEP,
     min_conductor: int = 1,
     coefficients: dict[int, complex] | None = None,
 ) -> TripleFamily:
@@ -199,7 +201,7 @@ def build_triple_family(
     if N_prime is None:
         N_prime = 2 * N
     chis = primitive_characters(Q, min_conductor=min_conductor)
-    t_grid = _t_grid(T, grid_step)
+    t_grid = _t_grid(T)
     ns = np.arange(N + 1, N_prime + 1, dtype=np.int64)
     base = _base_coefficients(kind, ns, tables, coefficients)
 
@@ -215,9 +217,9 @@ def build_triple_family(
 
     spaced, abs_vals = [], []
     for j, chi in enumerate(chis):
-        points = _greedy_spaced(t_grid, grid_vals[:, j])
-        spaced.append(WellSpacedSet(chi=chi, points=points))
-        abs_vals.append(grid_vals[np.searchsorted(t_grid, points), j])
+        idx = _greedy_spaced(grid_vals[:, j])
+        spaced.append(WellSpacedSet(chi=chi, points=t_grid[idx].tolist()))
+        abs_vals.append(grid_vals[idx, j])
     return TripleFamily(Q=Q, T=T, N=N, N_prime=N_prime, kind=kind, sigma=sigma,
                         polynomials=polys, spaced_sets=spaced, abs_values=abs_vals,
                         G=float(np.sum(np.abs(base) ** 2)))
@@ -228,9 +230,8 @@ def mean_value_report(family: TripleFamily,
     """Discrete second moment over the well-spaced triples against
     L * (Q^2 T + N) * G."""
     L = math.log(x_scale)
-    lhs = math.fsum(float(np.sum(v**2)) for v in family.abs_values)
     rhs = L * (family.Q**2 * family.T + family.N) * family.G
-    return BoundReport(lhs=lhs, rhs_formula_value=rhs,
+    return BoundReport(lhs=family.moment(2), rhs_formula_value=rhs,
                        parameters={"Q": family.Q, "T": family.T,
                                    "N": family.N, "G": family.G,
                                    "sigma": family.sigma},
@@ -257,9 +258,8 @@ def fourth_moment_report(Q: int, T: float, N: int,
         raise ValueError("the fourth-moment bound is stated for unit "
                          "coefficients only")
     L = math.log(x_scale)
-    lhs = math.fsum(float(np.sum(v**4)) for v in family.abs_values)
     rhs = Q**2 * T * L**10
-    return BoundReport(lhs=lhs, rhs_formula_value=rhs,
+    return BoundReport(lhs=family.moment(4), rhs_formula_value=rhs,
                        parameters={"Q": Q, "T": T, "N": family.N},
                        label="fourth-moment")
 
@@ -273,9 +273,8 @@ def derivative_second_moment_report(Q: int, T: float, N: int,
     family = build_triple_family(Q, T, N, None, "explicit", tables, sigma=0.5,
                                  coefficients=coeffs)
     L = math.log(x_scale)
-    lhs = math.fsum(float(np.sum(v**2)) for v in family.abs_values)
     rhs = Q**2 * T * L**13
-    return BoundReport(lhs=lhs, rhs_formula_value=rhs,
+    return BoundReport(lhs=family.moment(2), rhs_formula_value=rhs,
                        parameters={"Q": Q, "T": T, "N": N},
                        label="derivative-second-moment")
 
@@ -342,9 +341,8 @@ def mixed_second_moment_report(
         )
     path = "second-moment" if small else "fourth-moment-cauchy-schwarz"
     family = build_triple_family(Q, T, N_j, None, kind, tables, sigma=0.5)
-    lhs = math.fsum(float(np.sum(v**2)) for v in family.abs_values)
     L = math.log(x_scale)
     rhs = x_scale ** 0.45 * T * L**10
-    return BoundReport(lhs=lhs, rhs_formula_value=rhs,
+    return BoundReport(lhs=family.moment(2), rhs_formula_value=rhs,
                        parameters={"Q": Q, "T": T, "N_j": N_j, "path": path},
                        label="mixed-second-moment")

@@ -305,18 +305,20 @@ def published_fractions() -> dict[str, F]:
     out["case2-A1-x"] = x920 + F(1, 16) - (x920 / 4) * F(1, 8)  # MN L <= x
     # alternative chain with min power 3/10
     out["case2-B1-T"] = F(3, 4) + F(1, 4) * F(3, 10)  # 33/40
-    out["case2-B1-x"] = x920 + F(1, 16) + F(3, 10) * (F(1, 6) - F(1, 24)) \
-        - F(3, 10) * F(1, 6)  # collapses to x920 + 1/20 at full mass
     out["case2-B1-x"] = x920 + F(1, 20)
+    # the chain collapses to x920 + 1/20 at full mass
+    assert x920 + F(1, 16) + F(3, 10) * (F(1, 6) - F(1, 24)) \
+        - F(3, 10) * F(1, 6) == out["case2-B1-x"]
     # three-entry chain: (x^(9/20) T N)^(1/2) M^(1/8) min^(1/4),
     # with N <= x^(9/20) and M L <= x^(11/20)
     out["case3-A2-T"] = F(1, 2) - F(1, 4) * F(1, 4)  # 7/16
     out["case3-A2-x"] = (x920 + x920) / 2 + F(11, 20) / 8 - (x920 / 4) / 4
     # same head with min bounded by (L^(1/6) M^(-1/12))^(1/2)
     out["case3-B2-T"] = F(1, 2)
-    out["case3-B2-x"] = (x920 + x920) / 2 + F(11, 20) * (F(1, 8) - F(1, 24)) \
-        + 0  # M^(1/12) L^(1/12) <= x^(11/240)
     out["case3-B2-x"] = x920 + F(11, 20) / 12
+    # M^(1/12) L^(1/12) <= x^(11/240)
+    assert (x920 + x920) / 2 + F(11, 20) * (F(1, 8) - F(1, 24)) \
+        == out["case3-B2-x"]
     return out
 
 

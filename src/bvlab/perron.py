@@ -217,12 +217,9 @@ def height_trend(
     rel_tol: float = 1e-8,
 ) -> list[PerronResult]:
     """Truncation study at increasing heights (errors reported, not asserted)."""
-    s0 = sigma0 if sigma0 is not None else 1.0 + 1.0 / max(math.log(y), 1.0)
-    return [
-        truncated_perron(family, y, ContourSpec(sigma0=s0, height=h),
-                         rel_tol=rel_tol)
-        for h in heights
-    ]
+    specs = [default_contour(y, h) if sigma0 is None
+             else ContourSpec(sigma0=sigma0, height=h) for h in heights]
+    return [truncated_perron(family, y, spec, rel_tol=rel_tol) for spec in specs]
 
 
 def horizontal_bound_check(

@@ -189,3 +189,36 @@ def test_sieve_ceiling_exit_code(tmp_path, section, line):
 def test_sieve_ceiling_boundary_accepted():
     cfg = cli.ExperimentConfig(limit=10**8, x=10**8, hb_x=10**8, n_max_exp=25)
     cli._validate(cfg)  # 2^26 <= 10^8 < 2^27
+
+
+@pytest.mark.parametrize("command, section, lines", [
+    ("meanvalue", "meanvalue", "q_values = 0"),
+    ("meanvalue", "meanvalue", "q_values = 4 -3"),
+    ("meanvalue", "meanvalue", "t_values = 0"),
+    ("meanvalue", "meanvalue", "t_values = 16 -1"),
+    ("meanvalue", "meanvalue", "n_min_exp = 9\nn_max_exp = 7"),
+    ("meanvalue", "meanvalue", "n_min_exp = -1"),
+    ("exceptions", "exceptions", "x = 131"),
+    ("hb-verify", "hb", "x = 100\nn_max = 200"),
+    ("hb-verify", "hb", "x = 100\nn_max = 0"),
+    ("hb-verify", "hb", "x = 1\nn_max = 1"),
+])
+def test_out_of_range_value_exit_code(tmp_path, command, section, lines):
+    # rejected by _validate before any library code runs
+    cfg = _write(tmp_path, f"[general]\noutput_dir = {tmp_path / 'out'}\n"
+                           f"[{section}]\n{lines}\n")
+    assert cli.main([command, "--config", cfg]) == cli.EXIT_INVALID_VALUE
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, section, lines", [
+    ("exceptions", "exceptions", "x = 132"),  # the least x with x^(9/40) >= 3
+    ("meanvalue", "meanvalue",
+     "q_values = 1\nt_values = 1\nn_min_exp = 0\nn_max_exp = 1"),
+    ("hb-verify", "hb", "x = 100\nn_max = 1"),
+    ("hb-verify", "hb", "x = 2\nn_max = 2"),
+])
+def test_range_boundary_values_accepted(tmp_path, command, section, lines):
+    cfg = _write(tmp_path, f"[general]\noutput_dir = {tmp_path / 'out'}\n"
+                           f"[{section}]\n{lines}\n")
+    assert cli.main([command, "--config", cfg]) == 0

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from bvlab.characters import character_group
 from bvlab.dpoly import (
+    GRID_STEP,
+    SPACING_GAP,
     DifficultIntervalError,
     DirichletPolynomial,
     WellSpacedSet,
@@ -20,6 +22,9 @@ from bvlab.dpoly import (
     mixed_second_moment_report,
     primitive_characters,
     select_well_spaced,
+    _greedy_spaced,
+    _grid_abs_values,
+    _t_grid,
 )
 
 CHI1 = character_group(1)[0]
@@ -69,19 +74,73 @@ def test_well_spaced_validation():
     assert s.points == [-2.0, 0.0, 3.0]
 
 
-@given(st.lists(st.floats(min_value=-50, max_value=50), min_size=1,
-                max_size=30))
+@given(st.lists(st.one_of(st.floats(min_value=0, max_value=50),
+                          st.sampled_from([0.0, 1.0, 2.5])),
+                min_size=1, max_size=120))
 @settings(max_examples=100, deadline=None)
-def test_selected_points_always_one_spaced(raw_points):
-    # the greedy selector output always satisfies the spacing invariant,
-    # whatever the value profile looks like
-    t_grid = np.array(sorted(set(round(p * 4) / 4 for p in raw_points)))
-    vals = np.abs(np.sin(t_grid) + 0.1 * t_grid)
-    from bvlab.dpoly import _greedy_spaced
-
-    pts = _greedy_spaced(t_grid, vals)
+def test_selected_points_always_one_spaced(raw_vals):
+    # the greedy selector output always satisfies the spacing invariant on
+    # the contiguous grid, whatever the value profile looks like (ties
+    # included), and every grid point lies within 1 of a selected one
+    vals = np.array(raw_vals)
+    idx = _greedy_spaced(vals)
+    pts = (idx * GRID_STEP).tolist()
     for a, b in zip(pts, pts[1:]):
         assert b - a >= 1.0
+    assert all(np.min(np.abs(idx - k)) < SPACING_GAP for k in range(len(vals)))
+
+
+def _greedy_spaced_reference(t_grid, vals):
+    # the float selection the index-gap mask replaced: visit the points by
+    # (-|S|, t) and keep each one at distance >= 1 from all kept points
+    order = sorted(range(len(t_grid)), key=lambda k: (-vals[k], t_grid[k]))
+    chosen = []
+    for k in order:
+        t = float(t_grid[k])
+        if all(abs(t - c) >= 1.0 for c in chosen):
+            chosen.append(t)
+    return sorted(chosen)
+
+
+@pytest.mark.parametrize("Q, T, N, sigma", [
+    (4, 16.0, 64, 0.0), (4, 16.0, 64, 0.5),
+    (8, 64.0, 1024, 0.0), (8, 64.0, 1024, 0.5),
+    (4, 10.3, 64, 0.5),  # T off the quarter grid
+])
+def test_selection_matches_float_reference_on_families(tables, Q, T, N, sigma):
+    fam = build_triple_family(Q, T, N, None, "unit", tables, sigma=sigma)
+    t_grid = _t_grid(T)
+    C = np.column_stack([P.twisted_coefficients() for P in fam.polynomials])
+    grid_vals = _grid_abs_values(t_grid, fam.polynomials[0].support, sigma, C)
+    for j, (J, vals) in enumerate(zip(fam.spaced_sets, fam.abs_values)):
+        want = _greedy_spaced_reference(t_grid, grid_vals[:, j])
+        want_idx = np.searchsorted(t_grid, want)
+        assert _greedy_spaced(grid_vals[:, j]).tolist() == want_idx.tolist()
+        assert J.points == want
+        assert np.array_equal(vals, grid_vals[want_idx, j])
+
+
+def test_selection_matches_float_reference_on_tied_values():
+    rng = np.random.default_rng(20261018)
+    tied = 0
+    for case in range(300):
+        t_grid = _t_grid(int(rng.integers(4, 160)) / 4)
+        if case % 3 == 0:
+            vals = rng.integers(0, 4, len(t_grid)).astype(np.float64)
+        else:
+            vals = rng.random(len(t_grid))
+        tied += len(np.unique(vals)) < len(vals)
+        want = np.searchsorted(t_grid, _greedy_spaced_reference(t_grid, vals))
+        assert _greedy_spaced(vals).tolist() == want.tolist()
+    assert tied >= 100
+
+
+@pytest.mark.parametrize("T", [0.0, 0.5, 0.99])
+def test_t_below_one_rejected(tables, T):
+    with pytest.raises(ValueError, match="T must be at least 1"):
+        build_triple_family(4, T, 64, None, "unit", tables)
+    with pytest.raises(ValueError, match="T must be at least 1"):
+        select_well_spaced(_poly(64, 128, "unit", tables), T)
 
 
 def test_select_well_spaced_runs(tables):

@@ -210,6 +210,11 @@ def test_height_trend_and_csv(tmp_path, tables):
     lines = path.read_text().splitlines()
     assert lines[0].startswith("y,height,approx_re")
     assert len(lines) == 4
+    # the default line of integration is default_contour's, height by height
+    for r, h in zip(results, (1e3, 2e3, 4e3)):
+        assert r == truncated_perron(fam, 10.5, default_contour(10.5, h))
+    explicit = height_trend(fam, 10.5, (1e3,), sigma0=1.5)
+    assert explicit == [truncated_perron(fam, 10.5, ContourSpec(1.5, 1e3))]
 
 
 @pytest.mark.parametrize("q", [1, 5, 13])
