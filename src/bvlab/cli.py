@@ -1,9 +1,10 @@
 """Command-line orchestration: experiments, configuration, report emission.
 
 Config files are plain text ``key = value`` lines under ``[section]``
-headers; unknown sections or keys are rejected. Every subcommand writes
-CSV/JSON artifacts plus a human-readable summary and exits 0 only when
-all hard assertions pass.
+headers; unknown sections or keys are rejected. Each key is declared once,
+on its ``ExperimentConfig`` field: section, name, default and allowed
+range. Every subcommand writes CSV/JSON artifacts plus a human-readable
+summary and exits 0 only when all hard assertions pass.
 
 Exit codes:
   0  success (all hard assertions passed)
@@ -18,18 +19,16 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
-import json
 import math
+import operator
 import os
 import random
 import sys
-from dataclasses import dataclass, field
+from dataclasses import Field, dataclass, field, fields
 from fractions import Fraction
 
-import numpy as np
-
 from . import arith, characters, dpoly, exponents, heathbrown, perron, progressions
-from .reports import write_reports_csv
+from .reports import write_json, write_reports_csv
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -89,85 +88,82 @@ def _float_list(raw: str) -> list[float]:
     return [_float(tok) for tok in raw.replace(",", " ").split()]
 
 
+# a field's annotation -> the converter of its config value
+_CONVERTERS = {"int": _int, "float": _float, "str": str, "Fraction": _fraction,
+               "list[int]": _int_list, "list[float]": _float_list}
+
+# a bound a key may declare -> (test(value, bound), its words in an error)
+_BOUNDS = {
+    "ge": (operator.ge, "at least"),
+    "gt": (operator.gt, "above"),
+    "le": (operator.le, "at most"),
+    "allowed": (lambda v, allowed: v in allowed, "one of"),
+}
+
+
+def _key(section: str, default, name: str = "", **bounds):
+    """Declare one config key on its ``ExperimentConfig`` field: its
+    ``[section]``, its name there (the attribute's unless given), its
+    default, and the ``_BOUNDS`` each value, or each list entry, must meet."""
+    assert bounds.keys() <= _BOUNDS.keys()
+    meta = {"section": section, "name": name, **bounds}
+    if isinstance(default, list):
+        return field(default_factory=default.copy, metadata=meta)
+    return field(default=default, metadata=meta)
+
+
+_CEILING = arith.DEFAULT_LIMIT_CEILING
+
+
 @dataclass
 class ExperimentConfig:
-    """All tunables, with desk-scale defaults."""
+    """All tunables, with desk-scale defaults; each field declares its key."""
 
-    # [general]
-    seed: int = 0
-    output_dir: str = "out"
-    workers: int = 1  # accepted and checked; every command runs serially
-    table_cache: str = ""
-    # [sieve]
-    limit: int = 10**6
-    # [characters]
-    q_max: int = 200
-    primitive_q_max: int = 2000
-    # [exceptions]
-    x: int = 10**6
-    A: float = 1.0
-    moduli_kind: str = "prime-powers"
-    # [hb]
-    hb_x: int = 10**4
-    hb_n_max: int = 10**4
-    # [meanvalue]
-    q_values: list[int] = field(default_factory=lambda: [4, 8, 16])
-    t_values: list[int] = field(default_factory=lambda: [16, 64])
-    n_min_exp: int = 6
-    n_max_exp: int = 12
-    x_scale: int = dpoly.DEFAULT_X_SCALE
-    # [lemma4]
-    lemma4_grid_step: Fraction = Fraction(1, 8)
-    random_count: int = 10**4
-    # [exponents]
-    grid_step: Fraction = Fraction(1, 16)
-    theta: Fraction = Fraction(9, 40)
-    # [perron]
-    y: float = 10.5
-    heights: list[float] = field(default_factory=lambda: [1e6, 2e6, 4e6])
-    rel_tol: float = 1e-8  # accepted and checked; the closed form ignores it
+    seed: int = _key("general", 0)
+    output_dir: str = _key("general", "out")
+    workers: int = _key("general", 1, ge=1)  # checked; every command runs serially
+    table_cache: str = _key("general", "")
+    limit: int = _key("sieve", 10**6, ge=2, le=_CEILING)
+    q_max: int = _key("characters", 200, ge=1)
+    primitive_q_max: int = _key("characters", 2000, ge=1)  # checked; no command reads it
+    # 132 is the least x with progressions.max_modulus(x) >= 3
+    x: int = _key("exceptions", 10**6, ge=132, le=_CEILING)
+    A: float = _key("exceptions", 1.0, ge=0)
+    moduli_kind: str = _key("exceptions", "prime-powers",
+                            allowed=("prime-powers", "primes"))
+    hb_x: int = _key("hb", 10**4, "x", ge=2, le=_CEILING)
+    hb_n_max: int = _key("hb", 10**4, "n_max", ge=1)
+    q_values: list[int] = _key("meanvalue", [4, 8, 16], ge=1)
+    t_values: list[int] = _key("meanvalue", [16, 64], ge=1)
+    n_min_exp: int = _key("meanvalue", 6, ge=0)
+    # 2^(n_max_exp + 1) must not exceed the sieve ceiling
+    n_max_exp: int = _key("meanvalue", 12, ge=0, le=_CEILING.bit_length() - 2)
+    x_scale: int = _key("meanvalue", dpoly.DEFAULT_X_SCALE, ge=2)
+    lemma4_grid_step: Fraction = _key("lemma4", Fraction(1, 8), "grid_step",
+                                      allowed=exponents.ALLOWED_GRID_STEPS)
+    random_count: int = _key("lemma4", 10**4, ge=0)
+    grid_step: Fraction = _key("exponents", Fraction(1, 16),
+                               allowed=exponents.ALLOWED_GRID_STEPS)
+    theta: Fraction = _key("exponents", Fraction(9, 40), ge=0)
+    y: float = _key("perron", 10.5, gt=1)
+    heights: list[float] = _key("perron", [1e6, 2e6, 4e6], gt=0)
+    rel_tol: float = _key("perron", 1e-8, gt=0)  # checked; the closed form ignores it
 
 
-# section -> key -> (attribute, converter)
-_SCHEMA = {
-    "general": {
-        "seed": ("seed", _int),
-        "output_dir": ("output_dir", str),
-        "workers": ("workers", _int),
-        "table_cache": ("table_cache", str),
-    },
-    "sieve": {"limit": ("limit", _int)},
-    "characters": {
-        "q_max": ("q_max", _int),
-        "primitive_q_max": ("primitive_q_max", _int),
-    },
-    "exceptions": {
-        "x": ("x", _int),
-        "A": ("A", _float),
-        "moduli_kind": ("moduli_kind", str),
-    },
-    "hb": {"x": ("hb_x", _int), "n_max": ("hb_n_max", _int)},
-    "meanvalue": {
-        "q_values": ("q_values", _int_list),
-        "t_values": ("t_values", _int_list),
-        "n_min_exp": ("n_min_exp", _int),
-        "n_max_exp": ("n_max_exp", _int),
-        "x_scale": ("x_scale", _int),
-    },
-    "lemma4": {
-        "grid_step": ("lemma4_grid_step", _fraction),
-        "random_count": ("random_count", _int),
-    },
-    "exponents": {
-        "grid_step": ("grid_step", _fraction),
-        "theta": ("theta", _fraction),
-    },
-    "perron": {
-        "y": ("y", _float),
-        "heights": ("heights", _float_list),
-        "rel_tol": ("rel_tol", _float),
-    },
-}
+def _section_key(f: Field) -> tuple[str, str]:
+    return f.metadata["section"], f.metadata["name"] or f.name
+
+
+def _schema() -> dict[str, dict[str, Field]]:
+    """section -> key -> field, derived from the declarations above."""
+    schema: dict[str, dict[str, Field]] = {}
+    for f in fields(ExperimentConfig):
+        section, name = _section_key(f)
+        schema.setdefault(section, {})[name] = f
+    return schema
+
+
+_SCHEMA = _schema()
 
 
 def parse_config_file(path: str) -> ExperimentConfig:
@@ -195,50 +191,44 @@ def parse_config_file(path: str) -> ExperimentConfig:
         key, value = key.strip(), value.strip()
         if key not in _SCHEMA[section]:
             raise UnknownKeyError(f"unknown key {key!r} in [{section}]")
-        attr, conv = _SCHEMA[section][key]
-        setattr(cfg, attr, conv(value))
+        f = _SCHEMA[section][key]
+        setattr(cfg, f.name, _CONVERTERS[f.type](value))
     _validate(cfg)
     return cfg
 
 
 def _validate(cfg: ExperimentConfig) -> None:
-    if cfg.grid_step not in exponents.ALLOWED_GRID_STEPS:
-        raise InvalidValueError(f"grid_step {cfg.grid_step} not allowed")
-    if cfg.lemma4_grid_step not in exponents.ALLOWED_GRID_STEPS:
-        raise InvalidValueError(f"grid_step {cfg.lemma4_grid_step} not allowed")
-    if not cfg.q_values or not cfg.t_values or not cfg.heights:
-        raise InvalidValueError("ranges must be non-empty")
-    if min(cfg.limit, cfg.x, cfg.hb_x) < 2:
-        raise InvalidValueError("limit, x and hb x must be at least 2")
-    ceiling = arith.DEFAULT_LIMIT_CEILING
-    for name, value in (("limit", cfg.limit), ("x", cfg.x), ("hb x", cfg.hb_x)):
-        if value > ceiling:
-            raise InvalidValueError(f"{name} {value} exceeds the sieve ceiling {ceiling}")
-    # 2^(n_max_exp + 1) > ceiling, without building a huge power
-    if cfg.n_max_exp + 1 >= ceiling.bit_length():
-        raise InvalidValueError(f"n_max_exp {cfg.n_max_exp} needs tables past "
-                                f"the sieve ceiling {ceiling}")
-    if progressions.max_modulus(cfg.x) < 3:
-        raise InvalidValueError(f"x {cfg.x} is too small: the moduli range "
-                                f"x^(9/40) must reach 3")
-    if not 1 <= cfg.hb_n_max <= cfg.hb_x:
-        raise InvalidValueError(f"hb n_max {cfg.hb_n_max} must lie in "
-                                f"[1, hb x = {cfg.hb_x}]")
-    if min(cfg.q_values) < 1 or min(cfg.t_values) < 1:
-        raise InvalidValueError("q_values and t_values must be at least 1")
-    if not 0 <= cfg.n_min_exp <= cfg.n_max_exp:
-        raise InvalidValueError(f"need 0 <= n_min_exp {cfg.n_min_exp} <= "
+    for f in fields(cfg):
+        name = "[%s] %s" % _section_key(f)
+        value = getattr(cfg, f.name)
+        values = value if f.type.startswith("list") else [value]
+        if not values:
+            raise InvalidValueError(f"{name} must be non-empty")
+        for v in values:
+            if isinstance(v, float) and not math.isfinite(v):
+                raise InvalidValueError(f"{name} = {v} must be finite")
+            for bound, (test, words) in _BOUNDS.items():
+                b = f.metadata.get(bound)
+                if b is not None and not test(v, b):
+                    shown = ", ".join(map(str, b)) if bound == "allowed" else b
+                    raise InvalidValueError(f"{name} = {v} must be {words} {shown}")
+    # the rules that involve two keys or a special shape
+    if cfg.hb_n_max > cfg.hb_x:
+        raise InvalidValueError(f"[hb] n_max {cfg.hb_n_max} exceeds x {cfg.hb_x}")
+    if cfg.n_min_exp > cfg.n_max_exp:
+        raise InvalidValueError(f"n_min_exp {cfg.n_min_exp} exceeds "
                                 f"n_max_exp {cfg.n_max_exp}")
-    if cfg.workers < 1:
-        raise InvalidValueError("workers must be at least 1")
-    if cfg.moduli_kind not in ("prime-powers", "primes"):
-        raise InvalidValueError(f"unknown moduli kind {cfg.moduli_kind!r}")
-    if not (math.isfinite(cfg.y) and cfg.y > 1) or abs(cfg.y - round(cfg.y)) < 1e-9:
-        raise InvalidValueError(f"y {cfg.y} must exceed 1 and not be an integer")
-    if not all(math.isfinite(h) and h > 0 for h in cfg.heights):
-        raise InvalidValueError(f"heights {cfg.heights} must be finite and positive")
-    if not cfg.rel_tol > 0:
-        raise InvalidValueError(f"rel_tol {cfg.rel_tol} must be positive")
+    if abs(cfg.y - round(cfg.y)) < 1e-9:
+        raise InvalidValueError(f"y {cfg.y} must not be an integer")
+    # E*(x, q) <= max(psi(x), x) < 1.04 x, so each ratio E*/threshold is below
+    # 1.04 Q (log x)^A; a finite 2 Q (log x)^A keeps thresholds and ratios finite
+    try:
+        scale = 2 * progressions.max_modulus(cfg.x) * math.log(cfg.x) ** cfg.A
+    except OverflowError:
+        scale = math.inf
+    if not math.isfinite(scale):
+        raise InvalidValueError(f"A {cfg.A} overflows the threshold "
+                                f"x / (phi(q) (log x)^A) at x = {cfg.x}")
 
 
 def _tables(cfg: ExperimentConfig, limit: int) -> arith.MultiplicativeTables:
@@ -275,9 +265,7 @@ def cmd_sieve(cfg: ExperimentConfig) -> None:
     psi_x = progressions.psi(float(cfg.limit), tables)
     summary = {"limit": cfg.limit, "primes": n_primes,
                "psi_at_limit": psi_x, "cache": path}
-    with open(_out(cfg, "sieve.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(summary, _out(cfg, "sieve.json"))
     print(f"sieve: limit={cfg.limit} primes={n_primes} "
           f"psi={psi_x:.6f} cache={path}")
 
@@ -313,7 +301,7 @@ def cmd_exceptions(cfg: ExperimentConfig) -> None:
         float(cfg.x), Q, cfg.A, S, tables
     )
     progressions.write_error_csv(records, _out(cfg, "exceptions.csv"))
-    progressions.write_scan_summary(summary, _out(cfg, "exceptions.json"))
+    write_json(summary, _out(cfg, "exceptions.json"))
     print(f"exceptions: x={cfg.x} Q={Q} |S|={len(S.members)} "
           f"exceptional={summary['count_exceptional']} "
           f"max_ratio={summary['max_ratio']:.4f}")
@@ -384,24 +372,18 @@ def cmd_lemma4(cfg: ExperimentConfig) -> None:
         "seed": cfg.seed,
         "all_verified": True,
     }
-    with open(_out(cfg, "lemma4.json"), "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(summary, _out(cfg, "lemma4.json"))
     print(f"lemma4: {count} grid tuples + {cfg.random_count} random tuples, "
           f"constructive split and oracle agree everywhere")
 
 
 def cmd_exponents(cfg: ExperimentConfig) -> None:
     result = exponents.polytope_scan(cfg.grid_step, theta=cfg.theta)
-    exponents.write_certificate(result, _out(cfg, "certificate.json"))
+    write_json(result.to_json(), _out(cfg, "certificate.json"))
     ledger = exponents.logpower_ledger()
-    with open(_out(cfg, "logpower.json"), "w") as fh:
-        json.dump(ledger, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(ledger, _out(cfg, "logpower.json"))
     fr = {k: str(v) for k, v in exponents.published_fractions().items()}
-    with open(_out(cfg, "fractions.json"), "w") as fh:
-        json.dump(fr, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(fr, _out(cfg, "fractions.json"))
     print(f"exponents: grid={cfg.grid_step} theta={cfg.theta} "
           f"tuples={result.tuple_count} passed={result.passed} "
           f"worst_slack={result.worst_slack} ledger_ok={ledger['ok']}")

@@ -65,11 +65,6 @@ class DirichletPolynomial:
             self.attach_tables(None)
         return self._base
 
-    @property
-    def G(self) -> float:
-        base = self.base_coefficients()
-        return float(np.sum(np.abs(base) ** 2))
-
     def twisted_coefficients(self) -> np.ndarray:
         chi_vals = np.asarray(self.chi.value_table())[self._ns % self.chi.q]
         return self.base_coefficients() * chi_vals

@@ -10,7 +10,6 @@ bounds certify the target T^(39/40) x^(1/2) exponent shape on a grid.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction as F
@@ -490,12 +489,6 @@ def claims_within_global_budget() -> bool:
             if bd.claim_x + bd.claim_T * tau > TARGET_X + TARGET_T * tau:
                 return False
     return True
-
-
-def write_certificate(result: ScanResult, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(result.to_json(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def random_exponent_tuple(rng) -> tuple[F, ...]:

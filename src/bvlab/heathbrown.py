@@ -34,10 +34,6 @@ class DyadicTuple:
     exponents: tuple[int, ...]  # N_i = 2^e_i; e_i = 0 marks the
     # degenerate interval, replaced by [1, 2)
 
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(2**e for e in self.exponents)
-
 
 def identity_terms(x: float, K: int = 4) -> list[HBTerm]:
     """Term structure of the K = 4 identity (8 factor slots: the first

@@ -16,7 +16,6 @@ bit-equal to a running ``+=`` over the jumps.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -283,12 +282,6 @@ def write_error_csv(records: list[ErrorTermRecord], path: str) -> None:
                  "" if r.threshold is None else f"{r.threshold:.12g}",
                  int(r.exceptional)]
             )
-
-
-def write_scan_summary(summary: dict, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _jumps(y: float, tables: MultiplicativeTables) -> tuple[np.ndarray, np.ndarray]:

@@ -8,6 +8,7 @@ and their ratio, plus the full parameter set that produced them.
 from __future__ import annotations
 
 import csv
+import json
 import math
 from dataclasses import dataclass, field
 
@@ -35,6 +36,13 @@ class BoundReport:
         for k, v in self.parameters.items():
             row[f"param_{k}"] = v
         return row
+
+
+def write_json(obj, path: str) -> None:
+    """Write one JSON artifact: two-space indent, sorted keys, final newline."""
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def write_reports_csv(reports: list[BoundReport], path: str) -> None:

@@ -1,8 +1,13 @@
+import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from bvlab import cli
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _write(tmp_path, text, name="cfg.txt"):
@@ -202,6 +207,19 @@ def test_sieve_ceiling_boundary_accepted():
     ("hb-verify", "hb", "x = 100\nn_max = 200"),
     ("hb-verify", "hb", "x = 100\nn_max = 0"),
     ("hb-verify", "hb", "x = 1\nn_max = 1"),
+    ("meanvalue", "meanvalue", "t_values ="),
+    ("meanvalue", "meanvalue", "x_scale = 1"),
+    ("meanvalue", "meanvalue", "x_scale = 0"),
+    ("characters", "characters", "q_max = -5"),
+    ("characters", "characters", "q_max = 0"),
+    ("characters", "characters", "primitive_q_max = 0"),
+    ("lemma4", "lemma4", "random_count = -3"),
+    ("exceptions", "exceptions", "A = nan"),
+    ("exceptions", "exceptions", "A = inf"),
+    ("exceptions", "exceptions", "A = -1"),
+    ("exceptions", "exceptions", "x = 1000\nA = 400"),  # (log x)^A overflows
+    ("exceptions", "exceptions", "x = 1000\nA = 366.8"),  # phi(q) (log x)^A does
+    ("exponents", "exponents", "theta = -1/8"),
 ])
 def test_out_of_range_value_exit_code(tmp_path, command, section, lines):
     # rejected by _validate before any library code runs
@@ -217,8 +235,38 @@ def test_out_of_range_value_exit_code(tmp_path, command, section, lines):
      "q_values = 1\nt_values = 1\nn_min_exp = 0\nn_max_exp = 1"),
     ("hb-verify", "hb", "x = 100\nn_max = 1"),
     ("hb-verify", "hb", "x = 2\nn_max = 2"),
+    ("meanvalue", "meanvalue",
+     "q_values = 4\nt_values = 16\nn_min_exp = 6\nn_max_exp = 6\nx_scale = 2"),
+    ("characters", "characters", "q_max = 1"),
+    ("lemma4", "lemma4", "random_count = 0"),
+    ("exceptions", "exceptions", "x = 1000\nA = 366"),  # thresholds stay finite
 ])
 def test_range_boundary_values_accepted(tmp_path, command, section, lines):
     cfg = _write(tmp_path, f"[general]\noutput_dir = {tmp_path / 'out'}\n"
                            f"[{section}]\n{lines}\n")
     assert cli.main([command, "--config", cfg]) == 0
+
+
+def test_every_numeric_key_declares_a_range():
+    numeric = ("int", "float", "Fraction", "list[int]", "list[float]")
+    declared = [(section, key, f) for section, keys in cli._SCHEMA.items()
+                for key, f in keys.items()]
+    assert len(declared) == len(dataclasses.fields(cli.ExperimentConfig))
+    for section, key, f in declared:
+        if f.type in numeric and key != "seed":
+            assert {"ge", "gt", "allowed"} & f.metadata.keys(), (section, key)
+
+
+def test_readme_key_table_matches_declarations():
+    text = (ROOT / "README.md").read_text()
+    rows = re.findall(r"^\| `\[(\w+)\]` \| `(\w+)` \|", text, flags=re.M)
+    assert len(rows) == len(set(rows))
+    assert set(rows) == {(section, key) for section, keys in cli._SCHEMA.items()
+                         for key in keys}
+
+
+def test_desk_config_sets_the_desk_values():
+    cfg = cli.parse_config_file(str(ROOT / "scripts" / "desk.ini"))
+    assert cfg == cli.ExperimentConfig(
+        limit=10**5, x=10**5, hb_x=5000, hb_n_max=5000, q_max=60, n_max_exp=10,
+        random_count=2000, heights=[1e4, 2e4, 4e4])

@@ -24,8 +24,8 @@ from bvlab.exponents import (
     polytope_scan,
     published_fractions,
     random_exponent_tuple,
-    write_certificate,
 )
+from bvlab.reports import write_json
 
 
 def _u(*nums, den):
@@ -241,7 +241,7 @@ def test_probe_above_range_violates():
 def test_certificate_json(tmp_path):
     result = polytope_scan(F(1, 8))
     path = tmp_path / "cert.json"
-    write_certificate(result, str(path))
+    write_json(result.to_json(), str(path))
     data = json.loads(path.read_text())
     assert data["grid_step"] == "1/8"
     assert data["theta"] == "9/40"

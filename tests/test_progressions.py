@@ -23,8 +23,8 @@ from bvlab.progressions import (
     psi_coprime,
     reduction_gap,
     write_error_csv,
-    write_scan_summary,
 )
+from bvlab.reports import write_json
 
 
 def test_psi_small_values(tables):
@@ -130,7 +130,7 @@ def test_exception_scan_and_outputs(tmp_path, tables):
     csv_path = tmp_path / "err.csv"
     json_path = tmp_path / "summary.json"
     write_error_csv(records, str(csv_path))
-    write_scan_summary(summary, str(json_path))
+    write_json(summary, str(json_path))
     header = csv_path.read_text().splitlines()[0]
     assert header == "q,phi_q,E_star,y_star,threshold,exceptional"
     assert "count_exceptional" in json_path.read_text()
