@@ -217,22 +217,6 @@ def tau_b(n: int, b: int, tables: MultiplicativeTables | None = None) -> int:
     return out
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p, _ in factorize(n):
-        return p == n
-    return True
-
-
-def _is_prime_power(n: int) -> int | None:
-    """Return the base prime if n = p^e with e >= 1, else None."""
-    f = factorize(n)
-    if len(f) == 1:
-        return f[0][0]
-    return None
-
-
 @dataclass(frozen=True)
 class ModuliSet:
     """Pairwise relatively prime moduli in [Q, 2Q)."""
@@ -264,16 +248,14 @@ def enumerate_moduli_set(Q: int, kind: str = "prime-powers",
         if custom is None:
             raise ValueError("kind='custom' requires a member list")
         return ModuliSet(Q=Q, members=sorted(custom), kind=kind)
+    if kind not in ("primes", "prime-powers"):
+        raise ValueError(f"unknown moduli kind {kind!r}")
     members = []
     for q in range(Q, 2 * Q):
-        if kind == "primes":
-            if _is_prime(q):
-                members.append(q)
-        elif kind == "prime-powers":
-            if _is_prime_power(q) is not None:
-                members.append(q)
-        else:
-            raise ValueError(f"unknown moduli kind {kind!r}")
+        f = factorize(q)
+        # one prime factor: q = p^e, and a prime when e = 1
+        if len(f) == 1 and (kind == "prime-powers" or f[0][1] == 1):
+            members.append(q)
     return ModuliSet(Q=Q, members=members, kind=kind)
 
 

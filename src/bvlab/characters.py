@@ -1,10 +1,16 @@
 """Dirichlet characters mod q with exact root-of-unity values.
 
-A character is stored as exponents relative to fixed generators of the
-cyclic factors of (Z/q)^*: the smallest primitive root for odd prime
-powers, and the pair (-1, 5) for 2^e with e >= 3. Values are exact
-fractions of a turn; conversion to complex happens only at the outermost
-summation.
+(Z/q)^* is the product of one component (Z/p^e)^* per prime power p^e
+exactly dividing q. Each component is a product of cyclic factors with
+fixed generators: the smallest primitive root for odd p; none mod 2, 3
+mod 4, and the pair (2^e - 1, 5) mod 2^e for e >= 3. A character is
+stored as its exponents at these generators. Values are exact fractions
+of a turn; conversion to complex happens only at the outermost summation.
+
+A component's conductor needs no discrete logarithm: it is 1 for the
+trivial character, else the least p^j (j >= 1, j >= 2 for p = 2) with
+p^(e-j) dividing the last exponent, because the units congruent to 1
+mod p^j form the subgroup of order p^(e-j) of the last cyclic factor.
 """
 
 from __future__ import annotations
@@ -69,133 +75,68 @@ class RootOfUnity:
         return not self.zero_flag and self.numerator == 0
 
 
-class _OddComponent:
-    """Cyclic component (Z/p^e)^* for odd p, generated by the smallest
-    primitive root."""
+class _Component:
+    """(Z/p^e)^* as cyclic factors with the generators in the module
+    docstring; the constructor is the only place that knows p = 2."""
 
     def __init__(self, p: int, e: int):
         self.p = p
-        self.e = e
-        self.modulus = p**e
-        self.order_total = p ** (e - 1) * (p - 1)
-        self.orders = (self.order_total,)
-        self.generator = _smallest_primitive_root(p, e)
-        self._dlog: dict[int, int] | None = None
-
-    def dlog_table(self) -> dict[int, int]:
-        if self._dlog is None:
-            table = {}
-            g, m = self.generator, self.modulus
-            r = 1
-            for k in range(self.order_total):
-                table[r] = k
-                r = r * g % m
-            self._dlog = table
-        return self._dlog
-
-    def dlogs(self, r: int) -> tuple[int, ...]:
-        return (self.dlog_table()[r],)
-
-    def conductor_of(self, exps: tuple[int, ...]) -> int:
-        # test each divisor p^j in increasing order: the character is
-        # trivial on the reduction kernel iff it kills the kernel's
-        # generator g^{phi(p^j)}
-        (c,) = exps
-        d = self.order_total
-        for j in range(self.e + 1):
-            phi_j = 1 if j == 0 else self.p ** (j - 1) * (self.p - 1)
-            if (c * phi_j) % d == 0:
-                return self.p**j
-        raise AssertionError("unreachable: j = e always succeeds")
-
-    def induced_exponents(self, exps: tuple[int, ...], f_comp: "_OddComponent") -> tuple[int, ...]:
-        # exponent of the inducing character: evaluate at the smaller
-        # modulus' generator (coprime to p, so it lifts as itself)
-        (c,) = exps
-        k = self.dlog_table()[f_comp.generator % self.modulus]
-        t = (c * k) % self.order_total
-        d_new = f_comp.order_total
-        assert (t * d_new) % self.order_total == 0
-        return ((t * d_new) // self.order_total,)
-
-
-class _TwoComponent:
-    """Component at p = 2: trivial (e=1), cyclic of order 2 (e=2), or
-    generated by the pair (-1, 5) for e >= 3."""
-
-    def __init__(self, e: int):
-        self.p = 2
-        self.e = e
-        self.modulus = 2**e
-        if e == 1:
-            self.orders: tuple[int, ...] = ()
+        self.modulus = m = p**e
+        if p != 2:
+            self.generators: tuple[int, ...] = (_smallest_primitive_root(p, e),)
+            self.orders: tuple[int, ...] = (m // p * (p - 1),)
+        elif e == 1:
+            self.generators, self.orders = (), ()
         elif e == 2:
-            self.orders = (2,)
-            self.generator = 3
+            self.generators, self.orders = (3,), (2,)
         else:
-            self.orders = (2, 2 ** (e - 2))
+            self.generators, self.orders = (m - 1, 5), (2, m // 4)
+        # least modulus p^j of a non-trivial character: mod 2 there is none
+        self._least_conductor = 4 if p == 2 else p
         self._dlog: dict[int, tuple[int, ...]] | None = None
 
-    def dlog_table(self) -> dict[int, tuple[int, ...]]:
+    def dlogs(self, r: int) -> tuple[int, ...]:
+        """Exponents (k_i) with r = prod g_i^k_i mod p^e, for a unit r < p^e."""
         if self._dlog is None:
             m = self.modulus
-            table: dict[int, tuple[int, ...]] = {}
-            if self.e == 1:
-                table[1] = ()
-            elif self.e == 2:
-                table[1] = (0,)
-                table[3] = (1,)
-            else:
-                half = 2 ** (self.e - 2)
-                r = 1
-                for b in range(half):
-                    table[r] = (0, b)
-                    table[(-r) % m] = (1, b)
-                    r = r * 5 % m
+            table: dict[int, tuple[int, ...]] = {1: ()}
+            for g, o in zip(self.generators, self.orders):
+                step = {}
+                for x, ks in table.items():
+                    for k in range(o):
+                        step[x] = ks + (k,)
+                        x = x * g % m
+                table = step
             self._dlog = table
-        return self._dlog
+        return self._dlog[r]
 
-    def dlogs(self, r: int) -> tuple[int, ...]:
-        return self.dlog_table()[r]
+    def turn(self, exps: tuple[int, ...], r: int) -> tuple[int, int]:
+        """chi(r) as the fraction num/den of a full turn (not reduced)."""
+        num, den = 0, 1
+        for c, k, o in zip(exps, self.dlogs(r % self.modulus), self.orders):
+            num = num * o + c * k * den
+            den *= o
+        return num, den
 
     def conductor_of(self, exps: tuple[int, ...]) -> int:
-        if self.e == 1:
+        # for p^j >= the least conductor, the units congruent to 1 mod p^j
+        # form the subgroup of order p^(e-j) of the last cyclic factor, so
+        # chi is trivial on them iff p^(e-j) divides the last exponent
+        if not any(exps):
             return 1
-        if self.e == 2:
-            return 1 if exps[0] == 0 else 4
-        a, b = exps
-        half = 2 ** (self.e - 2)
-        # divisors 1, 2, 4, 8, ... in increasing order; kernel of the
-        # reduction to 2^j is generated by -1, 5 restrictions
-        for j in range(self.e + 1):
-            if j <= 1:
-                trivial = a == 0 and b == 0
-            elif j == 2:
-                trivial = b % half == 0
-            else:
-                trivial = (b * 2 ** (j - 2)) % half == 0
-            if trivial:
-                return 1 if j <= 1 else 2**j
-        raise AssertionError("unreachable")
+        f = self._least_conductor
+        while exps[-1] % (self.modulus // f):
+            f *= self.p
+        return f
 
-    def induced_exponents(self, exps: tuple[int, ...], f_comp: "_TwoComponent") -> tuple[int, ...]:
-        if f_comp.e == 1:
-            return ()
-        dl = self.dlog_table()
+    def induced_exponents(self, exps: tuple[int, ...], f_comp: "_Component") -> tuple[int, ...]:
+        # chi is trivial on the units congruent to 1 mod its conductor, so
+        # any lift of a generator of f_comp gives the inducing value
         out = []
-        if f_comp.e == 2:
-            gens = [3]
-        else:
-            gens = [self.modulus - 1, 5]  # lifts of -1 and 5
-        for g_val, d_new in zip(gens, f_comp.orders):
-            ks = dl[g_val % self.modulus]
-            t_num, t_den = 0, 1
-            for c, k, o in zip(exps, ks, self.orders):
-                t_num = t_num * o + c * k * t_den
-                t_den *= o
-            t_num %= t_den
-            assert (t_num * d_new) % t_den == 0
-            out.append((t_num * d_new) // t_den)
+        for g, o in zip(f_comp.generators, f_comp.orders):
+            num, den = self.turn(exps, g)
+            assert num * o % den == 0
+            out.append(num * o // den % o)
         return tuple(out)
 
 
@@ -255,12 +196,7 @@ class CharacterGroup:
         if not 1 <= q <= ceiling:
             raise ValueError(f"modulus must be in [1, {ceiling}], got {q}")
         self.q = q
-        self.components: list[_OddComponent | _TwoComponent] = []
-        for p, e in factorize(q):
-            if p == 2:
-                self.components.append(_TwoComponent(e))
-            else:
-                self.components.append(_OddComponent(p, e))
+        self.components = [_Component(p, e) for p, e in factorize(q)]
         self.orders: tuple[int, ...] = tuple(
             o for comp in self.components for o in comp.orders
         )
@@ -283,9 +219,6 @@ class CharacterGroup:
             DirichletCharacter(self, exps)
             for exps in itertools.product(*(range(o) for o in self.orders))
         ]
-
-    def component_exponents(self, exps: tuple[int, ...]) -> list[tuple[int, ...]]:
-        return [tuple(exps[s]) for s in self._slices]
 
 
 class DirichletCharacter:
@@ -333,10 +266,8 @@ class DirichletCharacter:
         num, den = 0, 1
         exps = self.component_exponents
         for comp, s in zip(self.group.components, self.group._slices):
-            ks = comp.dlogs(r % comp.modulus)
-            for c, k, o in zip(exps[s], ks, comp.orders):
-                num = num * o + c * k * den
-                den *= o
+            c_num, c_den = comp.turn(exps[s], r)
+            num, den = num * c_den + c_num * den, den * c_den
         return RootOfUnity.of(num, den)
 
     def __call__(self, n: int) -> RootOfUnity:
@@ -353,11 +284,9 @@ class DirichletCharacter:
     def conductor(self) -> int:
         if self._conductor is None:
             f = 1
-            for comp, ce in zip(
-                self.group.components,
-                self.group.component_exponents(self.component_exponents),
-            ):
-                f *= comp.conductor_of(ce)
+            exps = self.component_exponents
+            for comp, s in zip(self.group.components, self.group._slices):
+                f *= comp.conductor_of(exps[s])
             self._conductor = f
         return self._conductor
 
@@ -379,13 +308,12 @@ def conductor_and_primitivity(
     f_group = CharacterGroup(f)
     new_exps: list[int] = []
     f_comps = {comp.p: comp for comp in f_group.components}
-    for comp, ce in zip(
-        chi.group.components, chi.group.component_exponents(chi.component_exponents)
-    ):
+    exps = chi.component_exponents
+    for comp, s in zip(chi.group.components, chi.group._slices):
         f_comp = f_comps.get(comp.p)
         if f_comp is None:
             continue  # component conductor 1: drops out entirely
-        new_exps.extend(comp.induced_exponents(ce, f_comp))
+        new_exps.extend(comp.induced_exponents(exps[s], f_comp))
     inducing = DirichletCharacter(f_group, tuple(new_exps))
     assert inducing.conductor == f
     return f, f == chi.q, inducing

@@ -19,6 +19,7 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import operator
 import os
@@ -351,18 +352,13 @@ def cmd_meanvalue(cfg: ExperimentConfig) -> None:
 
 
 def cmd_lemma4(cfg: ExperimentConfig) -> None:
-    count = 0
-    for u in exponents.grid_tuples(cfg.lemma4_grid_step):
-        outcome = exponents.partition_exponents(u)
-        outcome.verify(u)
-        if exponents.partition_bruteforce(u) is None:
-            raise AssertionError(f"oracle found no split for {u}")
-        count += 1
+    grid = list(exponents.grid_tuples(cfg.lemma4_grid_step))
+    count = len(grid)
     rng = random.Random(cfg.seed)
-    for _ in range(cfg.random_count):
-        u = exponents.random_exponent_tuple(rng)
-        outcome = exponents.partition_exponents(u)
-        outcome.verify(u)
+    randoms = (exponents.random_exponent_tuple(rng)
+               for _ in range(cfg.random_count))
+    for u in itertools.chain(grid, randoms):
+        exponents.partition_exponents(u).verify(u)
         if exponents.partition_bruteforce(u) is None:
             raise AssertionError(f"oracle found no split for {u}")
     summary = {

@@ -233,6 +233,15 @@ def test_primes_kind():
     assert s.members == [11, 13, 17, 19]
 
 
+def test_moduli_sets_match_sieve(tables):
+    for Q in range(3, 301):
+        window = range(Q, 2 * Q)
+        assert enumerate_moduli_set(Q, "primes").members == \
+            [q for q in window if tables.is_prime(q)], Q
+        assert enumerate_moduli_set(Q, "prime-powers").members == \
+            [q for q in window if q in tables.lambda_support], Q
+
+
 def test_cache_roundtrip(tmp_path, tables):
     path = str(tmp_path / "tables.bin")
     save_tables(tables, path)

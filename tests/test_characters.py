@@ -107,6 +107,43 @@ def test_conductor_against_bruteforce():
                     assert chi(n) == inducing(n)
 
 
+def _conductor_by_definition(chi):
+    """Least d | q with chi(n) = 1 for every unit n = 1 mod d."""
+    q = chi.q
+    for d in range(1, q + 1):
+        if q % d == 0 and all(chi(n).is_one for n in range(1, q + 1, d)
+                              if gcd(n, q) == 1):
+            return d
+    raise AssertionError("d = q always qualifies")
+
+
+@pytest.mark.parametrize("q", [32, 64, 128, 27, 81, 25, 125, 49, 96, 108, 200])
+def test_conductor_and_inducing_character_by_definition(q):
+    units = [n for n in range(1, q + 1) if gcd(n, q) == 1]
+    for chi in character_group(q):
+        f, primitive, inducing = conductor_and_primitivity(chi)
+        assert f == chi.conductor == _conductor_by_definition(chi), chi
+        assert primitive == (f == q)
+        assert inducing.q == f and inducing.is_primitive
+        assert all(inducing(n) == chi(n) for n in units), chi
+
+
+def test_generator_convention():
+    gens = {q: [c.generators for c in CharacterGroup(q).components]
+            for q in (2, 4, 8, 16, 9, 25, 45, 63)}
+    assert gens == {
+        2: [()], 4: [(3,)], 8: [(7, 5)], 16: [(15, 5)],
+        9: [(2,)], 25: [(2,)], 45: [(2,), (2,)], 63: [(2,), (3,)],
+    }
+    assert CharacterGroup(16).orders == (2, 4)
+    assert CharacterGroup(45).orders == (6, 4)
+    chars16, chars45 = character_group(16), character_group(45)
+    assert chars16[0].component_exponents == (0, 0)
+    assert chars16[-1].component_exponents == (1, 3)
+    assert chars45[0].component_exponents == (0, 0)
+    assert chars45[-1].component_exponents == (5, 3)
+
+
 def test_primitive_count_formula():
     for q in range(1, 300):
         enumerated = sum(
