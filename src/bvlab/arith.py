@@ -2,8 +2,10 @@
 
 Tables are built once, frozen, and shared; every downstream sum (Chebyshev
 psi, character-twisted sums, Heath-Brown reconstruction) reads from them.
-The von Mangoldt support is stored as the base prime, never as a float,
-so the table stays exact; logs are taken at summation time.
+The von Mangoldt support is stored as the sorted prime powers with their
+exact base primes, and the weights log p are taken once, into
+``prime_power_logs``. ``MultiplicativeTables.jumps`` is the one reader of
+those weights, and it refuses any range beyond the table.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import math
 import struct
 import zlib
-from collections.abc import ItemsView, Mapping
 from dataclasses import dataclass, field
 from math import gcd
 
@@ -35,63 +36,47 @@ class LimitError(ValueError):
     """Requested sieve limit outside the configured range."""
 
 
-class LambdaSupport(Mapping):
-    """Read-only mapping n -> p for every prime power n = p^e, over the
-    sorted ``prime_powers`` array and the matching array of base primes."""
-
-    __slots__ = ("_powers", "_bases")
-
-    def __init__(self, powers: np.ndarray, bases: np.ndarray):
-        self._powers = powers
-        self._bases = bases
-
-    def __getitem__(self, n: int) -> int:
-        i = int(np.searchsorted(self._powers, n))
-        if i < len(self._powers) and self._powers[i] == n:
-            return int(self._bases[i])
-        raise KeyError(n)
-
-    def __len__(self) -> int:
-        return len(self._powers)
-
-    def __iter__(self):
-        return iter(self._powers.tolist())
-
-    def items(self) -> "_LambdaItems":
-        return _LambdaItems(self)
-
-
-class _LambdaItems(ItemsView):
-    def __iter__(self):
-        m = self._mapping
-        return zip(m._powers.tolist(), m._bases.tolist())
-
-
 @dataclass(frozen=True)
 class MultiplicativeTables:
     """Sieved arithmetic functions up to ``limit`` (inclusive).
 
-    ``lambda_support[n]`` is the prime p when n = p^e, absent otherwise;
-    the von Mangoldt value is then log(lambda_support[n]). It is a
-    read-only view over ``prime_powers`` and their base primes.
-    ``mobius`` and ``phi`` are exact integer arrays indexed by n.
-    Immutable after construction; safe to share across workers.
+    ``prime_powers`` holds every n = p^e <= limit in ascending order,
+    ``prime_power_bases`` the exact prime p of each and
+    ``prime_power_logs`` its weight Lambda(n) = log p; read them through
+    ``jumps``. ``mobius`` and ``phi`` are exact integer arrays indexed by n.
+    Immutable after construction.
     """
 
     limit: int
-    lambda_support: Mapping[int, int]
     mobius: np.ndarray
     phi: np.ndarray
     smallest_prime_factor: np.ndarray
-    # sorted prime powers and their log-Lambda weights, for fast psi sums
     prime_powers: np.ndarray = field(repr=False)
+    prime_power_bases: np.ndarray = field(repr=False)
     prime_power_logs: np.ndarray = field(repr=False)
 
+    def jumps(self, y: float) -> tuple[np.ndarray, np.ndarray]:
+        """The jump points of psi up to y (the prime powers n <= y,
+        ascending) and their weights Lambda(n); ValueError if y > limit."""
+        if y > self.limit:
+            raise ValueError(f"y={y} exceeds the table limit {self.limit}")
+        k = int(np.searchsorted(self.prime_powers, y, side="right"))
+        return self.prime_powers[:k], self.prime_power_logs[:k]
+
     def von_mangoldt(self, n: int) -> float:
-        p = self.lambda_support.get(n)
-        return 0.0 if p is None else math.log(p)
+        pp, logs = self.jumps(n)
+        return float(logs[-1]) if len(pp) and pp[-1] == n else 0.0
+
+    def von_mangoldt_upto(self, y: float) -> np.ndarray:
+        """Dense Lambda(m) for 0 <= m <= floor(y); ValueError if y > limit."""
+        pp, logs = self.jumps(y)
+        lam = np.zeros(int(y) + 1)
+        lam[pp] = logs
+        return lam
 
     def is_prime(self, n: int) -> bool:
+        if n > self.limit:
+            raise ValueError(f"n={n} outside table range [1, {self.limit}]")
         return n >= 2 and int(self.smallest_prime_factor[n]) == n
 
     def primes(self) -> np.ndarray:
@@ -172,7 +157,7 @@ def build_tables(limit: int, ceiling: int = DEFAULT_LIMIT_CEILING) -> Multiplica
 def _assemble(limit: int, spf: np.ndarray, mobius: np.ndarray, phi: np.ndarray,
               primes: np.ndarray) -> MultiplicativeTables:
     """Tables from the sieved arrays: adds the sorted prime powers p^e <= limit,
-    their base primes (behind ``lambda_support``) and the base logs."""
+    their base primes and the base logs."""
     powers = [primes.astype(np.int64)]
     bases = [powers[0]]
     p = powers[0][: int(np.searchsorted(powers[0], math.isqrt(limit), side="right"))]
@@ -190,11 +175,11 @@ def _assemble(limit: int, spf: np.ndarray, mobius: np.ndarray, phi: np.ndarray,
     bases = bases[order]
     return MultiplicativeTables(
         limit=int(limit),
-        lambda_support=LambdaSupport(prime_powers, bases),
         mobius=mobius,
         phi=phi,
         smallest_prime_factor=spf,
         prime_powers=prime_powers,
+        prime_power_bases=bases,
         prime_power_logs=np.log(bases.astype(np.float64)),
     )
 

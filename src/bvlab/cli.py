@@ -312,10 +312,10 @@ def cmd_hb_verify(cfg: ExperimentConfig) -> None:
     tables = _tables(cfg, cfg.hb_x)
     report = heathbrown.verify_identity(float(cfg.hb_x), cfg.hb_n_max, tables)
     worst_n = report.parameters["worst_n"]
-    budget = 1e-9 * (1.0 + (math.log(worst_n) if worst_n >= 1 else 0.0))
-    if report.lhs > budget:
+    if report.lhs > report.rhs_formula_value:
         raise AssertionError(
-            f"identity residual {report.lhs:.3e} exceeds {budget:.3e}"
+            f"identity residual {report.lhs:.3e} exceeds "
+            f"{report.rhs_formula_value:.3e}"
         )
     grid_report = heathbrown.dyadic_grid_report(
         [float(2**k) for k in range(8, 21, 2)]

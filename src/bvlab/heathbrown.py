@@ -144,10 +144,7 @@ def verify_identity(x: float, n_max: int, tables: MultiplicativeTables) -> Bound
     """Max over n <= n_max of |reconstruction(n) - Lambda(n)|; the identity
     is exact, so the residual is pure floating error."""
     rec = reconstruct(x, n_max, tables)
-    lam = np.zeros(int(n_max) + 1)
-    k = int(np.searchsorted(tables.prime_powers, n_max, side="right"))
-    lam[tables.prime_powers[:k]] = tables.prime_power_logs[:k]
-    resid = np.abs(rec - lam)
+    resid = np.abs(rec - tables.von_mangoldt_upto(n_max))
     worst = int(np.argmax(resid / (1.0 + np.log(np.maximum(np.arange(len(resid)), 1)))))
     return BoundReport(
         lhs=float(resid[worst]) if n_max >= 1 else 0.0,

@@ -5,6 +5,8 @@ points (prime powers) plus the endpoint, looking at both one-sided limits
 at each jump; between jumps the quantity is piecewise linear in y, so
 this is exact and avoids an O(x) scan per modulus.
 
+Every sum here reads Lambda through ``tables.jumps(y)``, the prime powers
+n <= y and their weights, which raises ValueError for y past the table.
 One walk over the jumps serves E*, E-dagger and the character extremum:
 ``_class_prefix_sums`` groups the prime powers n <= x by n mod q with one
 stable argsort and takes a cumulative sum per class, giving every class
@@ -47,37 +49,33 @@ class CharacterExtremum:
 
 def psi(y: float, tables: MultiplicativeTables) -> float:
     """Chebyshev psi(y) = sum of Lambda(n) over n <= y."""
-    _check_range(y, tables)
-    return math.fsum(_jumps(y, tables)[1])
+    return math.fsum(tables.jumps(y)[1])
 
 
 def psi_ap(y: float, q: int, a: int, tables: MultiplicativeTables) -> float:
     """Sum of Lambda(n) over prime powers n <= y with n = a (mod q)."""
-    _check_range(y, tables)
+    pp, logs = tables.jumps(y)
     if q < 1:
         raise ValueError("q must be positive")
-    pp, logs = _jumps(y, tables)
     return math.fsum(logs[pp % q == a % q])
 
 
 def psi_coprime(y: float, q: int, tables: MultiplicativeTables) -> float:
     """Sum of Lambda(n) over n <= y coprime to q."""
-    _check_range(y, tables)
+    pp, logs = tables.jumps(y)
     if q < 1:
         raise ValueError("q must be positive")
-    pp, logs = _jumps(y, tables)
     return math.fsum(logs[np.gcd(pp, q) == 1])
 
 
 def _residue_weights(y: float, q: int, tables: MultiplicativeTables) -> np.ndarray:
     """w[r] = sum of Lambda(n) over prime powers n <= y, n = r (mod q)."""
-    pp, logs = _jumps(y, tables)
+    pp, logs = tables.jumps(y)
     return np.bincount((pp % q).astype(np.int64), weights=logs, minlength=q)
 
 
 def psi_chi(y: float, chi: DirichletCharacter, tables: MultiplicativeTables) -> complex:
     """psi(y, chi) = sum of Lambda(n) chi(n) over n <= y."""
-    _check_range(y, tables)
     q = chi.q
     w = _residue_weights(y, q, tables)
     vals = chi.value_table()
@@ -91,8 +89,7 @@ def character_extremum(
 ) -> CharacterExtremum:
     """y(chi) maximizing |psi(y, chi)| over y <= x, with the unimodular
     phase a(chi) that rotates the maximum onto the positive real axis."""
-    _check_range(x, tables)
-    pp, logs = _jumps(x, tables)
+    pp, logs = tables.jumps(x)
     # one class (q = 1) weighted by Lambda(n) chi(n): its sums are psi(n, chi)
     _, _, running, _ = _class_prefix_sums(
         pp, logs * np.asarray(chi.value_table())[pp % chi.q], 1)
@@ -131,9 +128,8 @@ def progression_identity_residual(
 def e_star(x: float, q: int, tables: MultiplicativeTables) -> ErrorTermRecord:
     """max over residues a coprime to q and over y <= x of
     |psi(y; q, a) - y/phi(q)|, exact via jump-point evaluation."""
-    _check_range(x, tables)
+    pp, logs = tables.jumps(x)
     inv_phi = 1.0 / euler_phi(q)
-    pp, logs = _jumps(x, tables)
     coprime, before, after, totals = _class_prefix_sums(pp, logs, q)
     jumps = pp[coprime]
     # left then right limit at each jump, so argmax keeps the first maximum
@@ -153,16 +149,12 @@ def e_star(x: float, q: int, tables: MultiplicativeTables) -> ErrorTermRecord:
 
 def e_star_bruteforce(x: int, q: int, tables: MultiplicativeTables) -> float:
     """Independent oracle: scan every integer y <= x directly."""
-    _check_range(x, tables)
-    x = int(x)
+    lam = tables.von_mangoldt_upto(x)
     phi_q = euler_phi(q)
-    lam = np.zeros(x + 1)
-    idx = tables.prime_powers[tables.prime_powers <= x]
-    lam[idx] = tables.prime_power_logs[: len(idx)]
-    y = np.arange(x + 1, dtype=np.float64)
+    n = np.arange(len(lam))
+    y = n.astype(np.float64)
     best = 0.0
     residues = [a for a in range(q) if gcd(a, q) == 1] if q > 1 else [0]
-    n = np.arange(x + 1)
     for a in residues:
         cum = np.cumsum(np.where(n % q == a, lam, 0.0))
         best = max(best, float(np.max(np.abs(cum - y / phi_q))))
@@ -172,9 +164,8 @@ def e_star_bruteforce(x: int, q: int, tables: MultiplicativeTables) -> float:
 def e_dagger(x: float, q: int, tables: MultiplicativeTables) -> ErrorTermRecord:
     """max over y <= x and a coprime to q of
     |psi(y; q, a) - psi(y)/phi(q)| (centered at the full Chebyshev sum)."""
-    _check_range(x, tables)
+    pp, logs = tables.jumps(x)
     inv_phi = 1.0 / euler_phi(q)
-    pp, logs = _jumps(x, tables)
     best, y_star = 0.0, 1.0
     if len(pp):
         coprime, before, after, totals = _class_prefix_sums(pp, logs, q)
@@ -200,15 +191,12 @@ def e_dagger(x: float, q: int, tables: MultiplicativeTables) -> ErrorTermRecord:
 
 def e_dagger_bruteforce(x: int, q: int, tables: MultiplicativeTables) -> float:
     """Oracle for e_dagger: integer-y scan."""
-    x = int(x)
+    lam = tables.von_mangoldt_upto(x)
     phi_q = euler_phi(q)
     if q == 1:
         return 0.0
-    lam = np.zeros(x + 1)
-    idx = tables.prime_powers[tables.prime_powers <= x]
-    lam[idx] = tables.prime_power_logs[: len(idx)]
     total = np.cumsum(lam)
-    n = np.arange(x + 1)
+    n = np.arange(len(lam))
     best = 0.0
     for a in range(q):
         if gcd(a, q) != 1:
@@ -284,13 +272,6 @@ def write_error_csv(records: list[ErrorTermRecord], path: str) -> None:
             )
 
 
-def _jumps(y: float, tables: MultiplicativeTables) -> tuple[np.ndarray, np.ndarray]:
-    """The jump points of psi up to y (the prime powers n <= y, ascending)
-    and their weights Lambda(n)."""
-    k = int(np.searchsorted(tables.prime_powers, y, side="right"))
-    return tables.prime_powers[:k], tables.prime_power_logs[:k]
-
-
 def _class_prefix_sums(pp: np.ndarray, weights: np.ndarray, q: int):
     """Walk the jumps pp in order, keeping one running sum of the weights
     per class mod q. Returns (coprime, before, after, totals): whether
@@ -316,8 +297,3 @@ def _class_prefix_sums(pp: np.ndarray, weights: np.ndarray, q: int):
     if len(totals) < euler_phi(q):  # a coprime class without jumps sums to 0
         totals = np.append(totals, 0)
     return np.gcd(r, q) == 1, before, after, totals
-
-
-def _check_range(y: float, tables: MultiplicativeTables) -> None:
-    if y > tables.limit:
-        raise ValueError(f"y={y} exceeds the table limit {tables.limit}")

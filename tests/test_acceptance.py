@@ -86,7 +86,7 @@ def test_criterion_2_identity_exactness():
     tables = build_tables(x)
     rec = reconstruct(float(x), x, tables)
     lam = np.zeros(x + 1)
-    for n, p in tables.lambda_support.items():
+    for n, p in zip(tables.prime_powers.tolist(), tables.prime_power_bases.tolist()):
         lam[n] = math.log(p)
     budget = 1e-9 * (1.0 + np.log(np.maximum(np.arange(x + 1), 1)))
     resid = np.abs(rec - lam)

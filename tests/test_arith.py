@@ -20,6 +20,19 @@ from bvlab.arith import (
     save_tables,
     tau_b,
 )
+from bvlab.characters import character_group
+from bvlab.heathbrown import verify_identity
+from bvlab.progressions import (
+    character_extremum,
+    e_dagger,
+    e_dagger_bruteforce,
+    e_star,
+    e_star_bruteforce,
+    psi,
+    psi_ap,
+    psi_chi,
+    psi_coprime,
+)
 
 
 def _naive_mobius(n):
@@ -41,6 +54,11 @@ def _naive_mobius(n):
 
 def _naive_phi(n):
     return sum(1 for a in range(1, n + 1) if gcd(a, n) == 1)
+
+
+def _support(tables):
+    """The von Mangoldt support as a dict n -> p over every n = p^e."""
+    return dict(zip(tables.prime_powers.tolist(), tables.prime_power_bases.tolist()))
 
 
 def _sieve_reference(limit):
@@ -80,6 +98,7 @@ def _sieve_reference(limit):
         "mobius": mobius,
         "phi": phi,
         "prime_powers": prime_powers,
+        "prime_power_bases": bases,
         "prime_power_logs": np.log(bases.astype(np.float64)),
         "lambda_support": lambda_support,
     }
@@ -94,33 +113,17 @@ def test_sieve_matches_reference_bit_for_bit(limit):
     ref = _sieve_reference(limit)
     tables = build_tables(limit)
     for name in ("smallest_prime_factor", "mobius", "phi", "prime_powers",
-                 "prime_power_logs"):
+                 "prime_power_bases", "prime_power_logs"):
         got = getattr(tables, name)
         assert got.dtype == ref[name].dtype, name
         assert np.array_equal(got, ref[name]), name
-    assert tables.lambda_support == ref["lambda_support"]
+    assert _support(tables) == ref["lambda_support"]
 
 
 def test_sieve_raises_no_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         build_tables(10**5)
-
-
-def test_lambda_support_mapping(tables):
-    lam = tables.lambda_support
-    ref = _sieve_reference(tables.limit)["lambda_support"]
-    assert lam == ref and ref == lam
-    assert lam != {**ref, 6: 2}
-    assert len(lam) == len(ref)
-    assert 243 in lam and 12 not in lam and 0 not in lam
-    assert lam.get(243) == 3 and lam.get(12) is None
-    assert lam.get(tables.limit + 1) is None
-    with pytest.raises(KeyError):
-        lam[1]
-    assert list(lam.items()) == sorted(ref.items())
-    assert len(lam.items()) == len(ref)
-    assert list(lam) == sorted(ref)
 
 
 def test_limit_validation():
@@ -142,18 +145,66 @@ def test_von_mangoldt_support(tables):
     assert tables.von_mangoldt(12) == 0.0
     assert tables.von_mangoldt(1) == 0.0
     # exact: the table stores the base prime, not a float
-    assert tables.lambda_support[243] == 3
+    support = _support(tables)
+    assert support[243] == 3
+    assert 12 not in support and 1 not in support and 0 not in support
+
+
+_LAMBDA_READERS = {
+    "psi": lambda y, t: psi(y, t),
+    "psi_ap": lambda y, t: psi_ap(y, 7, 3, t),
+    "psi_coprime": lambda y, t: psi_coprime(y, 7, t),
+    "psi_chi": lambda y, t: psi_chi(y, character_group(7)[1], t),
+    "character_extremum": lambda y, t: character_extremum(y, character_group(7)[1], t),
+    "e_star": lambda y, t: e_star(y, 7, t),
+    "e_dagger": lambda y, t: e_dagger(y, 7, t),
+    "e_star_bruteforce": lambda y, t: e_star_bruteforce(y, 7, t),
+    "e_dagger_bruteforce-q7": lambda y, t: e_dagger_bruteforce(y, 7, t),
+    "e_dagger_bruteforce-q1": lambda y, t: e_dagger_bruteforce(y, 1, t),
+    "von_mangoldt": lambda y, t: t.von_mangoldt(y),
+    "von_mangoldt_upto": lambda y, t: t.von_mangoldt_upto(y),
+    "verify_identity": lambda y, t: verify_identity(y, y, t),
+}
+
+
+@pytest.mark.parametrize("reader", list(_LAMBDA_READERS))
+def test_lambda_readers_refuse_y_past_the_table(reader):
+    # 1024 = 2^10, so the last jump sits on the limit itself
+    tables = build_tables(1024)
+    read = _LAMBDA_READERS[reader]
+    for y in (tables.limit + 0.5, tables.limit + 1):
+        with pytest.raises(ValueError, match="limit"):
+            read(y, tables)
+    assert read(tables.limit, tables) is not None
+
+
+@pytest.mark.parametrize("limit", [2, 3, 4, 97, 10**4])
+def test_von_mangoldt_upto_is_dense_von_mangoldt(limit):
+    tables = build_tables(limit)
+    lam = tables.von_mangoldt_upto(limit)
+    assert lam.tolist() == [tables.von_mangoldt(m) for m in range(limit + 1)]
+    assert lam[tables.prime_powers].tolist() == \
+        [math.log(p) for p in tables.prime_power_bases.tolist()]
+
+
+def test_is_prime_range():
+    tables = build_tables(1000)
+    assert tables.is_prime(997) and not tables.is_prime(1000)
+    assert not any(tables.is_prime(n) for n in (-3, 0, 1))
+    with pytest.raises(ValueError, match=r"n=1009 outside table range \[1, 1000\]"):
+        tables.is_prime(1009)
 
 
 def test_prime_powers_sorted_and_complete(tables):
     pp = tables.prime_powers
     assert np.all(np.diff(pp) > 0)
-    assert len(pp) == len(tables.lambda_support)
+    support = _support(tables)
+    assert len(pp) == len(support)
     # Chebyshev psi(100) from the tables matches a hand sum
     k = int(np.searchsorted(pp, 100, side="right"))
     psi_100 = math.fsum(tables.prime_power_logs[:k])
     direct = math.fsum(
-        math.log(p) for n, p in tables.lambda_support.items() if n <= 100
+        math.log(p) for n, p in support.items() if n <= 100
     )
     assert psi_100 == pytest.approx(direct, abs=1e-12)
 
@@ -234,12 +285,13 @@ def test_primes_kind():
 
 
 def test_moduli_sets_match_sieve(tables):
+    support = _support(tables)
     for Q in range(3, 301):
         window = range(Q, 2 * Q)
         assert enumerate_moduli_set(Q, "primes").members == \
             [q for q in window if tables.is_prime(q)], Q
         assert enumerate_moduli_set(Q, "prime-powers").members == \
-            [q for q in window if q in tables.lambda_support], Q
+            [q for q in window if q in support], Q
 
 
 def test_cache_roundtrip(tmp_path, tables):
@@ -251,7 +303,7 @@ def test_cache_roundtrip(tmp_path, tables):
     assert np.array_equal(loaded.phi, tables.phi)
     assert np.array_equal(loaded.smallest_prime_factor,
                           tables.smallest_prime_factor)
-    assert loaded.lambda_support == tables.lambda_support
+    assert _support(loaded) == _support(tables)
 
 
 def test_cache_rejects_garbage(tmp_path):
@@ -308,7 +360,7 @@ def test_cache_rejects_old_format_and_bad_length(tmp_path, tables):
 def test_cache_rejects_invalid_records(tmp_path, tables, field, n, value, match):
     path, records = _cache_records(tmp_path, tables)
     _write_records(path, tables.limit, records)
-    assert load_tables(str(path)).lambda_support == tables.lambda_support
+    assert _support(load_tables(str(path))) == _support(tables)
     records[field][n] = value
     _write_records(path, tables.limit, records)
     with pytest.raises(ValueError, match=match):

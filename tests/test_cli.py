@@ -270,3 +270,8 @@ def test_desk_config_sets_the_desk_values():
     assert cfg == cli.ExperimentConfig(
         limit=10**5, x=10**5, hb_x=5000, hb_n_max=5000, q_max=60, n_max_exp=10,
         random_count=2000, heights=[1e4, 2e4, 4e4])
+
+
+def test_truncation_config_sets_the_dyadic_heights():
+    cfg = cli.parse_config_file(str(ROOT / "scripts" / "truncation.ini"))
+    assert cfg.heights == [2.0**k for k in range(10, 21)]
