@@ -21,38 +21,14 @@ from .arith import MultiplicativeTables
 from .reports import BoundReport
 
 
-@dataclass(frozen=True)
-class HBTerm:
-    j: int  # number of mobius factors
-    sign_coefficient: int  # (-1)^(j-1) * binomial(4, j)
-    mobius_positions: tuple[int, ...]  # which of the 8 slots carry mu
-    log_position: int  # the slot carrying the log weight
+# (-1)^(j-1) binomial(4, j) for j = 1..4: the identity's term signs
+SIGNED_BINOMIALS = (4, -6, 4, -1)
 
 
 @dataclass(frozen=True)
 class DyadicTuple:
     exponents: tuple[int, ...]  # N_i = 2^e_i; e_i = 0 marks the
     # degenerate interval, replaced by [1, 2)
-
-
-def identity_terms(x: float, K: int = 4) -> list[HBTerm]:
-    """Term structure of the K = 4 identity (8 factor slots: the first
-    four carry unit weights with log on slot 1, the last four carry mu)."""
-    if x < 16:
-        raise ValueError("x must be at least 16")
-    if K != 4:
-        raise ValueError("only K = 4 is supported")
-    terms = []
-    for j in range(1, 5):
-        terms.append(
-            HBTerm(
-                j=j,
-                sign_coefficient=(-1) ** (j - 1) * math.comb(4, j),
-                mobius_positions=tuple(range(5, 5 + j)),
-                log_position=1,
-            )
-        )
-    return terms
 
 
 def reconstruct(x: float, n_max: int, tables: MultiplicativeTables) -> np.ndarray:
@@ -78,11 +54,11 @@ def reconstruct(x: float, n_max: int, tables: MultiplicativeTables) -> np.ndarra
     m_conv = np.zeros(n_max + 1)  # delta at 1: identity for convolution
     m_conv[1] = 1.0
     t_conv = logs  # log * 1^(j-1), extended by one unit factor per j
-    for j in range(1, 5):
+    for j, coeff in enumerate(SIGNED_BINOMIALS, start=1):
         m_conv = _dirichlet_convolve(m_conv, mu_trunc)
         if j > 1:
             t_conv = _dirichlet_convolve(t_conv, unit)
-        out += (-1) ** (j - 1) * math.comb(4, j) * _dirichlet_convolve(m_conv, t_conv)
+        out += coeff * _dirichlet_convolve(m_conv, t_conv)
     return out
 
 
@@ -97,11 +73,26 @@ def _integer_sizes(x: float) -> tuple[int, int, int]:
 
 
 def _dirichlet_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """out[n] = sum over d m = n of a[d] b[m], for 1 <= n <= len(a) - 1.
+
+    Hyperbola split at s = isqrt(N): one slice per d <= s, then one per
+    m <= s carrying every d > s (as d m <= N and (s + 1)^2 > N force
+    m <= s), so 2s numpy calls instead of N. Running m down from s keeps
+    each out[n] receiving its terms in increasing d, the order of a per-d
+    loop, so the sums are bit-identical to one. A term with a zero factor
+    is skipped where that factor is the scalar (a[d], b[m]) and added
+    where it sits in the slice; for finite inputs it is +-0.0, and adding
+    it to a sum that starts at +0.0, and so is never -0.0, changes no bit."""
     n_max = len(a) - 1
+    s = math.isqrt(n_max)
     out = np.zeros(n_max + 1)
-    for d in range(1, n_max + 1):
+    for d in range(1, s + 1):
         if a[d] != 0.0:
             out[d::d] += a[d] * b[1 : n_max // d + 1]
+    for m in range(s, 0, -1):
+        if b[m] != 0.0:
+            top = n_max // m
+            out[(s + 1) * m : top * m + 1 : m] += a[s + 1 : top + 1] * b[m]
     return out
 
 
@@ -110,8 +101,7 @@ def reconstruct_bruteforce(n: int, x: float, tables: MultiplicativeTables) -> fl
     directly. Exponential in divisors; for small n only."""
     z, _, _ = _integer_sizes(x)
     total = 0.0
-    for j in range(1, 5):
-        coeff = (-1) ** (j - 1) * math.comb(4, j)
+    for j, coeff in enumerate(SIGNED_BINOMIALS, start=1):
         for tup in _ordered_factorizations(n, 2 * j):
             ms, ns = tup[:j], tup[j:]
             if any(m > z for m in ms):

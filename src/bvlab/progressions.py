@@ -9,9 +9,10 @@ Every sum here reads Lambda through ``tables.jumps(y)``, the prime powers
 n <= y and their weights, which raises ValueError for y past the table.
 One walk over the jumps serves E*, E-dagger and the character extremum:
 ``_class_prefix_sums`` groups the prime powers n <= x by n mod q with one
-stable argsort and takes a cumulative sum per class, giving every class
-sum just before and just after each jump. That costs O(pi(x) log pi(x))
-per modulus, and each class sum is added in jump order, so it is
+stable argsort (a radix sort for q <= 2^16) and takes a cumulative sum
+per class, giving every class sum just before and just after each jump.
+That costs one sort and one np.cumsum call per class that holds a jump,
+and each class sum is added one weight at a time in jump order, so it is
 bit-equal to a running ``+=`` over the jumps.
 """
 
@@ -277,11 +278,18 @@ def _class_prefix_sums(pp: np.ndarray, weights: np.ndarray, q: int):
     per class mod q. Returns (coprime, before, after, totals): whether
     (n, q) = 1 for each jump n, the sum of n's class over the jumps < n
     and over the jumps <= n, and the sums of the phi(q) coprime classes
-    over all jumps. Each class is grouped by a stable argsort and summed
-    by np.cumsum, which adds in sequence, so every sum is bit-equal to a
-    running ``+=`` over the jumps."""
+    over all jumps.
+
+    A stable argsort of the residues groups the jumps by class, each
+    class in jump order. The residues are cast first to the narrowest
+    unsigned dtype that holds q - 1, so numpy sorts 8- and 16-bit keys
+    by radix; a stable order is unique, so the cast changes no index.
+    Each class is then summed by np.cumsum, which adds its weights one
+    at a time in jump order for real and complex weights alike, so every
+    sum is bit-equal to a running ``+=`` over the jumps. Coprimality to
+    q is tested once per class."""
     r = pp % q
-    order = np.argsort(r, kind="stable")
+    order = np.argsort(r.astype(np.min_scalar_type(q - 1)), kind="stable")
     sorted_r = r[order]
     starts = np.flatnonzero(np.diff(sorted_r, prepend=-1))
     ends = np.flatnonzero(np.diff(sorted_r, append=q)) + 1
@@ -293,7 +301,10 @@ def _class_prefix_sums(pp: np.ndarray, weights: np.ndarray, q: int):
     before = np.empty_like(sums)
     before[order[1:]] = sums[:-1]
     before[order[starts]] = 0
-    totals = sums[ends - 1][np.gcd(sorted_r[starts], q) == 1]
+    class_coprime = np.gcd(sorted_r[starts], q) == 1
+    coprime = np.empty(len(pp), dtype=bool)
+    coprime[order] = np.repeat(class_coprime, ends - starts)
+    totals = sums[ends - 1][class_coprime]
     if len(totals) < euler_phi(q):  # a coprime class without jumps sums to 0
         totals = np.append(totals, 0)
-    return np.gcd(r, q) == 1, before, after, totals
+    return coprime, before, after, totals

@@ -10,10 +10,11 @@ from scipy.integrate import quad
 import bvlab
 
 from bvlab.heathbrown import (
+    SIGNED_BINOMIALS,
+    _dirichlet_convolve,
     dyadic_grid,
     dyadic_grid_count,
     dyadic_grid_report,
-    identity_terms,
     log_removal_check,
     reconstruct,
     reconstruct_bruteforce,
@@ -23,11 +24,8 @@ from bvlab.heathbrown import (
 
 
 def test_term_structure():
-    terms = identity_terms(10**4)
-    assert [t.sign_coefficient for t in terms] == [4, -6, 4, -1]
-    assert [t.j for t in terms] == [1, 2, 3, 4]
-    with pytest.raises(ValueError):
-        identity_terms(10)
+    assert SIGNED_BINOMIALS == tuple(
+        (-1) ** (j - 1) * math.comb(4, j) for j in range(1, 5))
 
 
 def test_reconstruction_matches_von_mangoldt(tables):
@@ -38,17 +36,31 @@ def test_reconstruction_matches_von_mangoldt(tables):
         assert abs(rec[n] - lam) <= 1e-9 * (1.0 + math.log(n))
 
 
+def _convolve_per_d(a, b):
+    """Reference: one slice per d, each out[n] summed in increasing d."""
+    n_max = len(a) - 1
+    out = np.zeros(n_max + 1)
+    for d in range(1, n_max + 1):
+        if a[d] != 0.0:
+            out[d::d] += a[d] * b[1 : n_max // d + 1]
+    return out
+
+
+@pytest.mark.parametrize("n_max", [0, 1, 2, 3, 10, 97, 99, 100, 101, 1000, 4096])
+def test_dirichlet_convolve_matches_per_d_loop_bit_for_bit(n_max):
+    # mixed signs and ~30 % zeros of either sign; 99, 100, 101 straddle
+    # the square where the hyperbola split point isqrt(n_max) moves
+    rng = np.random.default_rng(n_max)
+    a, b = rng.standard_normal((2, n_max + 1))
+    for v in (a, b):
+        zero = rng.random(n_max + 1) < 0.3
+        v[zero] = np.copysign(0.0, v[zero])
+    assert _dirichlet_convolve(a, b).tobytes() == _convolve_per_d(a, b).tobytes()
+
+
 def _reconstruct_reference(x, n_max, tables):
     """Reference: log * 1^(j-1) rebuilt from the logs for every j."""
     z = int(math.floor(x ** 0.25 + 1e-9))
-
-    def convolve(a, b):
-        out = np.zeros(n_max + 1)
-        for d in range(1, n_max + 1):
-            if a[d] != 0.0:
-                out[d::d] += a[d] * b[1 : n_max // d + 1]
-        return out
-
     mu_trunc = np.zeros(n_max + 1)
     top = min(z, n_max)
     mu_trunc[1 : top + 1] = tables.mobius[1 : top + 1]
@@ -60,11 +72,11 @@ def _reconstruct_reference(x, n_max, tables):
     m_conv = np.zeros(n_max + 1)
     m_conv[1] = 1.0
     for j in range(1, 5):
-        m_conv = convolve(m_conv, mu_trunc)
+        m_conv = _convolve_per_d(m_conv, mu_trunc)
         t_conv = logs.copy()
         for _ in range(j - 1):
-            t_conv = convolve(t_conv, unit)
-        out += (-1) ** (j - 1) * math.comb(4, j) * convolve(m_conv, t_conv)
+            t_conv = _convolve_per_d(t_conv, unit)
+        out += (-1) ** (j - 1) * math.comb(4, j) * _convolve_per_d(m_conv, t_conv)
     return out
 
 
@@ -108,7 +120,7 @@ def test_dyadic_grid_count_matches_enumeration():
         for t in tuples:
             assert sum(t.exponents) <= math.log2(x)
             for e in t.exponents[4:]:
-                assert 2 * 2**e <= x ** 0.25 + 1e-9
+                assert 2 ** (4 * e + 4) <= x
 
 
 @pytest.mark.parametrize("k", [5, 6, 7])

@@ -9,6 +9,7 @@ import pytest
 from bvlab.arith import build_tables, enumerate_moduli_set
 from bvlab.characters import CharacterGroup, character_group, euler_phi
 from bvlab.progressions import (
+    _class_prefix_sums,
     character_extremum,
     e_dagger,
     e_dagger_bruteforce,
@@ -125,7 +126,8 @@ def test_reduction_gap_small_for_primitive(tables):
 
 def test_exception_scan_and_outputs(tmp_path, tables):
     S = enumerate_moduli_set(10, "prime-powers")
-    records, summary = exception_scan(9000.0, 10, 1.0, S, tables)
+    with pytest.warns(UserWarning, match=r"exceeds x\^\(9/40\)"):
+        records, summary = exception_scan(9000.0, 10, 1.0, S, tables)
     assert len(records) == len(S.members)
     assert summary["count_exceptional"] == sum(r.exceptional for r in records)
     csv_path = tmp_path / "err.csv"
@@ -260,6 +262,41 @@ def test_error_terms_match_loop_at_edges(tables, x, q):
         for chi in CharacterGroup(q).characters():
             assert character_extremum(x, chi, tables).y_chi == \
                 _character_extremum_loop(x, chi, tables)
+
+
+def _class_prefix_loop(pp, weights, q):
+    """Reference for _class_prefix_sums: one running += per class, jump by
+    jump, with the coprime class totals in residue order."""
+    running = {}
+    before, after = np.empty_like(weights), np.empty_like(weights)
+    for i, (n, w) in enumerate(zip(pp.tolist(), weights.tolist())):
+        r = n % q
+        if r in running:
+            before[i] = running[r]
+            running[r] += w
+        else:
+            before[i] = 0
+            running[r] = w
+        after[i] = running[r]
+    coprime = np.array([gcd(n, q) == 1 for n in pp.tolist()])
+    totals = [running[r] for r in sorted(running) if gcd(r, q) == 1]
+    if len(totals) < euler_phi(q):
+        totals.append(0)
+    return coprime, before, after, np.array(totals, dtype=weights.dtype)
+
+
+@pytest.mark.parametrize("q", [1, 2, 37, 121, 10**5 + 3])
+def test_class_prefix_sums_match_running_sums_bit_for_bit(tables_large, q):
+    # 9700 jumps up to 10^5: from one class (q = 1) through classes of
+    # about sqrt(9700) jumps each (q = 121, with non-coprime classes) to
+    # one jump per class (q > x)
+    pp, logs = tables_large.jumps(10**5)
+    values = np.asarray(CharacterGroup(7).characters()[1].value_table())
+    assert np.any(values.imag != 0)
+    for weights in (logs, logs * values[pp % 7]):
+        got = _class_prefix_sums(pp, weights, q)
+        for g, w in zip(got, _class_prefix_loop(pp, weights, q), strict=True):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
 
 def test_ties_resolve_to_the_first_jump():
