@@ -5,7 +5,9 @@ psi, character-twisted sums, Heath-Brown reconstruction) reads from them.
 The von Mangoldt support is stored as the sorted prime powers with their
 exact base primes, and the weights log p are taken once, into
 ``prime_power_logs``. ``MultiplicativeTables.jumps`` is the one reader of
-those weights, and it refuses any range beyond the table.
+those weights, and it refuses any range beyond the table. No Euler-phi
+table is sieved: phi(q) enters only the main term x/phi(q), once per
+modulus, and ``characters.euler_phi`` supplies it.
 """
 
 from __future__ import annotations
@@ -22,14 +24,12 @@ from .characters import factorize
 
 DEFAULT_LIMIT_CEILING = 10**8
 
-CACHE_MAGIC = b"BVML2"
+CACHE_MAGIC = b"BVML3"
 # header after the magic: limit uint64 LE, CRC32 of the records uint32 LE;
 # then one record per n in [0, limit]:
-#   smallest_prime_factor uint32, mobius int8, phi uint32
+#   smallest_prime_factor uint32, mobius int8
 CACHE_HEADER = struct.Struct("<QI")
-CACHE_ENTRY_DTYPE = np.dtype(
-    [("spf", "<u4"), ("mobius", "i1"), ("phi", "<u4")]
-)
+CACHE_ENTRY_DTYPE = np.dtype([("spf", "<u4"), ("mobius", "i1")])
 
 
 class LimitError(ValueError):
@@ -43,13 +43,12 @@ class MultiplicativeTables:
     ``prime_powers`` holds every n = p^e <= limit in ascending order,
     ``prime_power_bases`` the exact prime p of each and
     ``prime_power_logs`` its weight Lambda(n) = log p; read them through
-    ``jumps``. ``mobius`` and ``phi`` are exact integer arrays indexed by n.
-    Immutable after construction.
+    ``jumps``. ``mobius`` and ``smallest_prime_factor`` are exact integer
+    arrays indexed by n. Immutable after construction.
     """
 
     limit: int
     mobius: np.ndarray
-    phi: np.ndarray
     smallest_prime_factor: np.ndarray
     prime_powers: np.ndarray = field(repr=False)
     prime_power_bases: np.ndarray = field(repr=False)
@@ -112,7 +111,7 @@ class FactoredInteger:
 
 
 def build_tables(limit: int, ceiling: int = DEFAULT_LIMIT_CEILING) -> MultiplicativeTables:
-    """Sieve smallest prime factors, mobius, phi, and Lambda-support up to limit."""
+    """Sieve smallest prime factors, mobius and Lambda-support up to limit."""
     if limit < 2 or limit > ceiling:
         raise LimitError(f"limit must be in [2, {ceiling}], got {limit}")
 
@@ -130,15 +129,12 @@ def build_tables(limit: int, ceiling: int = DEFAULT_LIMIT_CEILING) -> Multiplica
 
     # Only primes <= sqrt(limit) are sieved one by one; each is divided
     # fully out of rem, which leaves rem[n] = 1 or the one prime above
-    # sqrt(limit) that divides n, and whole-array ops account for it.
+    # sqrt(limit) that divides n, whose sign mobius takes at the end.
     mobius = np.ones(limit + 1, dtype=np.int8)
     mobius[0] = 0
-    phi = np.arange(limit + 1, dtype=np.int64)
     rem = n
     for p in primes[: int(np.searchsorted(primes, root, side="right"))].tolist():
         mobius[p::p] *= -1
-        phi[p::p] //= p
-        phi[p::p] *= p - 1
         mobius[p * p :: p * p] = 0
         pe = p
         while pe <= limit:
@@ -146,15 +142,11 @@ def build_tables(limit: int, ceiling: int = DEFAULT_LIMIT_CEILING) -> Multiplica
             pe *= p
     rem[0] = 1
     np.negative(mobius, out=mobius, where=rem > 1)
-    phi //= rem
-    rem -= 1
-    np.maximum(rem, 1, out=rem)
-    phi *= rem
 
-    return _assemble(limit, spf, mobius, phi, primes)
+    return _assemble(limit, spf, mobius, primes)
 
 
-def _assemble(limit: int, spf: np.ndarray, mobius: np.ndarray, phi: np.ndarray,
+def _assemble(limit: int, spf: np.ndarray, mobius: np.ndarray,
               primes: np.ndarray) -> MultiplicativeTables:
     """Tables from the sieved arrays: adds the sorted prime powers p^e <= limit,
     their base primes and the base logs."""
@@ -176,7 +168,6 @@ def _assemble(limit: int, spf: np.ndarray, mobius: np.ndarray, phi: np.ndarray,
     return MultiplicativeTables(
         limit=int(limit),
         mobius=mobius,
-        phi=phi,
         smallest_prime_factor=spf,
         prime_powers=prime_powers,
         prime_power_bases=bases,
@@ -250,7 +241,6 @@ def save_tables(tables: MultiplicativeTables, path: str) -> None:
     records = np.empty(tables.limit + 1, dtype=CACHE_ENTRY_DTYPE)
     records["spf"] = tables.smallest_prime_factor
     records["mobius"] = tables.mobius
-    records["phi"] = tables.phi.astype(np.uint32)
     raw = records.tobytes()
     with open(path, "wb") as fh:
         fh.write(CACHE_MAGIC)
@@ -277,10 +267,9 @@ def load_tables(path: str) -> MultiplicativeTables:
     records = np.frombuffer(raw, dtype=CACHE_ENTRY_DTYPE)
     spf = records["spf"].copy()
     mobius = records["mobius"].copy()
-    phi = records["phi"].astype(np.int64)
     if np.any((mobius < -1) | (mobius > 1)):
         raise ValueError("cache mobius value outside {-1, 0, 1}")
     n = np.arange(limit + 1, dtype=np.uint32)
     if np.any((spf[2:] < 2) | (spf[2:] > n[2:])) or np.any(n[2:] % spf[2:]):
         raise ValueError("cache smallest prime factor table is invalid")
-    return _assemble(limit, spf, mobius, phi, n[2:][spf[2:] == n[2:]])
+    return _assemble(limit, spf, mobius, n[2:][spf[2:] == n[2:]])

@@ -114,6 +114,7 @@ def _key(section: str, default, name: str = "", **bounds):
 
 
 _CEILING = arith.DEFAULT_LIMIT_CEILING
+_MODULUS_CEILING = characters.DEFAULT_MODULUS_CEILING
 
 
 @dataclass
@@ -125,8 +126,7 @@ class ExperimentConfig:
     workers: int = _key("general", 1, ge=1)  # checked; every command runs serially
     table_cache: str = _key("general", "")
     limit: int = _key("sieve", 10**6, ge=2, le=_CEILING)
-    q_max: int = _key("characters", 200, ge=1)
-    primitive_q_max: int = _key("characters", 2000, ge=1)  # checked; no command reads it
+    q_max: int = _key("characters", 200, ge=1, le=_MODULUS_CEILING)
     # 132 is the least x with progressions.max_modulus(x) >= 3
     x: int = _key("exceptions", 10**6, ge=132, le=_CEILING)
     A: float = _key("exceptions", 1.0, ge=0)
@@ -134,7 +134,9 @@ class ExperimentConfig:
                             allowed=("prime-powers", "primes"))
     hb_x: int = _key("hb", 10**4, "x", ge=2, le=_CEILING)
     hb_n_max: int = _key("hb", 10**4, "n_max", ge=1)
-    q_values: list[int] = _key("meanvalue", [4, 8, 16], ge=1)
+    # the families read every modulus q < 2Q
+    q_values: list[int] = _key("meanvalue", [4, 8, 16], ge=1,
+                               le=_MODULUS_CEILING // 2)
     t_values: list[int] = _key("meanvalue", [16, 64], ge=1)
     n_min_exp: int = _key("meanvalue", 6, ge=0)
     # 2^(n_max_exp + 1) must not exceed the sieve ceiling
@@ -276,9 +278,7 @@ def cmd_characters(cfg: ExperimentConfig) -> None:
     for q in range(1, cfg.q_max + 1):
         group = characters.CharacterGroup(q)
         chars = group.characters()
-        n_primitive = sum(
-            1 for chi in chars if characters.conductor_and_primitivity(chi)[1]
-        )
+        n_primitive = sum(chi.is_primitive for chi in chars)
         formula = characters.primitive_count(q)
         if n_primitive != formula:
             raise AssertionError(
@@ -457,8 +457,7 @@ def main(argv: list[str] | None = None) -> int:
             cfg.seed = args.seed
         _COMMANDS[args.command](cfg)
     except (ConfigParseError, UnknownKeyError, InvalidValueError,
-            MissingCacheError, InvalidCacheError, AssertionError,
-            ValueError) as exc:
+            MissingCacheError, InvalidCacheError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", EXIT_ASSERTION)
     return EXIT_OK

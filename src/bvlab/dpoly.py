@@ -104,7 +104,7 @@ class WellSpacedSet:
         pts = sorted(self.points)
         for a, b in zip(pts, pts[1:]):
             if b - a < 1.0:
-                raise ValueError(f"points {a} and {b} are closer than 1")
+                raise AssertionError(f"points {a} and {b} are closer than 1")
         self.points = pts
 
 

@@ -28,23 +28,6 @@ TARGET_X = F(1, 2)
 TARGET_T = F(39, 40)
 
 
-@dataclass(frozen=True)
-class ExponentTuple:
-    u: tuple[F, ...]
-    theta: F = THETA_MAX
-    tau: F = F(1)
-    strict: bool = True  # allow out-of-range theta probes when False
-
-    def __post_init__(self):
-        if len(self.u) != 8:
-            raise ValueError("exactly eight exponents required")
-        validate_exponents(self.u)
-        if not 0 <= self.tau <= 1:
-            raise ValueError("tau must lie in [0, 1]")
-        if self.strict and not 0 <= self.theta <= THETA_MAX:
-            raise ValueError(f"theta must lie in [0, {THETA_MAX}]")
-
-
 def validate_exponents(u) -> None:
     if any(x < 0 for x in u):
         raise ValueError("exponents must be nonnegative")
@@ -74,28 +57,28 @@ class PartitionOutcome:
         s2 = sum(u[j] for j in self.A2)
         if self.variant == "B":
             if self.i is not None:
-                raise ValueError("variant B carries no singleton")
+                raise AssertionError("variant B carries no singleton")
             if self.A1 | self.A2 != frozenset(range(8)) or self.A1 & self.A2:
-                raise ValueError("groups must partition {0..7}")
+                raise AssertionError("groups must partition {0..7}")
             if max(len(self.A1), len(self.A2)) > 6:
-                raise ValueError("variant B group size exceeds 6")
+                raise AssertionError("variant B group size exceeds 6")
             if s1 > HALF_BOUND_B or s2 > HALF_BOUND_B:
-                raise ValueError("variant B group sum exceeds 11/20")
+                raise AssertionError("variant B group sum exceeds 11/20")
         elif self.variant == "A":
             if self.i is None:
-                raise ValueError("variant A needs a singleton index")
+                raise AssertionError("variant A needs a singleton index")
             parts = self.A1 | self.A2 | {self.i}
             if parts != frozenset(range(8)) or self.A1 & self.A2 \
                     or self.i in self.A1 or self.i in self.A2:
-                raise ValueError("singleton and groups must partition {0..7}")
+                raise AssertionError("singleton and groups must partition {0..7}")
             if max(len(self.A1), len(self.A2)) > 5:
-                raise ValueError("variant A group size exceeds 5")
+                raise AssertionError("variant A group size exceeds 5")
             if DIFFICULT_LO < u[self.i] < DIFFICULT_HI:
-                raise ValueError("singleton exponent inside (9/40, 1/4)")
+                raise AssertionError("singleton exponent inside (9/40, 1/4)")
             if s1 > HALF_BOUND_A or s2 > HALF_BOUND_A:
-                raise ValueError("variant A group sum exceeds 9/20")
+                raise AssertionError("variant A group sum exceeds 9/20")
         else:
-            raise ValueError(f"unknown variant {self.variant!r}")
+            raise AssertionError(f"unknown variant {self.variant!r}")
 
 
 def partition_exponents(u: tuple[F, ...]) -> PartitionOutcome:

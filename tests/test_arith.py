@@ -20,7 +20,7 @@ from bvlab.arith import (
     save_tables,
     tau_b,
 )
-from bvlab.characters import character_group
+from bvlab.characters import character_group, euler_phi
 from bvlab.heathbrown import verify_identity
 from bvlab.progressions import (
     character_extremum,
@@ -77,11 +77,8 @@ def _sieve_reference(limit):
 
     mobius = np.ones(limit + 1, dtype=np.int8)
     mobius[0] = 0
-    phi = np.arange(limit + 1, dtype=np.int64)
     for p in primes.tolist():
         mobius[p::p] *= -1
-        phi[p::p] //= p
-        phi[p::p] *= p - 1
         if p * p <= limit:
             mobius[p * p :: p * p] = 0
 
@@ -96,7 +93,6 @@ def _sieve_reference(limit):
     return {
         "smallest_prime_factor": spf,
         "mobius": mobius,
-        "phi": phi,
         "prime_powers": prime_powers,
         "prime_power_bases": bases,
         "prime_power_logs": np.log(bases.astype(np.float64)),
@@ -112,7 +108,7 @@ def _sieve_reference(limit):
 def test_sieve_matches_reference_bit_for_bit(limit):
     ref = _sieve_reference(limit)
     tables = build_tables(limit)
-    for name in ("smallest_prime_factor", "mobius", "phi", "prime_powers",
+    for name in ("smallest_prime_factor", "mobius", "prime_powers",
                  "prime_power_bases", "prime_power_logs"):
         got = getattr(tables, name)
         assert got.dtype == ref[name].dtype, name
@@ -136,7 +132,7 @@ def test_limit_validation():
 def test_sieve_against_naive(tables):
     for n in range(1, 500):
         assert int(tables.mobius[n]) == _naive_mobius(n)
-        assert int(tables.phi[n]) == _naive_phi(n)
+        assert euler_phi(n) == _naive_phi(n)
 
 
 def test_von_mangoldt_support(tables):
@@ -228,9 +224,8 @@ def test_factored_integer_consistency_guard():
        st.integers(min_value=1, max_value=9999))
 @settings(max_examples=200, deadline=None)
 def test_phi_multiplicative(n, m):
-    tables = _shared()
-    if n * m <= tables.limit and gcd(n, m) == 1:
-        assert int(tables.phi[n * m]) == int(tables.phi[n]) * int(tables.phi[m])
+    if gcd(n, m) == 1:
+        assert euler_phi(n * m) == euler_phi(n) * euler_phi(m)
 
 
 @given(st.integers(min_value=1, max_value=9999))
@@ -300,7 +295,6 @@ def test_cache_roundtrip(tmp_path, tables):
     loaded = load_tables(path)
     assert loaded.limit == tables.limit
     assert np.array_equal(loaded.mobius, tables.mobius)
-    assert np.array_equal(loaded.phi, tables.phi)
     assert np.array_equal(loaded.smallest_prime_factor,
                           tables.smallest_prime_factor)
     assert _support(loaded) == _support(tables)
@@ -342,9 +336,10 @@ def test_cache_rejects_flipped_byte(tmp_path, tables):
 def test_cache_rejects_old_format_and_bad_length(tmp_path, tables):
     path, _ = _cache_records(tmp_path, tables)
     data = path.read_bytes()
-    path.write_bytes(b"BVML1" + data[len(CACHE_MAGIC) :])
-    with pytest.raises(ValueError, match="magic"):
-        load_tables(str(path))
+    for old_magic in (b"BVML1", b"BVML2"):  # the previous formats' magics
+        path.write_bytes(old_magic + data[len(CACHE_MAGIC) :])
+        with pytest.raises(ValueError, match="magic"):
+            load_tables(str(path))
     path.write_bytes(data[: -CACHE_ENTRY_DTYPE.itemsize])
     with pytest.raises(ValueError, match="truncated"):
         load_tables(str(path))

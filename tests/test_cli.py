@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from bvlab import cli
+from bvlab import cli, exponents
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -57,6 +57,28 @@ def test_invalid_grid_step_exit_code(tmp_path, capsys):
 def test_unknown_key_exit_code(tmp_path):
     cfg = _write(tmp_path, "[exponents]\nnot_a_key = 1\n")
     assert cli.main(["exponents", "--config", cfg]) == cli.EXIT_UNKNOWN_KEY
+    # primitive_q_max was read by no command and is no longer a key
+    cfg = _write(tmp_path, "[characters]\nprimitive_q_max = 0\n")
+    assert cli.main(["characters", "--config", cfg]) == cli.EXIT_UNKNOWN_KEY
+
+
+def test_failed_certificate_exit_code(tmp_path, monkeypatch):
+    # a split that fails PartitionOutcome.verify: group sizes 7 and 1
+    def bad_split(u):
+        return exponents.PartitionOutcome("B", frozenset(range(7)), frozenset({7}))
+
+    monkeypatch.setattr(exponents, "partition_exponents", bad_split)
+    cfg = _write(tmp_path, BASE.format(out=tmp_path / "out"))
+    assert cli.main(["lemma4", "--config", cfg]) == cli.EXIT_ASSERTION
+    assert not (tmp_path / "out" / "lemma4.json").exists()
+
+    # any other ValueError is a defect, not a verification failure
+    def broken(u):
+        raise ValueError("not a certificate")
+
+    monkeypatch.setattr(exponents, "partition_exponents", broken)
+    with pytest.raises(ValueError, match="not a certificate"):
+        cli.main(["lemma4", "--config", cfg])
 
 
 def test_unknown_section_exit_code(tmp_path):
@@ -148,8 +170,9 @@ def test_invalid_cache_exit_code(tmp_path):
     )
     assert cli.main(["sieve", "--config", cfg]) == 0
     good = cache.read_bytes()
-    cache.write_bytes(b"BVML1" + good[5:])  # the previous format's magic
-    assert cli.main(["hb-verify", "--config", cfg]) == cli.EXIT_INVALID_CACHE
+    for old_magic in (b"BVML1", b"BVML2"):  # the previous formats' magics
+        cache.write_bytes(old_magic + good[5:])
+        assert cli.main(["hb-verify", "--config", cfg]) == cli.EXIT_INVALID_CACHE
     bad = bytearray(good)
     bad[-1] ^= 0xFF  # breaks the CRC32
     cache.write_bytes(bytes(bad))
@@ -212,7 +235,8 @@ def test_sieve_ceiling_boundary_accepted():
     ("meanvalue", "meanvalue", "x_scale = 0"),
     ("characters", "characters", "q_max = -5"),
     ("characters", "characters", "q_max = 0"),
-    ("characters", "characters", "primitive_q_max = 0"),
+    ("characters", "characters", "q_max = 1000001"),
+    ("meanvalue", "meanvalue", "q_values = 4 500001"),
     ("lemma4", "lemma4", "random_count = -3"),
     ("exceptions", "exceptions", "A = nan"),
     ("exceptions", "exceptions", "A = inf"),

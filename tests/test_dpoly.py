@@ -68,7 +68,7 @@ def test_interval_stretch_guard(tables):
 
 
 def test_well_spaced_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(AssertionError):
         WellSpacedSet(chi=CHI1, points=[0.0, 0.5])
     s = WellSpacedSet(chi=CHI1, points=[3.0, 0.0, -2.0])
     assert s.points == [-2.0, 0.0, 3.0]

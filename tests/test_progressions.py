@@ -156,10 +156,9 @@ def test_range_guard(tables):
 
 
 def _e_star_loop(x, q, tables):
-    phi_q = int(tables.phi[q]) if q <= tables.limit else euler_phi(q)
-    inv_phi = 1.0 / phi_q
-    k = int(np.searchsorted(tables.prime_powers, x, side="right"))
     sums = {a: 0.0 for a in range(q) if gcd(a, q) == 1} if q > 1 else {0: 0.0}
+    inv_phi = 1.0 / len(sums)  # phi(q), counted from the coprime classes
+    k = int(np.searchsorted(tables.prime_powers, x, side="right"))
     best, y_star = 0.0, 1.0
     for n, lg in zip(tables.prime_powers[:k].tolist(),
                      tables.prime_power_logs[:k].tolist()):
