@@ -57,9 +57,14 @@ def test_invalid_grid_step_exit_code(tmp_path, capsys):
 def test_unknown_key_exit_code(tmp_path):
     cfg = _write(tmp_path, "[exponents]\nnot_a_key = 1\n")
     assert cli.main(["exponents", "--config", cfg]) == cli.EXIT_UNKNOWN_KEY
+
+
+def test_removed_key_exit_code(tmp_path):
     # primitive_q_max was read by no command and is no longer a key
-    cfg = _write(tmp_path, "[characters]\nprimitive_q_max = 0\n")
+    cfg = _write(tmp_path, f"[general]\noutput_dir = {tmp_path / 'out'}\n"
+                           "[characters]\nprimitive_q_max = 0\n")
     assert cli.main(["characters", "--config", cfg]) == cli.EXIT_UNKNOWN_KEY
+    assert not (tmp_path / "out").exists()
 
 
 def test_failed_certificate_exit_code(tmp_path, monkeypatch):
