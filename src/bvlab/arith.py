@@ -17,10 +17,12 @@ import struct
 import zlib
 from dataclasses import dataclass, field
 from math import gcd
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .characters import factorize
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_LIMIT_CEILING = 10**8
 
@@ -29,7 +31,9 @@ CACHE_MAGIC = b"BVML3"
 # then one record per n in [0, limit]:
 #   smallest_prime_factor uint32, mobius int8
 CACHE_HEADER = struct.Struct("<QI")
-CACHE_ENTRY_DTYPE = np.dtype([("spf", "<u4"), ("mobius", "i1")])
+# numpy structured-dtype fields, made a dtype only where a cache is read or
+# written, so importing this module does not load numpy
+CACHE_ENTRY_FIELDS = [("spf", "<u4"), ("mobius", "i1")]
 
 
 class LimitError(ValueError):
@@ -57,6 +61,7 @@ class MultiplicativeTables:
     def jumps(self, y: float) -> tuple[np.ndarray, np.ndarray]:
         """The jump points of psi up to y (the prime powers n <= y,
         ascending) and their weights Lambda(n); ValueError if y > limit."""
+        import numpy as np
         if y > self.limit:
             raise ValueError(f"y={y} exceeds the table limit {self.limit}")
         k = int(np.searchsorted(self.prime_powers, y, side="right"))
@@ -68,6 +73,7 @@ class MultiplicativeTables:
 
     def von_mangoldt_upto(self, y: float) -> np.ndarray:
         """Dense Lambda(m) for 0 <= m <= floor(y); ValueError if y > limit."""
+        import numpy as np
         pp, logs = self.jumps(y)
         lam = np.zeros(int(y) + 1)
         lam[pp] = logs
@@ -79,6 +85,7 @@ class MultiplicativeTables:
         return n >= 2 and int(self.smallest_prime_factor[n]) == n
 
     def primes(self) -> np.ndarray:
+        import numpy as np
         n = np.arange(2, self.limit + 1)
         return n[self.smallest_prime_factor[2:] == n]
 
@@ -112,6 +119,7 @@ class FactoredInteger:
 
 def build_tables(limit: int, ceiling: int = DEFAULT_LIMIT_CEILING) -> MultiplicativeTables:
     """Sieve smallest prime factors, mobius and Lambda-support up to limit."""
+    import numpy as np
     if limit < 2 or limit > ceiling:
         raise LimitError(f"limit must be in [2, {ceiling}], got {limit}")
 
@@ -150,6 +158,7 @@ def _assemble(limit: int, spf: np.ndarray, mobius: np.ndarray,
               primes: np.ndarray) -> MultiplicativeTables:
     """Tables from the sieved arrays: adds the sorted prime powers p^e <= limit,
     their base primes and the base logs."""
+    import numpy as np
     powers = [primes.astype(np.int64)]
     bases = [powers[0]]
     p = powers[0][: int(np.searchsorted(powers[0], math.isqrt(limit), side="right"))]
@@ -238,7 +247,8 @@ def enumerate_moduli_set(Q: int, kind: str = "prime-powers",
 def save_tables(tables: MultiplicativeTables, path: str) -> None:
     """Binary cache: magic, limit (8-byte LE), CRC32 of the records (4-byte
     LE), then the per-entry records."""
-    records = np.empty(tables.limit + 1, dtype=CACHE_ENTRY_DTYPE)
+    import numpy as np
+    records = np.empty(tables.limit + 1, dtype=np.dtype(CACHE_ENTRY_FIELDS))
     records["spf"] = tables.smallest_prime_factor
     records["mobius"] = tables.mobius
     raw = records.tobytes()
@@ -251,6 +261,7 @@ def save_tables(tables: MultiplicativeTables, path: str) -> None:
 def load_tables(path: str) -> MultiplicativeTables:
     """Read a ``save_tables`` cache; raises ValueError on a wrong magic or
     length, a CRC mismatch, or records that are not a valid sieve."""
+    import numpy as np
     with open(path, "rb") as fh:
         magic = fh.read(len(CACHE_MAGIC))
         if magic != CACHE_MAGIC:
@@ -260,11 +271,12 @@ def load_tables(path: str) -> MultiplicativeTables:
             raise ValueError("cache header truncated")
         limit, crc = CACHE_HEADER.unpack(header)
         raw = fh.read()
-    if len(raw) != (limit + 1) * CACHE_ENTRY_DTYPE.itemsize:
+    entry = np.dtype(CACHE_ENTRY_FIELDS)
+    if len(raw) != (limit + 1) * entry.itemsize:
         raise ValueError("cache truncated or corrupt")
     if zlib.crc32(raw) != crc:
         raise ValueError("cache checksum mismatch")
-    records = np.frombuffer(raw, dtype=CACHE_ENTRY_DTYPE)
+    records = np.frombuffer(raw, dtype=entry)
     spf = records["spf"].copy()
     mobius = records["mobius"].copy()
     if np.any((mobius < -1) | (mobius > 1)):

@@ -15,12 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .arith import MultiplicativeTables, tau_b
 from .characters import CharacterGroup, DirichletCharacter
 from .reports import BoundReport
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_X_SCALE = 2**40
 # Well-spaced points lie on t = k * GRID_STEP. The gap rule holds only because
@@ -48,6 +50,7 @@ class DirichletPolynomial:
     _base: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        import numpy as np
         if self.N_prime > 2 * self.N:
             raise ValueError("interval stretch above (N, 2N] is not supported")
         self._ns = np.arange(self.N + 1, self.N_prime + 1, dtype=np.int64)
@@ -66,11 +69,13 @@ class DirichletPolynomial:
         return self._base
 
     def twisted_coefficients(self) -> np.ndarray:
+        import numpy as np
         chi_vals = np.asarray(self.chi.value_table())[self._ns % self.chi.q]
         return self.base_coefficients() * chi_vals
 
     def eval(self, t: float, sigma: float = 0.5) -> complex:
         """Compensated evaluation at s = sigma + i t."""
+        import numpy as np
         if len(self._ns) == 0:
             return 0j
         c = self.twisted_coefficients()
@@ -81,6 +86,7 @@ class DirichletPolynomial:
 
 
 def _base_coefficients(kind, ns, tables, explicit):
+    import numpy as np
     if kind == "unit":
         return np.ones(len(ns), dtype=np.complex128)
     if kind == "mobius":
@@ -118,6 +124,7 @@ def select_well_spaced(P: DirichletPolynomial, T: float,
 
 
 def _t_grid(T: float) -> np.ndarray:
+    import numpy as np
     if T < 1:
         raise ValueError("T must be at least 1")
     steps = int(round(T / GRID_STEP))
@@ -128,6 +135,7 @@ def _grid_abs_values(t_grid: np.ndarray, ns: np.ndarray, sigma: float,
                      C: np.ndarray) -> np.ndarray:
     """|sum_n C[n, j] n^(-sigma - it)| for every t in t_grid (rows) and
     every coefficient column j: one matrix product for all columns."""
+    import numpy as np
     if len(ns) == 0:
         return np.zeros((len(t_grid), C.shape[1]))
     nf = ns.astype(np.float64)
@@ -138,6 +146,7 @@ def _grid_abs_values(t_grid: np.ndarray, ns: np.ndarray, sigma: float,
 
 def _greedy_spaced(vals: np.ndarray) -> np.ndarray:
     """Sorted grid indices picked greedily by falling value, ties by rising t."""
+    import numpy as np
     free = np.ones(len(vals), dtype=bool)
     chosen = np.zeros(len(vals), dtype=bool)
     for k in np.argsort(-vals, kind="stable").tolist():
@@ -178,6 +187,7 @@ class TripleFamily:
 
     def moment(self, p: int) -> float:
         """Sum of |S|^p over all triples."""
+        import numpy as np
         return math.fsum(float(np.sum(v**p)) for v in self.abs_values)
 
 
@@ -193,6 +203,7 @@ def build_triple_family(
     coefficients: dict[int, complex] | None = None,
 ) -> TripleFamily:
     """``coefficients`` is the a_n map of the "explicit" kind."""
+    import numpy as np
     if N_prime is None:
         N_prime = 2 * N
     chis = primitive_characters(Q, min_conductor=min_conductor)
@@ -278,6 +289,7 @@ def large_value_report(family: TripleFamily, V: float,
                        x_scale: int = DEFAULT_X_SCALE) -> BoundReport:
     """Count of triples with |S| >= V against
     G N V^-2 L^6 + G^3 N Q^2 T V^-6 L^18."""
+    import numpy as np
     if V <= 0:
         raise ValueError("V must be positive")
     L = math.log(x_scale)

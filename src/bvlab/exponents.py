@@ -1,25 +1,27 @@
-"""Exact-rational exponent bookkeeping for the case analysis.
+"""Exact exponent bookkeeping for the case analysis.
 
-Everything here is Fraction arithmetic; no floating point anywhere.
-Exponent tuples record the logarithmic sizes of the dyadic factors
-(N_j = x^(u_j)), the moduli range (Q = x^theta) and the height
-(T = x^tau). The constructive partition routine splits the eight factor
-exponents into two or three groups whose combined Dirichlet-polynomial
-bounds certify the target T^(39/40) x^(1/2) exponent shape on a grid.
+No floating point anywhere. Exponent tuples record the logarithmic sizes
+of the dyadic factors (N_j = x^(u_j)), the moduli range (Q = x^theta) and
+the height (T = x^tau). The constructive partition routine splits the
+eight factor exponents into two or three groups whose combined
+Dirichlet-polynomial bounds certify the target T^(39/40) x^(1/2) exponent
+shape on a grid.
+
+The partition and the grid scan run on integers: a tuple becomes its
+numerators over one common denominator D, and a slack becomes an integer
+over a common scale S. Fractions appear only at the edges, in the inputs,
+the certificate strings, ``case_bounds`` and the reported worst case.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
 from fractions import Fraction as F
 from itertools import combinations
 
 THETA_MAX = F(9, 40)
-DIFFICULT_LO = F(9, 40)
-DIFFICULT_HI = F(1, 4)
-HALF_BOUND_A = F(9, 20)  # group-sum cap in the three-group split
-HALF_BOUND_B = F(11, 20)  # group-sum cap in the two-group split
 DELTA = F(1, 20)
 ALLOWED_GRID_STEPS = (F(1, 8), F(1, 16), F(1, 40), F(1, 80))
 
@@ -27,23 +29,32 @@ ALLOWED_GRID_STEPS = (F(1, 8), F(1, 16), F(1, 40), F(1, 80))
 TARGET_X = F(1, 2)
 TARGET_T = F(39, 40)
 
+_ALL = frozenset(range(8))
 
-def validate_exponents(u) -> None:
-    if any(x < 0 for x in u):
+
+def validate_exponents(u) -> tuple[int, tuple[int, ...]]:
+    """The one input check on an exponent tuple. Returns (D, a): D is the
+    lcm of the denominators and a holds the integer numerators over D."""
+    u = [x if isinstance(x, (int, F)) else F(x) for x in u]
+    dens = [x.denominator for x in u]
+    D = math.lcm(*dens)
+    a = tuple([x.numerator * (D // d) for x, d in zip(u, dens)])
+    if min(a, default=0) < 0:
         raise ValueError("exponents must be nonnegative")
-    if any(a < b for a, b in zip(u, u[1:])):
+    if list(a) != sorted(a, reverse=True):
         raise ValueError("exponents must be nonincreasing")
-    if sum(u) > 1:
+    if sum(a) > D:
         raise ValueError("exponent sum must be at most 1")
+    return D, a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PartitionOutcome:
     """A certified split of the eight indices (0-based).
 
     Variant A: singleton i plus two groups of size <= 5, singleton
-    exponent outside the open difficult interval, group sums <= 9/20.
-    Variant B: two groups of size <= 6 with sums <= 11/20.
+    exponent outside the open difficult interval (9/40, 1/4), group sums
+    <= 9/20. Variant B: two groups of size <= 6 with sums <= 11/20.
     """
 
     variant: str  # "A" | "B"
@@ -53,32 +64,90 @@ class PartitionOutcome:
     certificate: tuple[tuple[str, str], ...] = ()
 
     def verify(self, u: tuple[F, ...]) -> None:
-        s1 = sum(u[j] for j in self.A1)
-        s2 = sum(u[j] for j in self.A2)
+        """AssertionError unless the split meets its variant's constraints."""
+        self._verify_scaled(*validate_exponents(u))
+
+    def _verify_scaled(self, D: int, a: tuple[int, ...]) -> None:
+        """``verify`` on the numerators a over D, in integer comparisons."""
+        s1 = sum([a[j] for j in self.A1])
+        s2 = sum([a[j] for j in self.A2])
         if self.variant == "B":
             if self.i is not None:
                 raise AssertionError("variant B carries no singleton")
-            if self.A1 | self.A2 != frozenset(range(8)) or self.A1 & self.A2:
+            if self.A1 | self.A2 != _ALL or self.A1 & self.A2:
                 raise AssertionError("groups must partition {0..7}")
             if max(len(self.A1), len(self.A2)) > 6:
                 raise AssertionError("variant B group size exceeds 6")
-            if s1 > HALF_BOUND_B or s2 > HALF_BOUND_B:
+            if 20 * s1 > 11 * D or 20 * s2 > 11 * D:
                 raise AssertionError("variant B group sum exceeds 11/20")
         elif self.variant == "A":
             if self.i is None:
                 raise AssertionError("variant A needs a singleton index")
             parts = self.A1 | self.A2 | {self.i}
-            if parts != frozenset(range(8)) or self.A1 & self.A2 \
+            if parts != _ALL or self.A1 & self.A2 \
                     or self.i in self.A1 or self.i in self.A2:
                 raise AssertionError("singleton and groups must partition {0..7}")
             if max(len(self.A1), len(self.A2)) > 5:
                 raise AssertionError("variant A group size exceeds 5")
-            if DIFFICULT_LO < u[self.i] < DIFFICULT_HI:
+            if 9 * D < 40 * a[self.i] < 10 * D:
                 raise AssertionError("singleton exponent inside (9/40, 1/4)")
-            if s1 > HALF_BOUND_A or s2 > HALF_BOUND_A:
+            if 20 * s1 > 9 * D or 20 * s2 > 9 * D:
                 raise AssertionError("variant A group sum exceeds 9/20")
         else:
             raise AssertionError(f"unknown variant {self.variant!r}")
+
+
+@dataclass(frozen=True, eq=False)
+class _Branch:
+    """One leaf of the case dispatch: the split it yields and the tests on
+    the path to it, in certificate order. Every outcome of a leaf shares
+    its groups."""
+
+    variant: str
+    A1: frozenset[int]
+    A2: frozenset[int]
+    i: int | None
+    tests: tuple[str, ...]
+
+
+_HEAD5_OVER = "u1+..+u5 > 11/20"
+_LEAST_K = "least k with u1+..+uk >= 9/20"
+_HEAD5 = _Branch("B", frozenset(range(5)), frozenset({5, 6, 7}), None,
+                 ("u1+..+u5 <= 11/20",))
+_ALT_B = _Branch("B", frozenset({1, 3, 5, 7}), frozenset({0, 2, 4, 6}), None,
+                 (_HEAD5_OVER, _LEAST_K, "u2+u4+u6+u8 > 9/20"))
+_ALT_A = _Branch("A", frozenset({2, 4, 6}), frozenset({1, 3, 5, 7}), 0,
+                 (_HEAD5_OVER, _LEAST_K, "u2+u4+u6+u8 <= 9/20"))
+# by the least prefix length k reaching 9/20, for u_1 in (9/40, 1/4):
+# then 2 <= k <= 5, and k >= 3 when the prefix passes 11/20, because two
+# exponents below 1/4 cannot reach 11/20
+_PREFIX_B = {k: _Branch("B", frozenset(range(k)), frozenset(range(k, 8)), None,
+                        (_HEAD5_OVER, _LEAST_K, "u1+..+uk <= 11/20"))
+             for k in range(2, 6)}
+_PREFIX_A = {k: _Branch("A", frozenset({0, *range(2, k)}), frozenset(range(k, 8)), 1,
+                        (_HEAD5_OVER, _LEAST_K, "u1+..+uk > 11/20"))
+             for k in range(3, 6)}
+_BRANCHES = (_HEAD5, _ALT_B, _ALT_A, *_PREFIX_B.values(), *_PREFIX_A.values())
+
+
+def _dispatch(D: int, a: tuple[int, ...]) -> tuple[_Branch, int, int | None, int | None]:
+    """The case dispatch on numerators a over D: (leaf, head5, k, s), with
+    k the least prefix length reaching 9/20 and s the sum the last test
+    compared; k and s are None on the head5 leaf."""
+    head5 = a[0] + a[1] + a[2] + a[3] + a[4]
+    if 20 * head5 <= 11 * D:
+        return _HEAD5, head5, None, None
+    partial = 0
+    for k, x in enumerate(a, 1):
+        partial += x
+        if 20 * partial >= 9 * D:
+            break
+    assert k <= 5 and 20 * partial >= 9 * D
+    if not 9 * D < 40 * a[0] < 10 * D:  # u_1 outside (9/40, 1/4)
+        alt = a[1] + a[3] + a[5] + a[7]
+        return (_ALT_B if 20 * alt > 9 * D else _ALT_A), head5, k, alt
+    leaf = _PREFIX_B[k] if 20 * partial <= 11 * D else _PREFIX_A[k]
+    return leaf, head5, k, partial
 
 
 def partition_exponents(u: tuple[F, ...]) -> PartitionOutcome:
@@ -88,59 +157,13 @@ def partition_exponents(u: tuple[F, ...]) -> PartitionOutcome:
     two-group split works; otherwise dispatch on whether u_1 lies in the
     difficult interval and on the least prefix reaching 9/20.
     """
-    u = tuple(F(x) for x in u)
-    validate_exponents(u)
-    cert: list[tuple[str, str]] = []
-
-    head5 = sum(u[:5])
-    if head5 <= HALF_BOUND_B:
-        cert.append(("u1+..+u5 <= 11/20", str(head5)))
-        out = PartitionOutcome("B", frozenset(range(5)), frozenset({5, 6, 7}),
-                               certificate=tuple(cert))
-        out.verify(u)
-        return out
-    cert.append(("u1+..+u5 > 11/20", str(head5)))
-
-    partial = F(0)
-    k = None
-    for idx in range(8):
-        partial += u[idx]
-        if partial >= HALF_BOUND_A:
-            k = idx + 1  # 1-based prefix length
-            break
-    assert k is not None and k <= 5
-    cert.append(("least k with u1+..+uk >= 9/20", str(k)))
-
-    if not DIFFICULT_LO < u[0] < DIFFICULT_HI:
-        alt = u[1] + u[3] + u[5] + u[7]
-        if alt > HALF_BOUND_A:
-            cert.append(("u2+u4+u6+u8 > 9/20", str(alt)))
-            out = PartitionOutcome("B", frozenset({1, 3, 5, 7}),
-                                   frozenset({0, 2, 4, 6}),
-                                   certificate=tuple(cert))
-        else:
-            cert.append(("u2+u4+u6+u8 <= 9/20", str(alt)))
-            out = PartitionOutcome("A", frozenset({2, 4, 6}),
-                                   frozenset({1, 3, 5, 7}), i=0,
-                                   certificate=tuple(cert))
-    else:
-        head_k = sum(u[:k])
-        if head_k <= HALF_BOUND_B:
-            cert.append(("u1+..+uk <= 11/20", str(head_k)))
-            out = PartitionOutcome("B", frozenset(range(k)),
-                                   frozenset(range(k, 8)),
-                                   certificate=tuple(cert))
-        else:
-            cert.append(("u1+..+uk > 11/20", str(head_k)))
-            # k >= 3 here: two exponents below 1/4 cannot reach 11/20
-            out = PartitionOutcome(
-                "A",
-                frozenset({0} | set(range(2, k))),
-                frozenset(range(k, 8)),
-                i=1,
-                certificate=tuple(cert),
-            )
-    out.verify(u)
+    D, a = validate_exponents(u)
+    leaf, head5, k, s = _dispatch(D, a)
+    values = (str(F(head5, D)),) if k is None else (
+        str(F(head5, D)), str(k), str(F(s, D)))
+    out = PartitionOutcome(leaf.variant, leaf.A1, leaf.A2, leaf.i,
+                           tuple(zip(leaf.tests, values)))
+    out._verify_scaled(D, a)
     return out
 
 
@@ -148,10 +171,7 @@ def partition_bruteforce(u: tuple[F, ...]) -> PartitionOutcome | None:
     """Independent oracle: exhaust all admissible splits in a fixed order
     and return the first one satisfying the variant constraints.
     Integer arithmetic over a common denominator."""
-    u = tuple(F(x) for x in u)
-    validate_exponents(u)
-    D = math.lcm(*(x.denominator for x in u))
-    a = [int(x * D) for x in u]
+    D, a = validate_exponents(u)
     total = sum(a)
     subset_sum = [0] * 256
     for mask in range(1, 256):
@@ -165,8 +185,8 @@ def partition_bruteforce(u: tuple[F, ...]) -> PartitionOutcome | None:
         s = subset_sum[mask]
         if 20 * s <= 11 * D and 20 * (total - s) <= 11 * D:
             g1 = frozenset(j for j in range(8) if mask >> j & 1)
-            out = PartitionOutcome("B", g1, frozenset(range(8)) - g1)
-            out.verify(u)
+            out = PartitionOutcome("B", g1, _ALL - g1)
+            out._verify_scaled(D, a)
             return out
 
     for i in range(8):
@@ -181,7 +201,7 @@ def partition_bruteforce(u: tuple[F, ...]) -> PartitionOutcome | None:
                     g1 = frozenset(combo)
                     out = PartitionOutcome("A", g1,
                                            frozenset(rest) - g1, i=i)
-                    out.verify(u)
+                    out._verify_scaled(D, a)
                     return out
     return None
 
@@ -209,6 +229,67 @@ class CaseBound:
         return all(self.slack(t) <= 0 for t in taus)
 
 
+@dataclass(frozen=True)
+class _SlackForm:
+    """One case bound as an affine form: the x exponent is
+    const + s * 2 theta + m1 * M1 + m2 * M2 + ui * u_i + mx * max(M1, M2),
+    where M1 and M2 are the group sums and u_i the singleton exponent.
+    ``log`` gives the log power from b = |A2|; None marks an absolute
+    constant."""
+
+    case_id: str
+    T: F
+    claim_x: F
+    claim_T: F
+    log: Callable[[int], F] | None = None
+    const: F = F(0)
+    s: F = F(0)
+    m1: F = F(0)
+    m2: F = F(0)
+    ui: F = F(0)
+    mx: F = F(0)
+
+
+def _log_b(b: int) -> F:
+    return F((8 - b) ** 2 + b * b, 2)
+
+
+# Q^2 contributes x^(2 theta); at theta = 9/40 the generic x^(9/20)
+# factors appear. Case 3 takes the big group as A2, its mirror as A1.
+_FORMS: dict[str, tuple[_SlackForm, ...]] = {
+    "B": (
+        _SlackForm("B-generic", T=F(1), claim_x=F(1, 2), claim_T=F(19, 20),
+                   log=_log_b, s=F(1)),
+        _SlackForm("B-generic", T=F(0), claim_x=F(1, 2), claim_T=F(0),
+                   log=_log_b, const=F(1, 2)),
+        _SlackForm("B-generic", T=F(1, 2), claim_x=F(1, 2), claim_T=F(1, 2),
+                   log=_log_b, s=F(1, 2), mx=F(1, 2)),
+    ),
+    "A": (
+        # trimming the triples where some grouped factor is below x^-1
+        _SlackForm("A-trim", T=F(1), claim_x=F(1, 2), claim_T=F(39, 40),
+                   log=lambda b: F(25) - DELTA, s=F(1)),
+        _SlackForm("A-Case1", T=F(0), claim_x=F(1, 2), claim_T=F(0),
+                   log=lambda b: F((7 - b) ** 2 + b * b + 10, 2),
+                   m1=F(1, 2), m2=F(1, 2), ui=F(1, 2)),
+        _SlackForm("A-Case2-A1", T=F(31, 32), claim_x=F(319, 640),
+                   claim_T=F(31, 32), s=F(31, 32),
+                   m1=F(1, 16), m2=F(1, 16), ui=F(1, 16)),
+        _SlackForm("A-Case2-B1", T=F(33, 40), claim_x=F(1, 2), claim_T=F(39, 40),
+                   log=lambda b: F(22) - F(3, 40), s=F(1),
+                   m1=F(1, 20), m2=F(1, 20), ui=F(1, 20)),
+        _SlackForm("A-Case3-A2", T=F(7, 16), claim_x=F(157, 320), claim_T=F(7, 16),
+                   s=F(7, 16), m2=F(1, 2), m1=F(1, 8), ui=F(1, 8)),
+        _SlackForm("A-Case3-B2", T=F(1, 2), claim_x=F(119, 240), claim_T=F(1, 2),
+                   s=F(1, 2), m2=F(1, 2), m1=F(1, 12), ui=F(1, 12)),
+        _SlackForm("A-Case4-mirror", T=F(7, 16), claim_x=F(157, 320),
+                   claim_T=F(7, 16), s=F(7, 16), m1=F(1, 2), m2=F(1, 8), ui=F(1, 8)),
+        _SlackForm("A-Case4-mirror", T=F(1, 2), claim_x=F(119, 240),
+                   claim_T=F(1, 2), s=F(1, 2), m1=F(1, 2), m2=F(1, 12), ui=F(1, 12)),
+    ),
+}
+
+
 def case_bounds(
     u: tuple[F, ...], outcome: PartitionOutcome, theta: F = THETA_MAX
 ) -> list[CaseBound]:
@@ -221,53 +302,16 @@ def case_bounds(
     s = 2 * F(theta)  # exponent of Q^2
     m1 = sum(u[j] for j in outcome.A1)
     m2 = sum(u[j] for j in outcome.A2)
+    ui = F(0) if outcome.i is None else u[outcome.i]
     b = len(outcome.A2)
-    bounds: list[CaseBound] = []
-
-    if outcome.variant == "B":
-        logp = F((8 - b) ** 2 + b * b, 2)
-        bounds.append(CaseBound("B-generic", s, F(1), logp,
-                                claim_x=F(1, 2), claim_T=F(19, 20)))
-        bounds.append(CaseBound("B-generic", F(1, 2), F(0), logp,
-                                claim_x=F(1, 2), claim_T=F(0)))
-        bounds.append(CaseBound("B-generic", theta + max(m1, m2) / 2,
-                                F(1, 2), logp,
-                                claim_x=F(1, 2), claim_T=F(1, 2)))
-        return bounds
-
-    ui = u[outcome.i]
-    # trimming the triples where some grouped factor is below x^-1
-    bounds.append(CaseBound("A-trim", s, F(1), F(25) - DELTA,
-                            claim_x=F(1, 2), claim_T=F(39, 40)))
-    bounds.append(
-        CaseBound("A-Case1", ui / 2 + (m1 + m2) / 2, F(0),
-                  F((7 - b) ** 2 + b * b + 10, 2),
-                  claim_x=F(1, 2), claim_T=F(0))
-    )
-    bounds.append(
-        CaseBound("A-Case2-A1",
-                  F(31, 32) * s + (m1 + m2 + ui) / 16, F(31, 32), None,
-                  claim_x=F(319, 640), claim_T=F(31, 32))
-    )
-    bounds.append(
-        CaseBound("A-Case2-B1", s + (m1 + m2 + ui) / 20, F(33, 40),
-                  F(22) - F(3, 40),
-                  claim_x=F(1, 2), claim_T=F(39, 40))
-    )
-    for tag, big, small in (("A-Case3", m2, m1), ("A-Case4-mirror", m1, m2)):
-        bounds.append(
-            CaseBound(f"{tag}-A2" if tag == "A-Case3" else tag,
-                      F(7, 16) * s + big / 2 + (small + ui) / 8,
-                      F(7, 16), None,
-                      claim_x=F(157, 320), claim_T=F(7, 16))
-        )
-        bounds.append(
-            CaseBound(f"{tag}-B2" if tag == "A-Case3" else tag,
-                      s / 2 + big / 2 + (small + ui) / 12,
-                      F(1, 2), None,
-                      claim_x=F(119, 240), claim_T=F(1, 2))
-        )
-    return bounds
+    return [
+        CaseBound(f.case_id,
+                  f.const + f.s * s + f.m1 * m1 + f.m2 * m2 + f.ui * ui
+                  + f.mx * max(m1, m2),
+                  f.T, None if f.log is None else f.log(b),
+                  claim_x=f.claim_x, claim_T=f.claim_T)
+        for f in _FORMS[outcome.variant]
+    ]
 
 
 def published_fractions() -> dict[str, F]:
@@ -395,63 +439,88 @@ class ScanResult:
         }
 
 
+def _grid_ints(slots: int, cap: int, budget: int, prefix: tuple[int, ...] = ()):
+    """Nonincreasing tuples of ``slots`` more ints in [0, cap] with sum at
+    most ``budget``, after ``prefix``, in descending lexicographic order."""
+    if slots == 0:
+        yield prefix
+        return
+    for k in range(min(cap, budget), -1, -1):
+        yield from _grid_ints(slots - 1, k, budget - k, prefix + (k,))
+
+
 def grid_tuples(grid_step: F):
     """All nonincreasing rational 8-tuples on the grid with sum <= 1."""
     denom = int(1 / F(grid_step))
     if F(1, denom) != F(grid_step):
         raise ValueError("grid step must be a unit fraction")
-
-    def rec(slots: int, cap: int, budget: int, prefix: tuple[int, ...]):
-        if slots == 0:
-            yield prefix
-            return
-        for k in range(min(cap, budget), -1, -1):
-            yield from rec(slots - 1, k, budget - k, prefix + (k,))
-
-    for ks in rec(8, denom, denom, ()):
+    for ks in _grid_ints(8, denom, denom):
         yield tuple(F(k, denom) for k in ks)
 
 
-def polytope_scan(
-    grid_step: F,
-    theta: F = THETA_MAX,
-    taus: tuple[F, ...] = (F(0), F(1)),
-) -> ScanResult:
-    """Exhaustive exact-rational certificate over the exponent grid:
-    every case bound must close under its claimed exponent pair (which
-    itself sits inside the global (39/40) tau + 1/2 budget)."""
+def _scaled_rows(forms: tuple[_SlackForm, ...], S: int, D: int,
+                 theta: F) -> list[tuple[int, ...]]:
+    """Each form's worst slack over tau in [0, 1], times S, as integer
+    coefficients (constant, M1, M2, u_i, max) on numerators over D.
+    A slack is affine in tau, so its worst is at tau = 0 or tau = 1."""
+    rows = []
+    for f in forms:
+        tau_gain = S * (f.T - f.claim_T)
+        row = (S * (f.const + 2 * f.s * theta - f.claim_x) + max(tau_gain, 0),
+               *(S * c / D for c in (f.m1, f.m2, f.ui, f.mx)))
+        assert all(c.denominator == 1 for c in row)
+        rows.append(tuple(int(c) for c in row))
+    return rows
+
+
+def polytope_scan(grid_step: F, theta: F = THETA_MAX) -> ScanResult:
+    """Exhaustive exact certificate over the exponent grid: every case
+    bound must close under its claimed exponent pair (which itself sits
+    inside the global (39/40) tau + 1/2 budget) at every tau in [0, 1].
+
+    Grid tuples are numerators over D = 1/grid_step, and every slack is an
+    integer over S = lcm(1920, 240 D, 32 den(theta)), which clears the
+    denominators of the claims, of the group-sum coefficients over D and
+    of the theta terms."""
     grid_step = F(grid_step)
     if grid_step not in ALLOWED_GRID_STEPS:
         raise ValueError(
             f"grid_step must be one of {[str(g) for g in ALLOWED_GRID_STEPS]}"
         )
     theta = F(theta)
-    worst_slack = None
-    worst = (None, None, None)
-    count = 0
-    violations = 0
-    for u in grid_tuples(grid_step):
+    D = grid_step.denominator
+    S = math.lcm(1920, 240 * D, 32 * theta.denominator)
+    rows = {v: _scaled_rows(forms, S, D, theta) for v, forms in _FORMS.items()}
+    plan = {leaf: (tuple(sorted(leaf.A1)), leaf.i, rows[leaf.variant])
+            for leaf in _BRANCHES}
+    worst = worst_at = None
+    count = violations = 0
+    for a in _grid_ints(8, D, D):
         count += 1
-        outcome = partition_exponents(u)
-        tuple_bad = False
-        for bound in case_bounds(u, outcome, theta=theta):
-            for tau in taus:
-                slack = bound.slack(tau)
-                if worst_slack is None or slack > worst_slack:
-                    worst_slack = slack
-                    worst = (u, bound.case_id, tau)
-                if slack > 0:
-                    tuple_bad = True
-        if tuple_bad:
+        leaf = _dispatch(D, a)[0]
+        g1, i, leaf_rows = plan[leaf]
+        m1 = sum([a[j] for j in g1])
+        ui = 0 if i is None else a[i]
+        m2 = sum(a) - m1 - ui
+        mx = max(m1, m2)
+        slacks = [c + e1 * m1 + e2 * m2 + eu * ui + em * mx
+                  for c, e1, e2, eu, em in leaf_rows]
+        top = max(slacks)
+        if top > 0:
             violations += 1
+        if worst is None or top > worst:
+            worst, worst_at = top, (a, leaf.variant, slacks.index(top))
+    a, variant, k = worst_at
+    form = _FORMS[variant][k]
     return ScanResult(
         grid_step=grid_step,
         theta=theta,
         tuple_count=count,
-        worst_slack=worst_slack if worst_slack is not None else F(0),
-        worst_tuple=worst[0],
-        worst_case_id=worst[1],
-        worst_tau=worst[2],
+        worst_slack=F(worst, S),
+        worst_tuple=tuple(F(x, D) for x in a),
+        worst_case_id=form.case_id,
+        # the first tau in (0, 1) that reaches the form's worst slack
+        worst_tau=F(int(form.T > form.claim_T)),
         passed=violations == 0,
         violations=violations,
     )
@@ -460,18 +529,9 @@ def polytope_scan(
 def claims_within_global_budget() -> bool:
     """Every per-case claimed exponent pair sits inside the certified
     global budget (39/40) tau + 1/2, checked at tau in {0, 1}."""
-    u = tuple([F(1, 8)] * 8)
-    outcome_b = partition_exponents(u)
-    sample_a = PartitionOutcome("A", frozenset({2, 4, 6}),
-                                frozenset({1, 3, 5, 7}), i=0)
-    ua = (F(1, 4), F(1, 10), F(1, 10), F(1, 10), F(1, 10), F(1, 10),
-          F(1, 10), F(1, 10))
-    bounds = case_bounds(u, outcome_b) + case_bounds(ua, sample_a)
-    for bd in bounds:
-        for tau in (F(0), F(1)):
-            if bd.claim_x + bd.claim_T * tau > TARGET_X + TARGET_T * tau:
-                return False
-    return True
+    return all(f.claim_x + f.claim_T * tau <= TARGET_X + TARGET_T * tau
+               for forms in _FORMS.values() for f in forms
+               for tau in (F(0), F(1)))
 
 
 def random_exponent_tuple(rng) -> tuple[F, ...]:

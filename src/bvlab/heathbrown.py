@@ -14,11 +14,13 @@ import csv
 import math
 from dataclasses import dataclass
 from itertools import product
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .arith import MultiplicativeTables
 from .reports import BoundReport
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 # (-1)^(j-1) binomial(4, j) for j = 1..4: the identity's term signs
@@ -34,6 +36,7 @@ class DyadicTuple:
 def reconstruct(x: float, n_max: int, tables: MultiplicativeTables) -> np.ndarray:
     """Array r with r[n] = the identity's reconstruction of Lambda(n),
     for 0 <= n <= n_max, built from Dirichlet convolutions."""
+    import numpy as np
     if n_max > x or x > tables.limit:
         raise ValueError("need n_max <= x <= tables.limit")
     n_max = int(n_max)
@@ -83,6 +86,7 @@ def _dirichlet_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     is skipped where that factor is the scalar (a[d], b[m]) and added
     where it sits in the slice; for finite inputs it is +-0.0, and adding
     it to a sum that starts at +0.0, and so is never -0.0, changes no bit."""
+    import numpy as np
     n_max = len(a) - 1
     s = math.isqrt(n_max)
     out = np.zeros(n_max + 1)
@@ -133,6 +137,7 @@ def _ordered_factorizations(n: int, slots: int):
 def verify_identity(x: float, n_max: int, tables: MultiplicativeTables) -> BoundReport:
     """Max over n <= n_max of |reconstruction(n) - Lambda(n)|; the identity
     is exact, so the residual is pure floating error."""
+    import numpy as np
     rec = reconstruct(x, n_max, tables)
     resid = np.abs(rec - tables.von_mangoldt_upto(n_max))
     worst = int(np.argmax(resid / (1.0 + np.log(np.maximum(np.arange(len(resid)), 1)))))

@@ -33,11 +33,13 @@ import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .dpoly import DirichletPolynomial
 from .reports import BoundReport
+
+if TYPE_CHECKING:
+    import numpy as np
 
 HORIZONTAL_TOLERANCE = 1e-12
 
@@ -75,6 +77,7 @@ class PerronResult:
 
 def _ring_order(family: list[DirichletPolynomial]) -> int:
     """L for the ring Q[x]/(x^L - 1) holding every product coefficient."""
+    import numpy as np
     L = 1
     for P in family:
         L = math.lcm(L, P.chi.order)
@@ -103,6 +106,7 @@ def product_coefficients(family: list[DirichletPolynomial]) -> np.ndarray:
     """Exact coefficients of prod_j F_j as a Dirichlet series: row n of the
     (n_max + 1, L) object array holds the multiplicities of x^0..x^(L-1)
     in the coefficient of n^(-s). Empty family gives the identity."""
+    import numpy as np
     L = _ring_order(family)
     n_max = 1
     for P in family:
@@ -126,6 +130,7 @@ def _ring_partial_sum(coeffs: np.ndarray, y: float) -> tuple:
 
 def _unit_roots(L: int) -> np.ndarray:
     """exp(2 pi i j / L) for j < L, exact at the quarter turns."""
+    import numpy as np
     exact = {0: 1 + 0j, 1: 1j, 2: -1 + 0j, 3: -1j}
     return np.array([exact[4 * j // L] if (4 * j) % L == 0
                      else complex(math.cos(math.tau * j / L),
@@ -178,6 +183,7 @@ def truncated_perron(
     """Evaluate the truncated contour integral in closed form and pair it
     with the exact partial sum from the convolution arrays (checked against
     ``exact_partial_sum_bruteforce`` in the tests, not on every call)."""
+    import numpy as np
     from scipy.special import exp1  # deferred: importing scipy.special is slow
 
     if not y > 0:
@@ -220,6 +226,7 @@ def horizontal_bound_check(
     """|prod F_j(sigma +- i height)| <= prod N_j^(1 - sigma), checked and
     asserted at every grid point: with at most N_j coefficients of modulus
     at most 1, each factor obeys the triangle inequality bound N_j^(1-sigma)."""
+    import numpy as np
     for P in family:
         if float(np.max(np.abs(P.base_coefficients()), initial=0.0)) > 1.0:
             raise ValueError("coefficients must be bounded by 1")

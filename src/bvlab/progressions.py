@@ -23,12 +23,14 @@ import math
 import warnings
 from dataclasses import dataclass
 from math import gcd
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .arith import ModuliSet, MultiplicativeTables
 from .characters import (CharacterGroup, DirichletCharacter, conductor_and_primitivity,
                          euler_phi)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass
@@ -63,6 +65,7 @@ def psi_ap(y: float, q: int, a: int, tables: MultiplicativeTables) -> float:
 
 def psi_coprime(y: float, q: int, tables: MultiplicativeTables) -> float:
     """Sum of Lambda(n) over n <= y coprime to q."""
+    import numpy as np
     pp, logs = tables.jumps(y)
     if q < 1:
         raise ValueError("q must be positive")
@@ -71,6 +74,7 @@ def psi_coprime(y: float, q: int, tables: MultiplicativeTables) -> float:
 
 def _residue_weights(y: float, q: int, tables: MultiplicativeTables) -> np.ndarray:
     """w[r] = sum of Lambda(n) over prime powers n <= y, n = r (mod q)."""
+    import numpy as np
     pp, logs = tables.jumps(y)
     return np.bincount((pp % q).astype(np.int64), weights=logs, minlength=q)
 
@@ -90,6 +94,7 @@ def character_extremum(
 ) -> CharacterExtremum:
     """y(chi) maximizing |psi(y, chi)| over y <= x, with the unimodular
     phase a(chi) that rotates the maximum onto the positive real axis."""
+    import numpy as np
     pp, logs = tables.jumps(x)
     # one class (q = 1) weighted by Lambda(n) chi(n): its sums are psi(n, chi)
     _, _, running, _ = _class_prefix_sums(
@@ -129,6 +134,7 @@ def progression_identity_residual(
 def e_star(x: float, q: int, tables: MultiplicativeTables) -> ErrorTermRecord:
     """max over residues a coprime to q and over y <= x of
     |psi(y; q, a) - y/phi(q)|, exact via jump-point evaluation."""
+    import numpy as np
     pp, logs = tables.jumps(x)
     inv_phi = 1.0 / euler_phi(q)
     coprime, before, after, totals = _class_prefix_sums(pp, logs, q)
@@ -150,6 +156,7 @@ def e_star(x: float, q: int, tables: MultiplicativeTables) -> ErrorTermRecord:
 
 def e_star_bruteforce(x: int, q: int, tables: MultiplicativeTables) -> float:
     """Independent oracle: scan every integer y <= x directly."""
+    import numpy as np
     lam = tables.von_mangoldt_upto(x)
     phi_q = euler_phi(q)
     n = np.arange(len(lam))
@@ -165,6 +172,7 @@ def e_star_bruteforce(x: int, q: int, tables: MultiplicativeTables) -> float:
 def e_dagger(x: float, q: int, tables: MultiplicativeTables) -> ErrorTermRecord:
     """max over y <= x and a coprime to q of
     |psi(y; q, a) - psi(y)/phi(q)| (centered at the full Chebyshev sum)."""
+    import numpy as np
     pp, logs = tables.jumps(x)
     inv_phi = 1.0 / euler_phi(q)
     best, y_star = 0.0, 1.0
@@ -192,6 +200,7 @@ def e_dagger(x: float, q: int, tables: MultiplicativeTables) -> ErrorTermRecord:
 
 def e_dagger_bruteforce(x: int, q: int, tables: MultiplicativeTables) -> float:
     """Oracle for e_dagger: integer-y scan."""
+    import numpy as np
     lam = tables.von_mangoldt_upto(x)
     phi_q = euler_phi(q)
     if q == 1:
@@ -288,6 +297,7 @@ def _class_prefix_sums(pp: np.ndarray, weights: np.ndarray, q: int):
     at a time in jump order for real and complex weights alike, so every
     sum is bit-equal to a running ``+=`` over the jumps. Coprimality to
     q is tested once per class."""
+    import numpy as np
     r = pp % q
     order = np.argsort(r.astype(np.min_scalar_type(q - 1)), kind="stable")
     sorted_r = r[order]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bvlab.arith import (
-    CACHE_ENTRY_DTYPE,
+    CACHE_ENTRY_FIELDS,
     CACHE_HEADER,
     CACHE_MAGIC,
     FactoredInteger,
@@ -33,6 +33,8 @@ from bvlab.progressions import (
     psi_chi,
     psi_coprime,
 )
+
+ENTRY = np.dtype(CACHE_ENTRY_FIELDS)
 
 
 def _naive_mobius(n):
@@ -314,7 +316,7 @@ def _cache_records(tmp_path, tables):
     path = tmp_path / "tables.bin"
     save_tables(tables, str(path))
     raw = path.read_bytes()[len(CACHE_MAGIC) + CACHE_HEADER.size :]
-    return path, np.frombuffer(raw, dtype=CACHE_ENTRY_DTYPE).copy()
+    return path, np.frombuffer(raw, dtype=ENTRY).copy()
 
 
 def _write_records(path, limit, records):
@@ -325,9 +327,9 @@ def _write_records(path, limit, records):
 def test_cache_rejects_flipped_byte(tmp_path, tables):
     path, _ = _cache_records(tmp_path, tables)
     data = bytearray(path.read_bytes())
-    record_1234 = len(CACHE_MAGIC) + CACHE_HEADER.size + 1234 * CACHE_ENTRY_DTYPE.itemsize
+    record_1234 = len(CACHE_MAGIC) + CACHE_HEADER.size + 1234 * ENTRY.itemsize
     # mu(1234) = 1 becomes 0: still a valid value, so only the CRC catches it
-    data[record_1234 + CACHE_ENTRY_DTYPE.fields["mobius"][1]] ^= 0x01
+    data[record_1234 + ENTRY.fields["mobius"][1]] ^= 0x01
     path.write_bytes(bytes(data))
     with pytest.raises(ValueError, match="checksum"):
         load_tables(str(path))
@@ -340,7 +342,7 @@ def test_cache_rejects_old_format_and_bad_length(tmp_path, tables):
         path.write_bytes(old_magic + data[len(CACHE_MAGIC) :])
         with pytest.raises(ValueError, match="magic"):
             load_tables(str(path))
-    path.write_bytes(data[: -CACHE_ENTRY_DTYPE.itemsize])
+    path.write_bytes(data[: -ENTRY.itemsize])
     with pytest.raises(ValueError, match="truncated"):
         load_tables(str(path))
 

@@ -1,6 +1,9 @@
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -304,3 +307,21 @@ def test_desk_config_sets_the_desk_values():
 def test_truncation_config_sets_the_dyadic_heights():
     cfg = cli.parse_config_file(str(ROOT / "scripts" / "truncation.ini"))
     assert cfg.heights == [2.0**k for k in range(10, 21)]
+
+
+def test_exact_subcommands_do_not_load_numpy(tmp_path):
+    # importing bvlab and the Fraction and integer subcommands never need
+    # numpy, so they must not pay for loading it
+    cfg = _write(tmp_path, BASE.format(out=tmp_path / "out")
+                 + "[characters]\nq_max = 30\n")
+    code = (
+        "import sys\n"
+        "from bvlab import (arith, characters, cli, dpoly, exponents,\n"
+        "                   heathbrown, perron, progressions, reports)\n"
+        "for command in ('characters', 'lemma4', 'exponents'):\n"
+        f"    assert cli.main([command, '--config', {cfg!r}]) == 0, command\n"
+        "assert 'numpy' not in sys.modules, 'numpy was loaded'\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert run.returncode == 0, run.stderr
