@@ -2,9 +2,9 @@
 
 Tables are built once, frozen, and shared; every downstream sum (Chebyshev
 psi, character-twisted sums, Heath-Brown reconstruction) reads from them.
-The von Mangoldt support is stored as the sorted prime powers with their
-exact base primes, and the weights log p are taken once, into
-``prime_power_logs``. ``MultiplicativeTables.jumps`` is the one reader of
+The von Mangoldt support is stored as the sorted prime powers, and the
+weights log p of their base primes are taken once, into
+``prime_power_logs``; the base prime of p^e is its smallest prime factor. ``MultiplicativeTables.jumps`` is the one reader of
 those weights, and it refuses any range beyond the table. No Euler-phi
 table is sieved: phi(q) enters only the main term x/phi(q), once per
 modulus, and ``characters.euler_phi`` supplies it.
@@ -44,18 +44,17 @@ class LimitError(ValueError):
 class MultiplicativeTables:
     """Sieved arithmetic functions up to ``limit`` (inclusive).
 
-    ``prime_powers`` holds every n = p^e <= limit in ascending order,
-    ``prime_power_bases`` the exact prime p of each and
+    ``prime_powers`` holds every n = p^e <= limit in ascending order and
     ``prime_power_logs`` its weight Lambda(n) = log p; read them through
-    ``jumps``. ``mobius`` and ``smallest_prime_factor`` are exact integer
-    arrays indexed by n. Immutable after construction.
+    ``jumps``; the exact base prime p of n is ``smallest_prime_factor[n]``.
+    ``mobius`` and ``smallest_prime_factor`` are exact integer arrays
+    indexed by n. Immutable after construction.
     """
 
     limit: int
     mobius: np.ndarray
     smallest_prime_factor: np.ndarray
     prime_powers: np.ndarray = field(repr=False)
-    prime_power_bases: np.ndarray = field(repr=False)
     prime_power_logs: np.ndarray = field(repr=False)
 
     def jumps(self, y: float) -> tuple[np.ndarray, np.ndarray]:
@@ -88,33 +87,6 @@ class MultiplicativeTables:
         import numpy as np
         n = np.arange(2, self.limit + 1)
         return n[self.smallest_prime_factor[2:] == n]
-
-    def factorize(self, n: int) -> "FactoredInteger":
-        if not 1 <= n <= self.limit:
-            raise ValueError(f"n={n} outside table range [1, {self.limit}]")
-        m = n
-        factors = []
-        while m > 1:
-            p = int(self.smallest_prime_factor[m])
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            factors.append((p, e))
-        return FactoredInteger(n=n, factors=factors)
-
-
-@dataclass(frozen=True)
-class FactoredInteger:
-    n: int
-    factors: list[tuple[int, int]]
-
-    def __post_init__(self):
-        prod = 1
-        for p, e in self.factors:
-            prod *= p**e
-        if prod != self.n:
-            raise ValueError(f"factorization of {self.n} is inconsistent")
 
 
 def build_tables(limit: int, ceiling: int = DEFAULT_LIMIT_CEILING) -> MultiplicativeTables:
@@ -156,8 +128,8 @@ def build_tables(limit: int, ceiling: int = DEFAULT_LIMIT_CEILING) -> Multiplica
 
 def _assemble(limit: int, spf: np.ndarray, mobius: np.ndarray,
               primes: np.ndarray) -> MultiplicativeTables:
-    """Tables from the sieved arrays: adds the sorted prime powers p^e <= limit,
-    their base primes and the base logs."""
+    """Tables from the sieved arrays: adds the sorted prime powers p^e <= limit
+    and the logs of their base primes."""
     import numpy as np
     powers = [primes.astype(np.int64)]
     bases = [powers[0]]
@@ -172,32 +144,23 @@ def _assemble(limit: int, spf: np.ndarray, mobius: np.ndarray,
     powers = np.concatenate(powers)
     bases = np.concatenate(bases)
     order = np.argsort(powers, kind="stable")
-    prime_powers = powers[order]
-    bases = bases[order]
     return MultiplicativeTables(
         limit=int(limit),
         mobius=mobius,
         smallest_prime_factor=spf,
-        prime_powers=prime_powers,
-        prime_power_bases=bases,
-        prime_power_logs=np.log(bases.astype(np.float64)),
+        prime_powers=powers[order],
+        prime_power_logs=np.log(bases[order].astype(np.float64)),
     )
 
 
-def tau_b(n: int, b: int, tables: MultiplicativeTables | None = None) -> int:
+def tau_b(n: int, b: int) -> int:
     """Number of ordered b-tuples of positive integers with product n."""
     if n < 1:
         raise ValueError("n must be positive")
     if not 1 <= b <= 8:
         raise ValueError("b must be in [1, 8]")
-    if n == 1:
-        return 1
-    if tables is not None and n <= tables.limit:
-        factors = tables.factorize(n).factors
-    else:
-        factors = factorize(n)
     out = 1
-    for _, e in factors:
+    for _, e in factorize(n):
         out *= math.comb(e + b - 1, b - 1)
     return out
 

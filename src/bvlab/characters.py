@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
 
 DEFAULT_MODULUS_CEILING = 10**6
@@ -180,15 +179,6 @@ def euler_phi(n: int) -> int:
     return out
 
 
-def mobius(n: int) -> int:
-    out = 1
-    for _, e in factorize(n):
-        if e > 1:
-            return 0
-        out = -out
-    return out
-
-
 class CharacterGroup:
     """All phi(q) characters mod q, in lexicographic exponent order."""
 
@@ -319,15 +309,13 @@ def conductor_and_primitivity(
     return f, f == chi.q, inducing
 
 
-@lru_cache(maxsize=None)
 def primitive_count(q: int) -> int:
-    """Number of primitive characters mod q: sum over d|q of mu(d)*phi(q/d)."""
+    """Number of primitive characters mod q: sum over d|q of mu(d)*phi(q/d),
+    taken as its multiplicative closed form, the product over p^e || q of
+    p - 2 for e = 1 and p^(e-2) (p - 1)^2 for e >= 2."""
     if q < 1:
         raise ValueError("q must be positive")
-    total = 0
-    for d in range(1, q + 1):
-        if q % d:
-            continue
-        total += mobius(d) * euler_phi(q // d)
-    return total
-
+    out = 1
+    for p, e in factorize(q):
+        out *= p - 2 if e == 1 else p ** (e - 2) * (p - 1) ** 2
+    return out

@@ -114,15 +114,6 @@ class WellSpacedSet:
         self.points = pts
 
 
-def select_well_spaced(P: DirichletPolynomial, T: float,
-                       sigma: float = 0.0) -> WellSpacedSet:
-    """Greedy 1-spaced selection of local peaks of |S| on the grid."""
-    t_grid = _t_grid(T)
-    C = P.twisted_coefficients()[:, None]
-    idx = _greedy_spaced(_grid_abs_values(t_grid, P.support, sigma, C)[:, 0])
-    return WellSpacedSet(chi=P.chi, points=t_grid[idx].tolist())
-
-
 def _t_grid(T: float) -> np.ndarray:
     import numpy as np
     if T < 1:
@@ -246,8 +237,7 @@ def mean_value_report(family: TripleFamily,
 
 def fourth_moment_report(Q: int, T: float, N: int,
                          tables: MultiplicativeTables | None = None,
-                         x_scale: int = DEFAULT_X_SCALE,
-                         family: TripleFamily | None = None) -> BoundReport:
+                         x_scale: int = DEFAULT_X_SCALE) -> BoundReport:
     """Fourth moment at sigma = 1/2 for unit coefficients against
     Q^2 T L^10.
 
@@ -257,12 +247,8 @@ def fourth_moment_report(Q: int, T: float, N: int,
     diagonal piece is the extracted main term and is handled by the
     main-term analysis, not by this twisted-moment bound.
     """
-    if family is None:
-        family = build_triple_family(Q, T, N, None, "unit", tables, sigma=0.5,
-                                     min_conductor=2)
-    if family.kind != "unit":
-        raise ValueError("the fourth-moment bound is stated for unit "
-                         "coefficients only")
+    family = build_triple_family(Q, T, N, None, "unit", tables, sigma=0.5,
+                                 min_conductor=2)
     L = math.log(x_scale)
     rhs = Q**2 * T * L**10
     return BoundReport(lhs=family.moment(4), rhs_formula_value=rhs,
@@ -311,15 +297,13 @@ def large_value_count_bruteforce(family: TripleFamily, V: float) -> int:
     return count
 
 
-def divisor_moment_report(N: int, b: int, tables: MultiplicativeTables,
+def divisor_moment_report(N: int, b: int,
                           x_scale: int = DEFAULT_X_SCALE) -> BoundReport:
     """N^-1 * sum over n <= 2N of tau_b(n)^2 against L^(b^2 - 1)."""
     if not 1 <= b <= 8:
         raise ValueError("b must be in [1, 8]")
-    if 2 * N > tables.limit:
-        raise ValueError("tables too small for 2N")
     L = math.log(x_scale)
-    total = sum(tau_b(n, b, tables) ** 2 for n in range(1, 2 * N + 1))
+    total = sum(tau_b(n, b) ** 2 for n in range(1, 2 * N + 1))
     lhs = total / N
     rhs = L ** (b * b - 1)
     return BoundReport(lhs=lhs, rhs_formula_value=rhs,

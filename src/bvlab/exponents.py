@@ -225,8 +225,9 @@ class CaseBound:
             self.claim_x + self.claim_T * tau
         )
 
-    def admissible(self, taus=(F(0), F(1))) -> bool:
-        return all(self.slack(t) <= 0 for t in taus)
+    def admissible(self) -> bool:
+        # the slack is affine in tau, so tau in {0, 1} covers [0, 1]
+        return self.slack(F(0)) <= 0 and self.slack(F(1)) <= 0
 
 
 @dataclass(frozen=True)

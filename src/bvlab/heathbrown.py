@@ -10,9 +10,7 @@ convolutions, which is an independent route from any per-n enumeration.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass
 from itertools import product
 from typing import TYPE_CHECKING
 
@@ -25,12 +23,6 @@ if TYPE_CHECKING:
 
 # (-1)^(j-1) binomial(4, j) for j = 1..4: the identity's term signs
 SIGNED_BINOMIALS = (4, -6, 4, -1)
-
-
-@dataclass(frozen=True)
-class DyadicTuple:
-    exponents: tuple[int, ...]  # N_i = 2^e_i; e_i = 0 marks the
-    # degenerate interval, replaced by [1, 2)
 
 
 def reconstruct(x: float, n_max: int, tables: MultiplicativeTables) -> np.ndarray:
@@ -163,9 +155,11 @@ def dyadic_grid_count(x: float) -> int:
     return count
 
 
-def dyadic_grid(x: float) -> tuple[list[DyadicTuple], int]:
-    """Enumerate the admissible dyadic tuples; sizes multiply to <= x and
-    the four mobius-slot sizes satisfy 2 * N_i <= x^(1/4)."""
+def dyadic_grid(x: float) -> list[tuple[int, ...]]:
+    """Enumerate the admissible dyadic tuples as exponent 8-tuples
+    (N_i = 2^e_i; e_i = 0 marks the degenerate interval, replaced by
+    [1, 2)); sizes multiply to <= x and the four mobius-slot sizes satisfy
+    2 * N_i <= x^(1/4). The enumeration oracle for ``dyadic_grid_count``."""
     if x < 2**8:
         raise ValueError("x must be at least 2^8")
     _, L, cap_high = _integer_sizes(x)
@@ -175,8 +169,8 @@ def dyadic_grid(x: float) -> tuple[list[DyadicTuple], int]:
         if rem_high < 0:
             continue
         for lows in _tuples_sum_at_most(rem_high, 4):
-            tuples.append(DyadicTuple(exponents=lows + highs))
-    return tuples, len(tuples)
+            tuples.append(lows + highs)
+    return tuples
 
 
 def _tuples_sum_at_most(total: int, slots: int):
@@ -200,14 +194,6 @@ def dyadic_grid_report(x_values: list[float]) -> BoundReport:
         parameters={"x_values": list(x_values), "ratios": ratios},
         label="dyadic-grid-count",
     )
-
-
-def write_dyadic_csv(tuples: list[DyadicTuple], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"e{i}" for i in range(1, 9)])
-        for t in tuples:
-            writer.writerow(t.exponents)
 
 
 def log_removal_check(

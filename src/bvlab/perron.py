@@ -48,13 +48,10 @@ HORIZONTAL_TOLERANCE = 1e-12
 class ContourSpec:
     sigma0: float  # line of integration, > 1
     height: float  # truncation height
-    target_sigma: float = 0.5  # shift destination for the horizontal check
 
     def __post_init__(self):
         if not self.sigma0 > 1:
             raise ValueError("sigma0 must exceed 1")
-        if not 0 < self.target_sigma < self.sigma0:
-            raise ValueError("target_sigma must lie in (0, sigma0)")
         if not self.height > 0:
             raise ValueError("height must be positive")
 

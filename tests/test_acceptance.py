@@ -86,7 +86,8 @@ def test_criterion_2_identity_exactness():
     tables = build_tables(x)
     rec = reconstruct(float(x), x, tables)
     lam = np.zeros(x + 1)
-    for n, p in zip(tables.prime_powers.tolist(), tables.prime_power_bases.tolist()):
+    pp = tables.prime_powers
+    for n, p in zip(pp.tolist(), tables.smallest_prime_factor[pp].tolist()):
         lam[n] = math.log(p)
     budget = 1e-9 * (1.0 + np.log(np.maximum(np.arange(x + 1), 1)))
     resid = np.abs(rec - lam)
@@ -221,7 +222,7 @@ def test_criterion_8_mean_value_shapes():
                     "mv": mean_value_report(fam),
                     "m4": fourth_moment_report(Q, T, N, tables),
                     "lv": large_value_report(fam, V),
-                    "dv": divisor_moment_report(N, 2, tables),
+                    "dv": divisor_moment_report(N, 2),
                 }
                 d2 = derivative_second_moment_report(Q, T, N, tables)
                 assert math.isfinite(d2.ratio), (Q, T, N, "d2")

@@ -11,7 +11,6 @@ from bvlab.arith import (
     CACHE_ENTRY_FIELDS,
     CACHE_HEADER,
     CACHE_MAGIC,
-    FactoredInteger,
     LimitError,
     ModuliSet,
     build_tables,
@@ -20,7 +19,7 @@ from bvlab.arith import (
     save_tables,
     tau_b,
 )
-from bvlab.characters import character_group, euler_phi
+from bvlab.characters import character_group, euler_phi, factorize
 from bvlab.heathbrown import verify_identity
 from bvlab.progressions import (
     character_extremum,
@@ -60,7 +59,8 @@ def _naive_phi(n):
 
 def _support(tables):
     """The von Mangoldt support as a dict n -> p over every n = p^e."""
-    return dict(zip(tables.prime_powers.tolist(), tables.prime_power_bases.tolist()))
+    pp = tables.prime_powers
+    return dict(zip(pp.tolist(), tables.smallest_prime_factor[pp].tolist()))
 
 
 def _sieve_reference(limit):
@@ -111,10 +111,12 @@ def test_sieve_matches_reference_bit_for_bit(limit):
     ref = _sieve_reference(limit)
     tables = build_tables(limit)
     for name in ("smallest_prime_factor", "mobius", "prime_powers",
-                 "prime_power_bases", "prime_power_logs"):
+                 "prime_power_logs"):
         got = getattr(tables, name)
         assert got.dtype == ref[name].dtype, name
         assert np.array_equal(got, ref[name]), name
+    assert np.array_equal(tables.smallest_prime_factor[tables.prime_powers],
+                          ref["prime_power_bases"])
     assert _support(tables) == ref["lambda_support"]
 
 
@@ -181,8 +183,8 @@ def test_von_mangoldt_upto_is_dense_von_mangoldt(limit):
     tables = build_tables(limit)
     lam = tables.von_mangoldt_upto(limit)
     assert lam.tolist() == [tables.von_mangoldt(m) for m in range(limit + 1)]
-    assert lam[tables.prime_powers].tolist() == \
-        [math.log(p) for p in tables.prime_power_bases.tolist()]
+    bases = tables.smallest_prime_factor[tables.prime_powers]
+    assert lam[tables.prime_powers].tolist() == [math.log(p) for p in bases.tolist()]
 
 
 def test_is_prime_range():
@@ -209,17 +211,11 @@ def test_prime_powers_sorted_and_complete(tables):
 
 def test_factorize_roundtrip(tables):
     for n in (1, 2, 97, 360, 9973, 9999):
-        f = tables.factorize(n)
         prod = 1
-        for p, e in f.factors:
+        for p, e in factorize(n):
             assert tables.is_prime(p)
             prod *= p**e
         assert prod == n
-
-
-def test_factored_integer_consistency_guard():
-    with pytest.raises(ValueError):
-        FactoredInteger(n=12, factors=[(2, 1), (3, 1)])
 
 
 @given(st.integers(min_value=1, max_value=9999),
@@ -248,12 +244,12 @@ def _shared():
     return _CACHED
 
 
-def test_tau_b_values(tables):
+def test_tau_b_values():
     assert tau_b(1, 3) == 1
-    assert tau_b(12, 2, tables) == 6  # divisor count of 12
+    assert tau_b(12, 2) == 6  # divisor count of 12
     # tau_b is multiplicative and tau_b(p, b) = b
-    assert tau_b(7, 4, tables) == 4
-    assert tau_b(7 * 11, 4, tables) == 16
+    assert tau_b(7, 4) == 4
+    assert tau_b(7 * 11, 4) == 16
 
 
 @given(st.integers(min_value=1, max_value=2000),

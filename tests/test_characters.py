@@ -16,7 +16,6 @@ from bvlab.characters import (
     conductor_and_primitivity,
     euler_phi,
     factorize,
-    mobius,
     primitive_count,
 )
 
@@ -199,16 +198,36 @@ def test_quarter_turn_values_are_exact():
                     {1, -1, 1j, -1j}, chi
 
 
+def _spf_phi(tables, n):
+    """phi(n) by walking the sieve's smallest prime factors."""
+    out = n
+    while n > 1:
+        p = int(tables.smallest_prime_factor[n])
+        out = out // p * (p - 1)
+        while n % p == 0:
+            n //= p
+    return out
+
+
 def test_factorize_helpers_match_sieve(tables):
     for n in range(1, tables.limit + 1):
         f = factorize(n)
         assert math.prod(p**e for p, e in f) == n
         assert [p for p, _ in f] == sorted(p for p, _ in f)
-        assert euler_phi(n) == math.prod(
-            p ** (e - 1) * (p - 1) for p, e in tables.factorize(n).factors), n
-        assert mobius(n) == int(tables.mobius[n]), n
+        assert euler_phi(n) == _spf_phi(tables, n), n
     with pytest.raises(ValueError):
         factorize(0)
+
+
+def test_primitive_count_matches_mobius_sum(tables):
+    # the closed form against sum over d|q of mu(d) phi(q/d), with mu from
+    # the sieve and phi from its smallest prime factors
+    for q in range(1, 3001):
+        total = sum(int(tables.mobius[d]) * _spf_phi(tables, q // d)
+                    for d in range(1, q + 1) if q % d == 0)
+        assert primitive_count(q) == total, q
+    with pytest.raises(ValueError):
+        primitive_count(0)
 
 
 def test_characters_and_exponents_import_without_numpy():

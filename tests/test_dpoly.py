@@ -21,7 +21,6 @@ from bvlab.dpoly import (
     mean_value_report,
     mixed_second_moment_report,
     primitive_characters,
-    select_well_spaced,
     _greedy_spaced,
     _grid_abs_values,
     _t_grid,
@@ -139,13 +138,11 @@ def test_selection_matches_float_reference_on_tied_values():
 def test_t_below_one_rejected(tables, T):
     with pytest.raises(ValueError, match="T must be at least 1"):
         build_triple_family(4, T, 64, None, "unit", tables)
-    with pytest.raises(ValueError, match="T must be at least 1"):
-        select_well_spaced(_poly(64, 128, "unit", tables), T)
 
 
 def test_select_well_spaced_runs(tables):
-    P = _poly(16, 32, "unit", tables)
-    J = select_well_spaced(P, 8.0)
+    J = build_triple_family(1, 8.0, 16, None, "unit", tables).spaced_sets[0]
+    assert J.chi == CHI1 and J.points
     assert all(-8.0 <= t <= 8.0 for t in J.points)
     for a, b in zip(J.points, J.points[1:]):
         assert b - a >= 1.0
@@ -194,12 +191,6 @@ def test_explicit_family_twists_the_given_coefficients(tables):
         assert np.allclose(P.twisted_coefficients(), want, rtol=1e-15, atol=0)
 
 
-def test_fourth_moment_rejects_non_unit(tables):
-    fam = build_triple_family(4, 16.0, 64, None, "mobius", tables, sigma=0.5)
-    with pytest.raises(ValueError):
-        fourth_moment_report(4, 16.0, 64, tables, family=fam)
-
-
 def test_large_value_counts_match_bruteforce(tables):
     fam = build_triple_family(4, 16.0, 64, None, "unit", tables)
     sup = max(float(np.max(v)) for v in fam.abs_values if len(v))
@@ -212,11 +203,11 @@ def test_large_value_counts_match_bruteforce(tables):
     assert large_value_report(fam, 2 * sup).lhs == 0.0
 
 
-def test_divisor_moment(tables):
-    r = divisor_moment_report(1, 2, tables)
+def test_divisor_moment():
+    r = divisor_moment_report(1, 2)
     # n in {1, 2}: tau(1)^2 + tau(2)^2 = 1 + 4
     assert r.lhs == pytest.approx(5.0)
-    r1 = divisor_moment_report(64, 1, tables)
+    r1 = divisor_moment_report(64, 1)
     assert r1.rhs_formula_value == pytest.approx(1.0)
 
 

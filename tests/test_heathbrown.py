@@ -19,7 +19,6 @@ from bvlab.heathbrown import (
     reconstruct,
     reconstruct_bruteforce,
     verify_identity,
-    write_dyadic_csv,
 )
 
 
@@ -113,13 +112,14 @@ def test_truncation_matters(tables):
 
 def test_dyadic_grid_count_matches_enumeration():
     for x in (256.0, 1024.0, 4096.0):
-        tuples, n = dyadic_grid(x)
-        assert n == dyadic_grid_count(x)
-        assert n == len(set(t.exponents for t in tuples))
+        tuples = dyadic_grid(x)
+        assert len(tuples) == dyadic_grid_count(x)
+        assert len(tuples) == len(set(tuples))
         # every tuple respects the size constraints
         for t in tuples:
-            assert sum(t.exponents) <= math.log2(x)
-            for e in t.exponents[4:]:
+            assert len(t) == 8
+            assert sum(t) <= math.log2(x)
+            for e in t[4:]:
                 assert 2 ** (4 * e + 4) <= x
 
 
@@ -144,22 +144,13 @@ def test_dyadic_grid_count_at_powers_of_two(L):
     assert dyadic_grid_count(2.0**L * (1 + 1e-12)) == dyadic_grid_count(2**L)
     if L <= 12:
         for x in (below, 2**L - 1, 2**L):
-            assert len(dyadic_grid(x)[0]) == dyadic_grid_count(x)
+            assert len(dyadic_grid(x)) == dyadic_grid_count(x)
 
 
 def test_dyadic_grid_polylog_report():
     report = dyadic_grid_report([2.0**k for k in range(8, 24, 2)])
     assert report.ratio < 1.0  # far below (log x)^8 at desk scale
     assert report.rhs_formula_value > 0
-
-
-def test_dyadic_csv(tmp_path):
-    tuples, _ = dyadic_grid(256.0)
-    path = tmp_path / "grid.csv"
-    write_dyadic_csv(tuples, str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0] == "e1,e2,e3,e4,e5,e6,e7,e8"
-    assert len(lines) == len(tuples) + 1
 
 
 def test_log_removal_exact_mode():

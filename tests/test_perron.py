@@ -134,8 +134,6 @@ def test_contour_validation():
     with pytest.raises(ValueError):
         ContourSpec(sigma0=1.0, height=10.0)
     with pytest.raises(ValueError):
-        ContourSpec(sigma0=1.5, height=10.0, target_sigma=2.0)
-    with pytest.raises(ValueError):
         ContourSpec(sigma0=1.5, height=-1.0)
 
 

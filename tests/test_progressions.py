@@ -50,9 +50,10 @@ def test_psi_splits_over_residues(tables):
 def test_psi_coprime_removes_bad_primes(tables):
     # mod 6: removes powers of 2 and 3
     removed = psi(100, tables) - psi_coprime(100, 6, tables)
+    pp = tables.prime_powers
     expected = math.fsum(
         math.log(p) for n, p in
-        zip(tables.prime_powers.tolist(), tables.prime_power_bases.tolist())
+        zip(pp.tolist(), tables.smallest_prime_factor[pp].tolist())
         if n <= 100 and p in (2, 3)
     )
     assert removed == pytest.approx(expected, abs=1e-12)
