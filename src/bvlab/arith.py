@@ -66,10 +66,6 @@ class MultiplicativeTables:
         k = int(np.searchsorted(self.prime_powers, y, side="right"))
         return self.prime_powers[:k], self.prime_power_logs[:k]
 
-    def von_mangoldt(self, n: int) -> float:
-        pp, logs = self.jumps(n)
-        return float(logs[-1]) if len(pp) and pp[-1] == n else 0.0
-
     def von_mangoldt_upto(self, y: float) -> np.ndarray:
         """Dense Lambda(m) for 0 <= m <= floor(y); ValueError if y > limit."""
         import numpy as np

@@ -1,11 +1,12 @@
-"""Dirichlet characters mod q with exact root-of-unity values.
+"""Dirichlet characters mod q with exact integer-turn values.
 
 (Z/q)^* is the product of one component (Z/p^e)^* per prime power p^e
 exactly dividing q. Each component is a product of cyclic factors with
 fixed generators: the smallest primitive root for odd p; none mod 2, 3
 mod 4, and the pair (2^e - 1, 5) mod 2^e for e >= 3. A character is
-stored as its exponents at these generators. Values are exact fractions
-of a turn; conversion to complex happens only at the outermost summation.
+stored as its exponents at these generators. A value chi(n) is the
+integer k with chi(n) = e(k / ord chi), where e(t) = exp(2 pi i t);
+``unit_root`` is the only conversion of a turn to a complex number.
 
 A component's conductor needs no discrete logarithm: it is 1 for the
 trivial character, else the least p^j (j >= 1, j >= 2 for p = 2) with
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from math import gcd
 
 DEFAULT_MODULUS_CEILING = 10**6
@@ -25,53 +25,16 @@ _QUARTER_TURNS = (complex(1.0, 0.0), complex(0.0, 1.0),
                   complex(-1.0, 0.0), complex(0.0, -1.0))
 
 
-@dataclass(frozen=True)
-class RootOfUnity:
-    """exp(2*pi*i * numerator/denominator), or 0 when zero_flag is set."""
-
-    numerator: int
-    denominator: int
-    zero_flag: bool = False
-
-    @staticmethod
-    def of(num: int, den: int) -> "RootOfUnity":
-        if den <= 0:
-            raise ValueError("denominator must be positive")
-        num %= den
-        g = gcd(num, den)
-        return RootOfUnity(num // g, den // g)
-
-    @staticmethod
-    def one() -> "RootOfUnity":
-        return RootOfUnity(0, 1)
-
-    @staticmethod
-    def zero() -> "RootOfUnity":
-        return RootOfUnity(0, 1, zero_flag=True)
-
-    def __mul__(self, other: "RootOfUnity") -> "RootOfUnity":
-        if self.zero_flag or other.zero_flag:
-            return RootOfUnity.zero()
-        den = self.denominator * other.denominator
-        num = self.numerator * other.denominator + other.numerator * self.denominator
-        return RootOfUnity.of(num, den)
-
-    def conjugate(self) -> "RootOfUnity":
-        if self.zero_flag:
-            return self
-        return RootOfUnity.of(-self.numerator, self.denominator)
-
-    def to_complex(self) -> complex:
-        if self.zero_flag:
-            return 0j
-        if 4 % self.denominator == 0:  # exact at quarter turns
-            return _QUARTER_TURNS[self.numerator * (4 // self.denominator) % 4]
-        angle = math.tau * self.numerator / self.denominator
-        return complex(math.cos(angle), math.sin(angle))
-
-    @property
-    def is_one(self) -> bool:
-        return not self.zero_flag and self.numerator == 0
+def unit_root(k: int, n: int) -> complex:
+    """e(k/n) = exp(2 pi i k/n), taken from the reduced fraction and exact
+    at quarter turns: the one conversion of a turn to a complex number."""
+    k %= n
+    g = gcd(k, n)
+    k, n = k // g, n // g
+    if 4 % n == 0:
+        return _QUARTER_TURNS[k * (4 // n)]
+    angle = math.tau * k / n
+    return complex(math.cos(angle), math.sin(angle))
 
 
 class _Component:
@@ -90,6 +53,8 @@ class _Component:
             self.generators, self.orders = (3,), (2,)
         else:
             self.generators, self.orders = (m - 1, 5), (2, m // 4)
+        # every order divides the largest, so turns share one denominator
+        self.exponent = max(self.orders, default=1)
         # least modulus p^j of a non-trivial character: mod 2 there is none
         self._least_conductor = 4 if p == 2 else p
         self._dlog: dict[int, tuple[int, ...]] | None = None
@@ -109,13 +74,11 @@ class _Component:
             self._dlog = table
         return self._dlog[r]
 
-    def turn(self, exps: tuple[int, ...], r: int) -> tuple[int, int]:
-        """chi(r) as the fraction num/den of a full turn (not reduced)."""
-        num, den = 0, 1
-        for c, k, o in zip(exps, self.dlogs(r % self.modulus), self.orders):
-            num = num * o + c * k * den
-            den *= o
-        return num, den
+    def turn(self, exps: tuple[int, ...], r: int) -> int:
+        """k with chi(r) = e(k / exponent), 0 <= k < exponent."""
+        E = self.exponent
+        return sum(c * k * (E // o) for c, k, o in
+                   zip(exps, self.dlogs(r % self.modulus), self.orders)) % E
 
     def conductor_of(self, exps: tuple[int, ...]) -> int:
         # for p^j >= the least conductor, the units congruent to 1 mod p^j
@@ -133,9 +96,9 @@ class _Component:
         # any lift of a generator of f_comp gives the inducing value
         out = []
         for g, o in zip(f_comp.generators, f_comp.orders):
-            num, den = self.turn(exps, g)
-            assert num * o % den == 0
-            out.append(num * o // den % o)
+            k = self.turn(exps, g)
+            assert k * o % self.exponent == 0
+            out.append(k * o // self.exponent)
         return tuple(out)
 
 
@@ -190,6 +153,7 @@ class CharacterGroup:
         self.orders: tuple[int, ...] = tuple(
             o for comp in self.components for o in comp.orders
         )
+        self.exponent = math.lcm(*self.orders)
         self._slices: list[slice] = []
         pos = 0
         for comp in self.components:
@@ -219,6 +183,7 @@ class DirichletCharacter:
         self.q = group.q
         self.component_exponents = exponents
         self._conductor: int | None = None
+        self._order: int | None = None
         self._value_cache: list[complex] | None = None
 
     def __repr__(self):
@@ -240,34 +205,34 @@ class DirichletCharacter:
 
     @property
     def order(self) -> int:
-        out = 1
-        for c, o in zip(self.component_exponents, self.group.orders):
-            out = math.lcm(out, o // gcd(c, o))
-        return out
+        if self._order is None:
+            out = 1
+            for c, o in zip(self.component_exponents, self.group.orders):
+                out = math.lcm(out, o // gcd(c, o))
+            self._order = out
+        return self._order
 
     @property
     def is_real(self) -> bool:
         return self.order <= 2
 
-    def evaluate(self, n: int) -> RootOfUnity:
+    def evaluate(self, n: int) -> int | None:
+        """k with chi(n) = e(k / order), 0 <= k < order; None when (n, q) > 1."""
         r = n % self.q
         if gcd(r, self.q) != 1:
-            return RootOfUnity.zero()
-        num, den = 0, 1
+            return None
+        E = self.group.exponent
         exps = self.component_exponents
-        for comp, s in zip(self.group.components, self.group._slices):
-            c_num, c_den = comp.turn(exps[s], r)
-            num, den = num * c_den + c_num * den, den * c_den
-        return RootOfUnity.of(num, den)
-
-    def __call__(self, n: int) -> RootOfUnity:
-        return self.evaluate(n)
+        total = sum(comp.turn(exps[s], r) * (E // comp.exponent) for comp, s
+                    in zip(self.group.components, self.group._slices))
+        return total % E // (E // self.order)
 
     def value_table(self) -> list[complex]:
         """Complex values on residues 0..q-1 (built once, cached)."""
         if self._value_cache is None:
-            self._value_cache = [self.evaluate(r).to_complex() if gcd(r, self.q) == 1
-                                 else 0j for r in range(self.q)]
+            order = self.order
+            self._value_cache = [0j if k is None else unit_root(k, order)
+                                 for k in map(self.evaluate, range(self.q))]
         return self._value_cache
 
     @property

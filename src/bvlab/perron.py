@@ -19,10 +19,11 @@ integral tends to sum_{n < y} c_n as T grows.
 The exact side is exact: coefficients live in the ring Q[x]/(x^L - 1),
 with x standing for exp(2 pi i / L) and L the lcm of the characters'
 orders (times 4 when a base coefficient is non-real, so that i = x^(L/4)).
-Character values become shifts of the exponent, unit and Mobius
-coefficients integer multiplicities, and explicit float coefficients
-exact Fractions. The convolution array gives sum_{n <= y} c_n as a vector,
-converted to a complex number once; a tuple enumeration
+A character value, the integer turn k with chi(n) = e(k / ord chi), is the
+shift x^(k L / ord chi); unit and Mobius coefficients are integer
+multiplicities, and explicit float coefficients exact Fractions. The
+convolution array gives sum_{n <= y} c_n as a vector, converted to a
+complex number once with ``characters.unit_root``; a tuple enumeration
 (``exact_partial_sum_bruteforce``) is the independent oracle the tests
 check it against.
 """
@@ -35,6 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
+from .characters import unit_root
 from .dpoly import DirichletPolynomial
 from .reports import BoundReport
 
@@ -87,10 +89,10 @@ def _ring_terms(P: DirichletPolynomial, L: int) -> list[tuple[int, dict]]:
     """(n, {k: m}) with a_n chi(n) = sum_k m x^k, over the nonzero terms."""
     out = []
     for n, c in zip(P.support.tolist(), P.base_coefficients().tolist()):
-        value = P.chi.evaluate(n)
-        if value.zero_flag or c == 0:
+        k = P.chi.evaluate(n)
+        if k is None or c == 0:
             continue
-        k = value.numerator * (L // value.denominator)
+        k *= L // P.chi.order
         if P.kind == "explicit":
             parts = ((k, Fraction(c.real)), ((k + L // 4) % L, Fraction(c.imag)))
         else:
@@ -125,18 +127,8 @@ def _ring_partial_sum(coeffs: np.ndarray, y: float) -> tuple:
     return tuple(coeffs[1 : max(top, 0) + 1].sum(axis=0, initial=0))
 
 
-def _unit_roots(L: int) -> np.ndarray:
-    """exp(2 pi i j / L) for j < L, exact at the quarter turns."""
-    import numpy as np
-    exact = {0: 1 + 0j, 1: 1j, 2: -1 + 0j, 3: -1j}
-    return np.array([exact[4 * j // L] if (4 * j) % L == 0
-                     else complex(math.cos(math.tau * j / L),
-                                  math.sin(math.tau * j / L))
-                     for j in range(L)])
-
-
 def _to_complex(vec: tuple) -> complex:
-    roots = _unit_roots(len(vec))
+    roots = [unit_root(j, len(vec)) for j in range(len(vec))]
     return complex(math.fsum(float(m) * r.real for m, r in zip(vec, roots)),
                    math.fsum(float(m) * r.imag for m, r in zip(vec, roots)))
 
@@ -191,7 +183,8 @@ def truncated_perron(
     L = coeffs_exact.shape[1]
     exact = _to_complex(_ring_partial_sum(coeffs_exact, y))
 
-    coeffs = coeffs_exact.astype(np.float64) @ _unit_roots(L)
+    roots = np.array([unit_root(j, L) for j in range(L)])
+    coeffs = coeffs_exact.astype(np.float64) @ roots
     ns = np.nonzero(coeffs)[0]
     lam = np.log(y / ns.astype(np.float64))
     a = complex(spec.sigma0, -spec.height)

@@ -140,10 +140,11 @@ def test_sieve_against_naive(tables):
 
 
 def test_von_mangoldt_support(tables):
-    assert tables.von_mangoldt(8) == pytest.approx(math.log(2))
-    assert tables.von_mangoldt(9) == pytest.approx(math.log(3))
-    assert tables.von_mangoldt(12) == 0.0
-    assert tables.von_mangoldt(1) == 0.0
+    lam = tables.von_mangoldt_upto(12)
+    assert lam[8] == pytest.approx(math.log(2))
+    assert lam[9] == pytest.approx(math.log(3))
+    assert lam[12] == 0.0
+    assert lam[1] == 0.0
     # exact: the table stores the base prime, not a float
     support = _support(tables)
     assert support[243] == 3
@@ -161,7 +162,6 @@ _LAMBDA_READERS = {
     "e_star_bruteforce": lambda y, t: e_star_bruteforce(y, 7, t),
     "e_dagger_bruteforce-q7": lambda y, t: e_dagger_bruteforce(y, 7, t),
     "e_dagger_bruteforce-q1": lambda y, t: e_dagger_bruteforce(y, 1, t),
-    "von_mangoldt": lambda y, t: t.von_mangoldt(y),
     "von_mangoldt_upto": lambda y, t: t.von_mangoldt_upto(y),
     "verify_identity": lambda y, t: verify_identity(y, y, t),
 }
@@ -182,7 +182,12 @@ def test_lambda_readers_refuse_y_past_the_table(reader):
 def test_von_mangoldt_upto_is_dense_von_mangoldt(limit):
     tables = build_tables(limit)
     lam = tables.von_mangoldt_upto(limit)
-    assert lam.tolist() == [tables.von_mangoldt(m) for m in range(limit + 1)]
+    # independent oracle: Lambda(m) = log p iff m = p^e, by trial division
+    oracle = [0.0, 0.0]
+    for m in range(2, limit + 1):
+        f = factorize(m)
+        oracle.append(math.log(f[0][0]) if len(f) == 1 else 0.0)
+    assert lam.tolist() == oracle
     bases = tables.smallest_prime_factor[tables.prime_powers]
     assert lam[tables.prime_powers].tolist() == [math.log(p) for p in bases.tolist()]
 

@@ -11,23 +11,40 @@ from hypothesis import given, settings, strategies as st
 import bvlab
 from bvlab.characters import (
     CharacterGroup,
-    RootOfUnity,
     character_group,
     conductor_and_primitivity,
     euler_phi,
     factorize,
     primitive_count,
+    unit_root,
 )
+from bvlab.dpoly import DirichletPolynomial
+from bvlab.perron import exact_partial_sum
 
 
-def test_root_of_unity_algebra():
-    i = RootOfUnity.of(1, 4)
-    assert (i * i * i * i).is_one
-    assert i.conjugate() == RootOfUnity.of(3, 4)
-    assert abs(i.to_complex() - 1j) < 1e-15
-    z = RootOfUnity.zero()
-    assert (z * i) == z
-    assert RootOfUnity.of(5, 10) == RootOfUnity.of(1, 2)  # reduced form
+def test_unit_root_reads_the_reduced_fraction():
+    assert [unit_root(k, 4) for k in range(4)] == [1, 1j, -1, -1j]
+    assert [unit_root(k, 8) for k in (0, 2, 4, 6)] == [1, 1j, -1, -1j]
+    assert unit_root(-1, 4) == -1j and unit_root(9, 4) == 1j
+    assert unit_root(0, 1) == 1
+    for n in range(1, 61):
+        for j in range(-n, 2 * n):
+            g = gcd(j, n)
+            assert unit_root(j, n) == unit_root(j // g, n // g), (j, n)
+            assert abs(abs(unit_root(j, n)) - 1.0) < 1e-15
+
+
+@pytest.mark.parametrize("q", [19, 27, 37])
+def test_exact_partial_sum_and_value_table_agree_bit_for_bit(q):
+    # a one-term polynomial at n: the exact side must convert chi(n) to a
+    # complex number by the same route as the float side's value table
+    for chi in character_group(q):
+        table = chi.value_table()
+        for n in range(q + 1, 2 * q + 1):
+            if gcd(n, q) != 1:
+                continue
+            P = DirichletPolynomial(N=n - 1, N_prime=n, kind="unit", chi=chi)
+            assert exact_partial_sum([P], n + 0.5) == table[n % q], (chi, n)
 
 
 def test_group_sizes_match_phi():
@@ -49,12 +66,11 @@ def test_values_are_roots_of_unity_or_zero():
     for q in (7, 8, 12, 45):
         for chi in character_group(q):
             for n in range(2 * q):
-                v = chi(n)
+                k = chi.evaluate(n)
                 if gcd(n, q) == 1:
-                    assert not v.zero_flag
-                    assert abs(abs(v.to_complex()) - 1.0) < 1e-15
+                    assert isinstance(k, int) and 0 <= k < chi.order
                 else:
-                    assert v.zero_flag
+                    assert k is None
 
 
 @given(st.integers(min_value=1, max_value=40),
@@ -63,9 +79,10 @@ def test_values_are_roots_of_unity_or_zero():
 @settings(max_examples=200, deadline=None)
 def test_complete_multiplicativity(q, m, n):
     chi = character_group(q)[-1]
-    lhs = chi(m * n)
-    rhs = chi(m) * chi(n)
-    assert lhs == rhs  # exact root-of-unity arithmetic, no floats
+    lhs = chi.evaluate(m * n)
+    k_m, k_n = chi.evaluate(m), chi.evaluate(n)
+    rhs = None if k_m is None or k_n is None else (k_m + k_n) % chi.order
+    assert lhs == rhs  # exact integer turns, no floats
 
 
 def test_orthogonality_exact_small():
@@ -84,8 +101,8 @@ def _conductor_bruteforce(chi):
     q = chi.q
     for f in sorted(d for d in range(1, q + 1) if q % d == 0):
         for psi in character_group(f):
-            if all(
-                chi(n) == psi(n)
+            if psi.order == chi.order and all(
+                chi.evaluate(n) == psi.evaluate(n)
                 for n in range(1, q + 1)
                 if gcd(n, q) == 1
             ):
@@ -101,16 +118,17 @@ def test_conductor_against_bruteforce():
             assert f_fast == f_slow
             assert primitive == (f_fast == q)
             assert inducing.q == f_fast
+            assert inducing.order == chi.order
             for n in range(1, q + 1):
                 if gcd(n, q) == 1:
-                    assert chi(n) == inducing(n)
+                    assert chi.evaluate(n) == inducing.evaluate(n)
 
 
 def _conductor_by_definition(chi):
     """Least d | q with chi(n) = 1 for every unit n = 1 mod d."""
     q = chi.q
     for d in range(1, q + 1):
-        if q % d == 0 and all(chi(n).is_one for n in range(1, q + 1, d)
+        if q % d == 0 and all(chi.evaluate(n) == 0 for n in range(1, q + 1, d)
                               if gcd(n, q) == 1):
             return d
     raise AssertionError("d = q always qualifies")
@@ -124,7 +142,8 @@ def test_conductor_and_inducing_character_by_definition(q):
         assert f == chi.conductor == _conductor_by_definition(chi), chi
         assert primitive == (f == q)
         assert inducing.q == f and inducing.is_primitive
-        assert all(inducing(n) == chi(n) for n in units), chi
+        assert inducing.order == chi.order
+        assert all(inducing.evaluate(n) == chi.evaluate(n) for n in units), chi
 
 
 def test_generator_convention():
@@ -166,13 +185,13 @@ def test_order_divides_phi():
         group = CharacterGroup(q)
         for chi in group.characters():
             assert group.phi % chi.order == 0
-            # chi^order is principal: chi(n)^order = 1 on units
-            g = next(a for a in range(2, q + 2) if gcd(a, q) == 1)
-            v = chi(g)
-            acc = RootOfUnity.one()
-            for _ in range(chi.order):
-                acc = acc * v
-            assert acc.is_one
+            # the order is attained: the lcm of the orders of the values
+            # chi(n) = e(k / order) over the units is the order itself
+            units = [n for n in range(1, q + 1) if gcd(n, q) == 1]
+            ks = [chi.evaluate(n) for n in units]
+            assert all(0 <= k < chi.order for k in ks)
+            assert math.lcm(*(chi.order // gcd(k, chi.order) for k in ks)) \
+                == chi.order
 
 
 def test_real_characters_take_pm_one():
@@ -180,13 +199,11 @@ def test_real_characters_take_pm_one():
         for chi in character_group(q):
             if chi.is_real:
                 for n in range(q):
-                    v = chi(n).to_complex()
+                    v = chi.value_table()[n]
                     assert abs(v.imag) < 1e-15
 
 
 def test_quarter_turn_values_are_exact():
-    assert [RootOfUnity.of(k, 4).to_complex() for k in range(4)] == \
-        [1, 1j, -1, -1j]
     for q in range(1, 61):
         for chi in character_group(q):
             table = chi.value_table()
@@ -231,9 +248,16 @@ def test_primitive_count_matches_mobius_sum(tables):
 
 
 def test_characters_and_exponents_import_without_numpy():
-    # the exact Fraction workloads must not pay for numpy at import time
-    code = ("import sys, bvlab.characters, bvlab.exponents; "
-            "assert 'numpy' not in sys.modules")
+    # importing bvlab, any of its nine modules, loads neither numpy nor
+    # scipy: they load only where arrays are built or E1 is evaluated, so
+    # the exact Fraction workloads do not pay for them. A module's imports
+    # are a subset of all nine's, so one interpreter checks every module.
+    modules = ", ".join(f"bvlab.{m}" for m in (
+        "arith", "characters", "cli", "dpoly", "exponents", "heathbrown",
+        "perron", "progressions", "reports"))
+    code = (f"import sys, {modules}; "
+            "loaded = {'numpy', 'scipy'} & set(sys.modules); "
+            "assert not loaded, loaded")
     src = os.path.dirname(os.path.dirname(bvlab.__file__))
     subprocess.run([sys.executable, "-c", code], check=True,
                    env={**os.environ, "PYTHONPATH": src})
