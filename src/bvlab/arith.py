@@ -2,6 +2,13 @@
 
 Tables are built once, frozen, and shared; every downstream sum (Chebyshev
 psi, character-twisted sums, Heath-Brown reconstruction) reads from them.
+The smallest prime factors are sieved segment by segment (``SEGMENT``
+entries at a time, so the strided stores of the primes <= sqrt(limit) stay
+in cache), and the primes <= sqrt(limit) come from the same sieve run on
+sqrt(limit). Mobius is the Liouville function, from the recurrence
+lambda(n) = -lambda(n / spf(n)), set to 0 on the multiples of each p^2.
+The only scratch array as long as the table is the mask that picks out
+the primes.
 The von Mangoldt support is stored as the sorted prime powers, and the
 weights log p of their base primes are taken once, into
 ``prime_power_logs``; the base prime of p^e is its smallest prime factor. ``MultiplicativeTables.jumps`` is the one reader of
@@ -12,6 +19,7 @@ modulus, and ``characters.euler_phi`` supplies it.
 
 from __future__ import annotations
 
+import bisect
 import math
 import struct
 import zlib
@@ -25,6 +33,8 @@ if TYPE_CHECKING:
     import numpy as np
 
 DEFAULT_LIMIT_CEILING = 10**8
+# entries per block of the least-prime-factor stores and the Liouville walk
+SEGMENT = 1 << 18
 
 CACHE_MAGIC = b"BVML3"
 # header after the magic: limit uint64 LE, CRC32 of the records uint32 LE;
@@ -80,9 +90,9 @@ class MultiplicativeTables:
         return n >= 2 and int(self.smallest_prime_factor[n]) == n
 
     def primes(self) -> np.ndarray:
-        import numpy as np
-        n = np.arange(2, self.limit + 1)
-        return n[self.smallest_prime_factor[2:] == n]
+        """The primes <= limit, ascending: the prime powers p^e with e = 1."""
+        pp = self.prime_powers
+        return pp[self.smallest_prime_factor[pp] == pp]
 
 
 def build_tables(limit: int, ceiling: int = DEFAULT_LIMIT_CEILING) -> MultiplicativeTables:
@@ -90,36 +100,46 @@ def build_tables(limit: int, ceiling: int = DEFAULT_LIMIT_CEILING) -> Multiplica
     import numpy as np
     if limit < 2 or limit > ceiling:
         raise LimitError(f"limit must be in [2, {ceiling}], got {limit}")
+    spf, primes = _least_prime_factors(limit)
 
-    spf = np.zeros(limit + 1, dtype=np.uint32)
-    root = math.isqrt(limit)
-    for i in range(2, root + 1):
-        if spf[i] == 0:
-            block = spf[i * i :: i]
-            block[block == 0] = i
-    n = np.arange(limit + 1, dtype=np.uint32)
-    unmarked = (spf == 0) & (n >= 2)
-    spf[unmarked] = n[unmarked]
-
-    primes = n[2:][spf[2:] == n[2:]]
-
-    # Only primes <= sqrt(limit) are sieved one by one; each is divided
-    # fully out of rem, which leaves rem[n] = 1 or the one prime above
-    # sqrt(limit) that divides n, whose sign mobius takes at the end.
-    mobius = np.ones(limit + 1, dtype=np.int8)
-    mobius[0] = 0
-    rem = n
-    for p in primes[: int(np.searchsorted(primes, root, side="right"))].tolist():
-        mobius[p::p] *= -1
+    # Liouville lambda(n) = -lambda(n / spf(n)); a block [lo, hi) with
+    # hi <= 2 lo reads only n / spf(n) <= n / 2 < lo, already filled.
+    mobius = np.empty(limit + 1, dtype=np.int8)
+    mobius[:2] = (0, 1)
+    lo = 2
+    while lo <= limit:
+        hi = min(2 * lo, lo + SEGMENT, limit + 1)
+        cofactor = np.arange(lo, hi, dtype=np.uint32) // spf[lo:hi]
+        np.negative(mobius[cofactor], out=mobius[lo:hi])
+        lo = hi
+    # mu is lambda off the multiples of a square p^2
+    for p in primes[: int(np.searchsorted(primes, math.isqrt(limit), side="right"))].tolist():
         mobius[p * p :: p * p] = 0
-        pe = p
-        while pe <= limit:
-            rem[pe::pe] //= p
-            pe *= p
-    rem[0] = 1
-    np.negative(mobius, out=mobius, where=rem > 1)
 
     return _assemble(limit, spf, mobius, primes)
+
+
+def _least_prime_factors(limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """The uint32 smallest prime factors of 0..limit (0 at 0 and 1) and the
+    primes <= limit, ascending.
+
+    Each SEGMENT of the table takes the strided stores spf[p^2 ::p] = p of
+    the primes p <= sqrt(limit) that reach it, largest p first, so the
+    least prime factor is written last; those primes come from this same
+    routine on sqrt(limit). The entries >= 2 still 0 are the primes."""
+    import numpy as np
+    spf = np.zeros(limit + 1, dtype=np.uint32)
+    root = math.isqrt(limit)
+    small = _least_prime_factors(root)[1].tolist() if root >= 2 else []
+    for lo in range(0, limit + 1, SEGMENT):
+        hi = min(lo + SEGMENT, limit + 1)
+        segment = spf[lo:hi]
+        for p in reversed(small[: bisect.bisect_right(small, math.isqrt(hi - 1))]):
+            start = max(p * p, -(-lo // p) * p)
+            segment[start - lo :: p] = p
+    primes = np.flatnonzero(spf[2:] == 0) + 2
+    spf[primes] = primes
+    return spf, primes
 
 
 def _assemble(limit: int, spf: np.ndarray, mobius: np.ndarray,
@@ -219,7 +239,11 @@ def save_tables(tables: MultiplicativeTables, path: str) -> None:
 
 def load_tables(path: str) -> MultiplicativeTables:
     """Read a ``save_tables`` cache; raises ValueError on a wrong magic or
-    length, a CRC mismatch, or records that are not a valid sieve."""
+    length, a CRC mismatch, a mobius value outside {-1, 0, 1}, or a
+    smallest prime factor that fails 2 <= spf[n] <= n with spf[n] | n for
+    some n >= 2. Those checks do not prove the records a sieve: a spf[n]
+    that is composite or not the least prime factor, or a mobius value
+    with the wrong sign, loads as it is."""
     import numpy as np
     with open(path, "rb") as fh:
         magic = fh.read(len(CACHE_MAGIC))

@@ -290,19 +290,26 @@ def _class_prefix_sums(pp: np.ndarray, weights: np.ndarray, q: int):
     over all jumps.
 
     A stable argsort of the residues groups the jumps by class, each
-    class in jump order. The residues are cast first to the narrowest
-    unsigned dtype that holds q - 1, so numpy sorts 8- and 16-bit keys
-    by radix; a stable order is unique, so the cast changes no index.
-    Each class is then summed by np.cumsum, which adds its weights one
-    at a time in jump order for real and complex weights alike, so every
-    sum is bit-equal to a running ``+=`` over the jumps. Coprimality to
-    q is tested once per class."""
+    class in jump order. The residues are kept in the narrowest unsigned
+    dtype that holds q - 1, so numpy sorts 8- and 16-bit keys by radix
+    and no other full-length integer array is made; a stable order is
+    unique, so the cast changes no index. Each class is then summed by
+    np.cumsum, which adds its weights one at a time in jump order for
+    real and complex weights alike, so every sum is bit-equal to a
+    running ``+=`` over the jumps. Coprimality to q is tested once per
+    class."""
     import numpy as np
-    r = pp % q
-    order = np.argsort(r.astype(np.min_scalar_type(q - 1)), kind="stable")
+    r = (pp % q).astype(np.min_scalar_type(q - 1))
+    order = np.argsort(r, kind="stable")
     sorted_r = r[order]
-    starts = np.flatnonzero(np.diff(sorted_r, prepend=-1))
-    ends = np.flatnonzero(np.diff(sorted_r, append=q)) + 1
+    # a class starts at the first jump and where the sorted residue
+    # changes, and ends where the next one starts
+    new_class = np.ones(len(pp), dtype=bool)
+    np.not_equal(sorted_r[1:], sorted_r[:-1], out=new_class[1:])
+    starts = np.flatnonzero(new_class)
+    ends = np.empty_like(starts)
+    ends[:-1] = starts[1:]
+    ends[-1:] = len(pp)
     sums = weights[order]
     for lo, hi in zip(starts.tolist(), ends.tolist()):
         np.cumsum(sums[lo:hi], out=sums[lo:hi])
@@ -311,7 +318,8 @@ def _class_prefix_sums(pp: np.ndarray, weights: np.ndarray, q: int):
     before = np.empty_like(sums)
     before[order[1:]] = sums[:-1]
     before[order[starts]] = 0
-    class_coprime = np.gcd(sorted_r[starts], q) == 1
+    # int64, as uint8 residues cannot meet q = 256 in np.gcd
+    class_coprime = np.gcd(sorted_r[starts].astype(np.int64), q) == 1
     coprime = np.empty(len(pp), dtype=bool)
     coprime[order] = np.repeat(class_coprime, ends - starts)
     totals = sums[ends - 1][class_coprime]

@@ -105,7 +105,7 @@ def _sieve_reference(limit):
 @pytest.mark.parametrize(
     "limit",
     [2, 3, 4, 8, 9, 25, 48, 49, 50, 97, 121, 1000, 9973, 10**4, 2**16,
-     10**5, 10**6],
+     10**5, 2**18 - 1, 2**18, 2**18 + 1, 3 * 2**18 + 7, 10**6],
 )
 def test_sieve_matches_reference_bit_for_bit(limit):
     ref = _sieve_reference(limit)
@@ -118,6 +118,11 @@ def test_sieve_matches_reference_bit_for_bit(limit):
     assert np.array_equal(tables.smallest_prime_factor[tables.prime_powers],
                           ref["prime_power_bases"])
     assert _support(tables) == ref["lambda_support"]
+    n = np.arange(2, limit + 1)
+    ref_primes = n[ref["smallest_prime_factor"][2:] == n]
+    primes = tables.primes()
+    assert primes.dtype == ref_primes.dtype
+    assert np.array_equal(primes, ref_primes)
 
 
 def test_sieve_raises_no_warnings():
