@@ -2,6 +2,8 @@
 
 Tables are built once, frozen, and shared; every downstream sum (Chebyshev
 psi, character-twisted sums, Heath-Brown reconstruction) reads from them.
+Nothing is cached on disk: each caller sieves the range it reads, so every
+table comes from the sieve below.
 The smallest prime factors are sieved segment by segment (``SEGMENT``
 entries at a time, so the strided stores of the primes <= sqrt(limit) stay
 in cache), and the primes <= sqrt(limit) come from the same sieve run on
@@ -11,18 +13,17 @@ The only scratch array as long as the table is the mask that picks out
 the primes.
 The von Mangoldt support is stored as the sorted prime powers, and the
 weights log p of their base primes are taken once, into
-``prime_power_logs``; the base prime of p^e is its smallest prime factor. ``MultiplicativeTables.jumps`` is the one reader of
-those weights, and it refuses any range beyond the table. No Euler-phi
-table is sieved: phi(q) enters only the main term x/phi(q), once per
-modulus, and ``characters.euler_phi`` supplies it.
+``prime_power_logs``; the base prime of p^e is its smallest prime factor.
+``MultiplicativeTables.jumps`` is the one reader of those weights, and it
+refuses any range beyond the table. No Euler-phi table is sieved: phi(q)
+enters only the main term x/phi(q), once per modulus, and
+``characters.euler_phi`` supplies it.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-import struct
-import zlib
 from dataclasses import dataclass, field
 from math import gcd
 from typing import TYPE_CHECKING
@@ -35,15 +36,6 @@ if TYPE_CHECKING:
 DEFAULT_LIMIT_CEILING = 10**8
 # entries per block of the least-prime-factor stores and the Liouville walk
 SEGMENT = 1 << 18
-
-CACHE_MAGIC = b"BVML3"
-# header after the magic: limit uint64 LE, CRC32 of the records uint32 LE;
-# then one record per n in [0, limit]:
-#   smallest_prime_factor uint32, mobius int8
-CACHE_HEADER = struct.Struct("<QI")
-# numpy structured-dtype fields, made a dtype only where a cache is read or
-# written, so importing this module does not load numpy
-CACHE_ENTRY_FIELDS = [("spf", "<u4"), ("mobius", "i1")]
 
 
 class LimitError(ValueError):
@@ -95,11 +87,11 @@ class MultiplicativeTables:
         return pp[self.smallest_prime_factor[pp] == pp]
 
 
-def build_tables(limit: int, ceiling: int = DEFAULT_LIMIT_CEILING) -> MultiplicativeTables:
+def build_tables(limit: int) -> MultiplicativeTables:
     """Sieve smallest prime factors, mobius and Lambda-support up to limit."""
     import numpy as np
-    if limit < 2 or limit > ceiling:
-        raise LimitError(f"limit must be in [2, {ceiling}], got {limit}")
+    if limit < 2 or limit > DEFAULT_LIMIT_CEILING:
+        raise LimitError(f"limit must be in [2, {DEFAULT_LIMIT_CEILING}], got {limit}")
     spf, primes = _least_prime_factors(limit)
 
     # Liouville lambda(n) = -lambda(n / spf(n)); a block [lo, hi) with
@@ -221,50 +213,3 @@ def enumerate_moduli_set(Q: int, kind: str = "prime-powers",
         if len(f) == 1 and (kind == "prime-powers" or f[0][1] == 1):
             members.append(q)
     return ModuliSet(Q=Q, members=members, kind=kind)
-
-
-def save_tables(tables: MultiplicativeTables, path: str) -> None:
-    """Binary cache: magic, limit (8-byte LE), CRC32 of the records (4-byte
-    LE), then the per-entry records."""
-    import numpy as np
-    records = np.empty(tables.limit + 1, dtype=np.dtype(CACHE_ENTRY_FIELDS))
-    records["spf"] = tables.smallest_prime_factor
-    records["mobius"] = tables.mobius
-    raw = records.tobytes()
-    with open(path, "wb") as fh:
-        fh.write(CACHE_MAGIC)
-        fh.write(CACHE_HEADER.pack(tables.limit, zlib.crc32(raw)))
-        fh.write(raw)
-
-
-def load_tables(path: str) -> MultiplicativeTables:
-    """Read a ``save_tables`` cache; raises ValueError on a wrong magic or
-    length, a CRC mismatch, a mobius value outside {-1, 0, 1}, or a
-    smallest prime factor that fails 2 <= spf[n] <= n with spf[n] | n for
-    some n >= 2. Those checks do not prove the records a sieve: a spf[n]
-    that is composite or not the least prime factor, or a mobius value
-    with the wrong sign, loads as it is."""
-    import numpy as np
-    with open(path, "rb") as fh:
-        magic = fh.read(len(CACHE_MAGIC))
-        if magic != CACHE_MAGIC:
-            raise ValueError(f"bad cache magic {magic!r}")
-        header = fh.read(CACHE_HEADER.size)
-        if len(header) != CACHE_HEADER.size:
-            raise ValueError("cache header truncated")
-        limit, crc = CACHE_HEADER.unpack(header)
-        raw = fh.read()
-    entry = np.dtype(CACHE_ENTRY_FIELDS)
-    if len(raw) != (limit + 1) * entry.itemsize:
-        raise ValueError("cache truncated or corrupt")
-    if zlib.crc32(raw) != crc:
-        raise ValueError("cache checksum mismatch")
-    records = np.frombuffer(raw, dtype=entry)
-    spf = records["spf"].copy()
-    mobius = records["mobius"].copy()
-    if np.any((mobius < -1) | (mobius > 1)):
-        raise ValueError("cache mobius value outside {-1, 0, 1}")
-    n = np.arange(limit + 1, dtype=np.uint32)
-    if np.any((spf[2:] < 2) | (spf[2:] > n[2:])) or np.any(n[2:] % spf[2:]):
-        raise ValueError("cache smallest prime factor table is invalid")
-    return _assemble(limit, spf, mobius, n[2:][spf[2:] == n[2:]])

@@ -145,9 +145,9 @@ def euler_phi(n: int) -> int:
 class CharacterGroup:
     """All phi(q) characters mod q, in lexicographic exponent order."""
 
-    def __init__(self, q: int, ceiling: int = DEFAULT_MODULUS_CEILING):
-        if not 1 <= q <= ceiling:
-            raise ValueError(f"modulus must be in [1, {ceiling}], got {q}")
+    def __init__(self, q: int):
+        if not 1 <= q <= DEFAULT_MODULUS_CEILING:
+            raise ValueError(f"modulus must be in [1, {DEFAULT_MODULUS_CEILING}], got {q}")
         self.q = q
         self.components = [_Component(p, e) for p, e in factorize(q)]
         self.orders: tuple[int, ...] = tuple(
@@ -250,9 +250,9 @@ class DirichletCharacter:
         return self.conductor == self.q
 
 
-def character_group(q: int, ceiling: int = DEFAULT_MODULUS_CEILING) -> list[DirichletCharacter]:
+def character_group(q: int) -> list[DirichletCharacter]:
     """Exactly phi(q) characters, the principal character first."""
-    return CharacterGroup(q, ceiling=ceiling).characters()
+    return CharacterGroup(q).characters()
 
 
 def conductor_and_primitivity(

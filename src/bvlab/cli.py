@@ -11,9 +11,10 @@ Exit codes:
   1  verification/assertion failure
   2  invalid configuration value (bad type or out of allowed range)
   3  unknown configuration section or key
-  4  table cache named in the config but missing on disk
   5  malformed configuration file
-  6  table cache named in the config but failing its integrity checks
+
+Each command sieves the range it reads; ``[general] table_cache`` is
+accepted and ignored.
 """
 
 from __future__ import annotations
@@ -34,9 +35,7 @@ EXIT_OK = 0
 EXIT_ASSERTION = 1
 EXIT_INVALID_VALUE = 2
 EXIT_UNKNOWN_KEY = 3
-EXIT_MISSING_CACHE = 4
 EXIT_CONFIG_PARSE = 5
-EXIT_INVALID_CACHE = 6
 
 
 class ConfigParseError(Exception):
@@ -49,14 +48,6 @@ class UnknownKeyError(Exception):
 
 class InvalidValueError(Exception):
     exit_code = EXIT_INVALID_VALUE
-
-
-class MissingCacheError(Exception):
-    exit_code = EXIT_MISSING_CACHE
-
-
-class InvalidCacheError(Exception):
-    exit_code = EXIT_INVALID_CACHE
 
 
 def _fraction(raw: str) -> Fraction:
@@ -123,7 +114,7 @@ class ExperimentConfig:
     seed: int = _key("general", 0)
     output_dir: str = _key("general", "out")
     workers: int = _key("general", 1, ge=1)  # checked; every command runs serially
-    table_cache: str = _key("general", "")
+    table_cache: str = _key("general", "")  # accepted; nothing reads it
     limit: int = _key("sieve", 10**6, ge=2, le=_CEILING)
     q_max: int = _key("characters", 200, ge=1, le=_MODULUS_CEILING)
     # 132 is the least x with progressions.max_modulus(x) >= 3
@@ -233,24 +224,6 @@ def _validate(cfg: ExperimentConfig) -> None:
                                 f"x / (phi(q) (log x)^A) at x = {cfg.x}")
 
 
-def _tables(cfg: ExperimentConfig, limit: int) -> arith.MultiplicativeTables:
-    if cfg.table_cache:
-        if not os.path.exists(cfg.table_cache):
-            raise MissingCacheError(f"table cache {cfg.table_cache!r} not found")
-        try:
-            tables = arith.load_tables(cfg.table_cache)
-        except ValueError as exc:
-            raise InvalidCacheError(
-                f"table cache {cfg.table_cache!r}: {exc}; rebuild it with "
-                f"bvlab sieve") from exc
-        if tables.limit >= limit:
-            return tables
-        raise MissingCacheError(
-            f"table cache covers only {tables.limit} < {limit}"
-        )
-    return arith.build_tables(limit)
-
-
 def _out(cfg: ExperimentConfig, name: str) -> str:
     os.makedirs(cfg.output_dir, exist_ok=True)
     return os.path.join(cfg.output_dir, name)
@@ -261,15 +234,11 @@ def _out(cfg: ExperimentConfig, name: str) -> str:
 
 def cmd_sieve(cfg: ExperimentConfig) -> None:
     tables = arith.build_tables(cfg.limit)
-    path = cfg.table_cache or _out(cfg, "tables.bin")
-    arith.save_tables(tables, path)
     n_primes = len(tables.primes())
     psi_x = progressions.psi(float(cfg.limit), tables)
-    summary = {"limit": cfg.limit, "primes": n_primes,
-               "psi_at_limit": psi_x, "cache": path}
+    summary = {"limit": cfg.limit, "primes": n_primes, "psi_at_limit": psi_x}
     write_json(summary, _out(cfg, "sieve.json"))
-    print(f"sieve: limit={cfg.limit} primes={n_primes} "
-          f"psi={psi_x:.6f} cache={path}")
+    print(f"sieve: limit={cfg.limit} primes={n_primes} psi={psi_x:.6f}")
 
 
 def cmd_characters(cfg: ExperimentConfig) -> None:
@@ -293,7 +262,7 @@ def cmd_characters(cfg: ExperimentConfig) -> None:
 
 
 def cmd_exceptions(cfg: ExperimentConfig) -> None:
-    tables = _tables(cfg, cfg.x)
+    tables = arith.build_tables(cfg.x)
     Q = progressions.max_modulus(cfg.x)
     kind = cfg.moduli_kind
     S = arith.enumerate_moduli_set(Q, kind)
@@ -308,7 +277,7 @@ def cmd_exceptions(cfg: ExperimentConfig) -> None:
 
 
 def cmd_hb_verify(cfg: ExperimentConfig) -> None:
-    tables = _tables(cfg, cfg.hb_x)
+    tables = arith.build_tables(cfg.hb_x)
     report = heathbrown.verify_identity(float(cfg.hb_x), cfg.hb_n_max, tables)
     worst_n = report.parameters["worst_n"]
     if report.lhs > report.rhs_formula_value:
@@ -325,7 +294,7 @@ def cmd_hb_verify(cfg: ExperimentConfig) -> None:
 
 
 def cmd_meanvalue(cfg: ExperimentConfig) -> None:
-    tables = _tables(cfg, 2 ** (cfg.n_max_exp + 1))
+    tables = arith.build_tables(2 ** (cfg.n_max_exp + 1))
     jobs = [
         (Q, T, 2**k)
         for Q in cfg.q_values
@@ -393,7 +362,7 @@ def cmd_exponents(cfg: ExperimentConfig) -> None:
 
 
 def cmd_perron(cfg: ExperimentConfig) -> None:
-    tables = _tables(cfg, 32)
+    tables = arith.build_tables(32)
     chi = characters.character_group(1)[0]
     P = dpoly.DirichletPolynomial(N=4, N_prime=8, kind="unit", chi=chi)
     P.attach_tables(tables)
@@ -435,8 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=(
             "exit codes: 0 success; 1 verification failure; "
             "2 invalid config value; 3 unknown config key; "
-            "4 missing table cache; 5 malformed config file; "
-            "6 invalid table cache"
+            "5 malformed config file"
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -460,7 +428,7 @@ def main(argv: list[str] | None = None) -> int:
             cfg.seed = args.seed
         _COMMANDS[args.command](cfg)
     except (ConfigParseError, UnknownKeyError, InvalidValueError,
-            MissingCacheError, InvalidCacheError, AssertionError) as exc:
+            AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", EXIT_ASSERTION)
     return EXIT_OK

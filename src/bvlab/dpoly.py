@@ -300,6 +300,8 @@ def large_value_count_bruteforce(family: TripleFamily, V: float) -> int:
 def divisor_moment_report(N: int, b: int,
                           x_scale: int = DEFAULT_X_SCALE) -> BoundReport:
     """N^-1 * sum over n <= 2N of tau_b(n)^2 against L^(b^2 - 1)."""
+    if N < 1:
+        raise ValueError("N must be at least 1")
     if not 1 <= b <= 8:
         raise ValueError("b must be in [1, 8]")
     L = math.log(x_scale)

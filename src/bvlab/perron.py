@@ -215,8 +215,13 @@ def horizontal_bound_check(
 ) -> BoundReport:
     """|prod F_j(sigma +- i height)| <= prod N_j^(1 - sigma), checked and
     asserted at every grid point: with at most N_j coefficients of modulus
-    at most 1, each factor obeys the triangle inequality bound N_j^(1-sigma)."""
+    at most 1, each factor obeys the triangle inequality bound N_j^(1-sigma),
+    which takes n^(-sigma) <= N_j^(-sigma) for n > N_j and so needs
+    sigma >= 0. A family with an empty factor has the product 0 exactly and
+    reports the ratio 0."""
     import numpy as np
+    if any(sigma < 0 for sigma in sigma_grid):
+        raise ValueError("the triangle-inequality bound needs sigma >= 0")
     for P in family:
         if float(np.max(np.abs(P.base_coefficients()), initial=0.0)) > 1.0:
             raise ValueError("coefficients must be bounded by 1")
@@ -227,6 +232,9 @@ def horizontal_bound_check(
             prod = 1 + 0j
             bound = 1.0
             for P in family:
+                if len(P.support) == 0:
+                    prod, bound = 0j, 1.0
+                    break
                 prod *= P.eval(t, sigma=sigma)
                 bound *= float(P.N) ** (1.0 - sigma)
             lhs = abs(prod)

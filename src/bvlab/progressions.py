@@ -96,9 +96,8 @@ def character_extremum(
     phase a(chi) that rotates the maximum onto the positive real axis."""
     import numpy as np
     pp, logs = tables.jumps(x)
-    # one class (q = 1) weighted by Lambda(n) chi(n): its sums are psi(n, chi)
-    _, _, running, _ = _class_prefix_sums(
-        pp, logs * np.asarray(chi.value_table())[pp % chi.q], 1)
+    # the running sums of Lambda(n) chi(n) over the jumps are psi(n, chi)
+    running = np.cumsum(logs * np.asarray(chi.value_table())[pp % chi.q])
     # a leading 0 stands for y = 1, kept unless some |psi(n, chi)| exceeds 0
     i = int(np.argmax(np.abs(np.concatenate(([0], running)))))
     best_y = float(pp[i - 1]) if i else 1.0

@@ -1,6 +1,5 @@
 import math
 import warnings
-import zlib
 from math import gcd
 
 import numpy as np
@@ -8,15 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bvlab.arith import (
-    CACHE_ENTRY_FIELDS,
-    CACHE_HEADER,
-    CACHE_MAGIC,
     LimitError,
     ModuliSet,
     build_tables,
     enumerate_moduli_set,
-    load_tables,
-    save_tables,
     tau_b,
 )
 from bvlab.characters import character_group, euler_phi, factorize
@@ -32,8 +26,6 @@ from bvlab.progressions import (
     psi_chi,
     psi_coprime,
 )
-
-ENTRY = np.dtype(CACHE_ENTRY_FIELDS)
 
 
 def _naive_mobius(n):
@@ -295,76 +287,3 @@ def test_moduli_sets_match_sieve(tables):
             [q for q in window if tables.is_prime(q)], Q
         assert enumerate_moduli_set(Q, "prime-powers").members == \
             [q for q in window if q in support], Q
-
-
-def test_cache_roundtrip(tmp_path, tables):
-    path = str(tmp_path / "tables.bin")
-    save_tables(tables, path)
-    loaded = load_tables(path)
-    assert loaded.limit == tables.limit
-    assert np.array_equal(loaded.mobius, tables.mobius)
-    assert np.array_equal(loaded.smallest_prime_factor,
-                          tables.smallest_prime_factor)
-    assert _support(loaded) == _support(tables)
-
-
-def test_cache_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.bin"
-    path.write_bytes(b"not a cache")
-    with pytest.raises(ValueError):
-        load_tables(str(path))
-    path.write_bytes(CACHE_MAGIC + b"\0\0\0")
-    with pytest.raises(ValueError, match="header"):
-        load_tables(str(path))
-
-
-def _cache_records(tmp_path, tables):
-    path = tmp_path / "tables.bin"
-    save_tables(tables, str(path))
-    raw = path.read_bytes()[len(CACHE_MAGIC) + CACHE_HEADER.size :]
-    return path, np.frombuffer(raw, dtype=ENTRY).copy()
-
-
-def _write_records(path, limit, records):
-    raw = records.tobytes()
-    path.write_bytes(CACHE_MAGIC + CACHE_HEADER.pack(limit, zlib.crc32(raw)) + raw)
-
-
-def test_cache_rejects_flipped_byte(tmp_path, tables):
-    path, _ = _cache_records(tmp_path, tables)
-    data = bytearray(path.read_bytes())
-    record_1234 = len(CACHE_MAGIC) + CACHE_HEADER.size + 1234 * ENTRY.itemsize
-    # mu(1234) = 1 becomes 0: still a valid value, so only the CRC catches it
-    data[record_1234 + ENTRY.fields["mobius"][1]] ^= 0x01
-    path.write_bytes(bytes(data))
-    with pytest.raises(ValueError, match="checksum"):
-        load_tables(str(path))
-
-
-def test_cache_rejects_old_format_and_bad_length(tmp_path, tables):
-    path, _ = _cache_records(tmp_path, tables)
-    data = path.read_bytes()
-    for old_magic in (b"BVML1", b"BVML2"):  # the previous formats' magics
-        path.write_bytes(old_magic + data[len(CACHE_MAGIC) :])
-        with pytest.raises(ValueError, match="magic"):
-            load_tables(str(path))
-    path.write_bytes(data[: -ENTRY.itemsize])
-    with pytest.raises(ValueError, match="truncated"):
-        load_tables(str(path))
-
-
-@pytest.mark.parametrize("field, n, value, match", [
-    ("mobius", 30, 2, "mobius"),
-    ("mobius", 30, -2, "mobius"),
-    ("spf", 2, 0, "smallest prime factor"),
-    ("spf", 9, 10, "smallest prime factor"),
-    ("spf", 35, 2, "smallest prime factor"),
-])
-def test_cache_rejects_invalid_records(tmp_path, tables, field, n, value, match):
-    path, records = _cache_records(tmp_path, tables)
-    _write_records(path, tables.limit, records)
-    assert _support(load_tables(str(path))) == _support(tables)
-    records[field][n] = value
-    _write_records(path, tables.limit, records)
-    with pytest.raises(ValueError, match=match):
-        load_tables(str(path))

@@ -99,15 +99,6 @@ def test_malformed_config_exit_code(tmp_path):
     assert cli.main(["exponents", "--config", cfg]) == cli.EXIT_CONFIG_PARSE
 
 
-def test_missing_cache_exit_code(tmp_path):
-    cfg = _write(
-        tmp_path,
-        f"[general]\ntable_cache = {tmp_path / 'absent.bin'}\n"
-        f"[hb]\nx = 500\nn_max = 500\n",
-    )
-    assert cli.main(["hb-verify", "--config", cfg]) == cli.EXIT_MISSING_CACHE
-
-
 def test_bad_value_type_exit_code(tmp_path):
     cfg = _write(tmp_path, "[sieve]\nlimit = soon\n")
     assert cli.main(["sieve", "--config", cfg]) == cli.EXIT_INVALID_VALUE
@@ -124,17 +115,31 @@ def test_deterministic_outputs(tmp_path):
 
 
 def test_sieve_and_cache_consumers(tmp_path):
-    cache = tmp_path / "tables.bin"
-    cfg = _write(
-        tmp_path,
-        f"[general]\noutput_dir = {tmp_path / 'out'}\n"
-        f"table_cache = {cache}\n[sieve]\nlimit = 3000\n"
-        f"[hb]\nx = 2000\nn_max = 1000\n",
-    )
-    assert cli.main(["sieve", "--config", cfg]) == 0
-    assert cache.exists()
-    # hb-verify now loads the cache instead of re-sieving
-    assert cli.main(["hb-verify", "--config", cfg]) == 0
+    # table_cache is accepted and read by nothing: each command sieves the
+    # range it reads, whatever the key names or whether it is set at all
+    garbage = tmp_path / "garbage.bin"
+    garbage.write_bytes(bytes(range(256)) * 4)
+    caches = {"missing": f"table_cache = {tmp_path / 'absent.bin'}\n",
+              "garbage": f"table_cache = {garbage}\n", "unset": ""}
+    artifacts = {}
+    for tag, line in caches.items():
+        out = tmp_path / tag
+        cfg = _write(
+            tmp_path,
+            f"[general]\noutput_dir = {out}\n{line}[sieve]\nlimit = 3000\n"
+            f"[exceptions]\nx = 3000\n[hb]\nx = 2000\nn_max = 1000\n",
+            f"{tag}.txt",
+        )
+        for command in ("sieve", "hb-verify", "exceptions"):
+            assert cli.main([command, "--config", cfg]) == 0, (tag, command)
+        assert sorted(p.name for p in out.iterdir()) == [
+            "exceptions.csv", "exceptions.json", "hb.csv", "sieve.json"]
+        artifacts[tag] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert artifacts["missing"] == artifacts["garbage"] == artifacts["unset"]
+    sieve = json.loads(artifacts["unset"]["sieve.json"])
+    assert sorted(sieve) == ["limit", "primes", "psi_at_limit"]
+    assert sieve["limit"] == 3000 and sieve["primes"] == 430
+    assert not (tmp_path / "absent.bin").exists()
 
 
 def test_probe_theta_reports_without_failing(tmp_path):
@@ -163,30 +168,12 @@ def test_help_documents_exit_codes(capsys):
     with pytest.raises(SystemExit):
         cli.main(["--help"])
     out = capsys.readouterr().out
-    assert "exit codes" in out
-    assert "5 malformed config file" in out
-    assert "6 invalid table cache" in " ".join(out.split())  # help wraps lines
-
-
-def test_invalid_cache_exit_code(tmp_path):
-    cache = tmp_path / "tables.bin"
-    cfg = _write(
-        tmp_path,
-        f"[general]\noutput_dir = {tmp_path / 'out'}\n"
-        f"table_cache = {cache}\n[sieve]\nlimit = 3000\n"
-        f"[hb]\nx = 2000\nn_max = 1000\n",
-    )
-    assert cli.main(["sieve", "--config", cfg]) == 0
-    good = cache.read_bytes()
-    for old_magic in (b"BVML1", b"BVML2"):  # the previous formats' magics
-        cache.write_bytes(old_magic + good[5:])
-        assert cli.main(["hb-verify", "--config", cfg]) == cli.EXIT_INVALID_CACHE
-    bad = bytearray(good)
-    bad[-1] ^= 0xFF  # breaks the CRC32
-    cache.write_bytes(bytes(bad))
-    assert cli.main(["hb-verify", "--config", cfg]) == cli.EXIT_INVALID_CACHE
-    cache.write_bytes(good)
-    assert cli.main(["hb-verify", "--config", cfg]) == 0
+    text = " ".join(out.split())  # help wraps lines
+    assert "exit codes" in text
+    for code in ("0 success", "1 verification failure", "2 invalid config value",
+                 "3 unknown config key", "5 malformed config file"):
+        assert code in text
+    assert "cache" not in text
 
 
 def test_workers_key_accepted_and_checked(tmp_path):

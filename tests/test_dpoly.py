@@ -209,6 +209,10 @@ def test_divisor_moment():
     assert r.lhs == pytest.approx(5.0)
     r1 = divisor_moment_report(64, 1)
     assert r1.rhs_formula_value == pytest.approx(1.0)
+    # an empty range n <= 2N has no mean
+    for N in (0, -3):
+        with pytest.raises(ValueError, match="N must be at least 1"):
+            divisor_moment_report(N, 2)
 
 
 def test_mixed_moment_routing(tables):

@@ -191,6 +191,14 @@ def test_horizontal_bound_holds(tables):
     # empty family: |empty product| = 1 <= 1
     empty = horizontal_bound_check([], grid, 64.0)
     assert empty.lhs == pytest.approx(1.0)
+    # an empty factor (N = 0) makes the product exactly 0, on both sides of
+    # sigma = 1, where its bound 0^(1 - sigma) is 0 or undefined
+    for sigma in (0.5, 1.0, 1.5):
+        report = horizontal_bound_check(fam + [_poly(0, 0, "unit", tables)],
+                                        [sigma], 64.0)
+        assert report.lhs == 0.0
+    # sigma = 0 is the edge of the bound's hypothesis
+    assert horizontal_bound_check(fam[:1], [0.0], 0.01).lhs <= 1.0 + 1e-12
 
 
 def test_horizontal_rejects_large_coefficients(tables):
@@ -199,6 +207,12 @@ def test_horizontal_rejects_large_coefficients(tables):
     P.attach_tables(tables)
     with pytest.raises(ValueError):
         horizontal_bound_check([P], [0.5], 16.0)
+    # below sigma = 0 the bound N^(1 - sigma) fails: at sigma = -1 and
+    # height 0.01 the desk polynomial exceeds it
+    desk = [_poly(4, 8, "unit", tables)]
+    for grid in ([-1.0], [0.5, -1e-9, 1.0]):
+        with pytest.raises(ValueError, match="sigma >= 0"):
+            horizontal_bound_check(desk, grid, 0.01)
 
 
 def test_height_trend_and_csv(tmp_path, tables):
