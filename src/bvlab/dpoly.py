@@ -116,8 +116,8 @@ class WellSpacedSet:
 
 def _t_grid(T: float) -> np.ndarray:
     import numpy as np
-    if T < 1:
-        raise ValueError("T must be at least 1")
+    if not 1 <= T < math.inf:
+        raise ValueError("T must be at least 1 and finite")
     steps = int(round(T / GRID_STEP))
     return np.arange(-steps, steps + 1, dtype=np.float64) * GRID_STEP
 
@@ -125,13 +125,32 @@ def _t_grid(T: float) -> np.ndarray:
 def _grid_abs_values(t_grid: np.ndarray, ns: np.ndarray, sigma: float,
                      C: np.ndarray) -> np.ndarray:
     """|sum_n C[n, j] n^(-sigma - it)| for every t in t_grid (rows) and
-    every coefficient column j: one matrix product for all columns."""
+    every coefficient column j: one matrix product for all columns.
+
+    t_grid must be of odd length and symmetric about 0
+    (t_grid[::-1] == -t_grid), as every _t_grid is; anything else raises
+    ValueError. Only the rows with t >= 0 of the phase matrix
+    n^(-sigma) exp(-i t log n) are computed: the angle t log n goes through
+    the real cos and sin, whose values are bit for bit those of the complex
+    exp(-i t log n), and the imaginary part is then negated. The rows with
+    t < 0 are the conjugates of their mirror rows, with the same bits as
+    computing them: (-t) log n = -(t log n) exactly in IEEE arithmetic, cos
+    is even and sin odd, and the real scale n^(-sigma) does not depend on
+    the sign of t. The scale is applied even at sigma = 0, where multiplying
+    by 1 + 0i sets the signs of the zeros as the complex route does."""
     import numpy as np
-    if len(ns) == 0:
-        return np.zeros((len(t_grid), C.shape[1]))
+    if len(t_grid) % 2 == 0 or not np.array_equal(t_grid[::-1], -t_grid):
+        raise ValueError("t_grid must be of odd length and symmetric about 0")
+    m = len(t_grid) // 2
     nf = ns.astype(np.float64)
-    phase = np.exp(-1j * np.outer(t_grid, np.log(nf)))
-    phase *= nf ** (-sigma)
+    phase = np.empty((len(t_grid), len(ns)), dtype=np.complex128)
+    top = phase[m:]
+    ang = np.outer(t_grid[m:], np.log(nf))
+    np.cos(ang, out=top.real)
+    np.sin(ang, out=top.imag)
+    np.negative(top.imag, out=top.imag)
+    top *= nf ** (-sigma)
+    np.conjugate(top[1:][::-1], out=phase[:m])
     return np.abs(phase @ C)
 
 
@@ -193,10 +212,20 @@ def build_triple_family(
     min_conductor: int = 1,
     coefficients: dict[int, complex] | None = None,
 ) -> TripleFamily:
-    """``coefficients`` is the a_n map of the "explicit" kind."""
+    """``coefficients`` is the a_n map of the "explicit" kind. A family
+    needs Q >= 1, N >= 1, N' > N and a finite sigma: anything else would
+    give a report with no triples or a NaN moment."""
     import numpy as np
     if N_prime is None:
         N_prime = 2 * N
+    if Q < 1:
+        raise ValueError("Q must be at least 1")
+    if N < 1:
+        raise ValueError("N must be at least 1")
+    if N_prime <= N:
+        raise ValueError("N' must exceed N")
+    if not math.isfinite(sigma):
+        raise ValueError("sigma must be finite")
     chis = primitive_characters(Q, min_conductor=min_conductor)
     t_grid = _t_grid(T)
     ns = np.arange(N + 1, N_prime + 1, dtype=np.int64)
@@ -276,8 +305,8 @@ def large_value_report(family: TripleFamily, V: float,
     """Count of triples with |S| >= V against
     G N V^-2 L^6 + G^3 N Q^2 T V^-6 L^18."""
     import numpy as np
-    if V <= 0:
-        raise ValueError("V must be positive")
+    if not 0 < V < math.inf:
+        raise ValueError("V must be positive and finite")
     L = math.log(x_scale)
     count = sum(int(np.sum(v >= V)) for v in family.abs_values)
     G, N, Q, T = family.G, family.N, family.Q, family.T

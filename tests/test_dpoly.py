@@ -134,10 +134,70 @@ def test_selection_matches_float_reference_on_tied_values():
     assert tied >= 100
 
 
-@pytest.mark.parametrize("T", [0.0, 0.5, 0.99])
+@pytest.mark.parametrize("T", [0.0, 0.5, 0.99, math.nan, math.inf])
 def test_t_below_one_rejected(tables, T):
     with pytest.raises(ValueError, match="T must be at least 1"):
         build_triple_family(4, T, 64, None, "unit", tables)
+
+
+@pytest.mark.parametrize("Q, N, N_prime, sigma, match", [
+    (0, 64, None, 0.0, "Q must be at least 1"),
+    (-2, 64, None, 0.0, "Q must be at least 1"),
+    (4, 0, None, 0.0, "N must be at least 1"),
+    (4, -5, None, 0.0, "N must be at least 1"),
+    (4, 64, 64, 0.0, "N' must exceed N"),
+    (4, 64, 40, 0.0, "N' must exceed N"),
+    (4, 64, None, math.nan, "sigma must be finite"),
+    (4, 64, None, math.inf, "sigma must be finite"),
+    (4, 64, None, -math.inf, "sigma must be finite"),
+])
+def test_vacuous_or_nan_families_rejected(tables, Q, N, N_prime, sigma, match):
+    # each of these would give a family with no triples (ratio 0) or a NaN
+    # moment
+    with pytest.raises(ValueError, match=match):
+        build_triple_family(Q, 16.0, N, N_prime, "unit", tables, sigma=sigma)
+
+
+def _grid_abs_values_reference(t_grid, ns, sigma, C):
+    # reference route: the complex exponential on the full grid
+    nf = ns.astype(np.float64)
+    return np.abs((np.exp(-1j * np.outer(t_grid, np.log(nf)))
+                   * nf ** (-sigma)) @ C)
+
+
+@pytest.mark.parametrize("T", [1.0, 10.3, 16.0, 64.0])
+@pytest.mark.parametrize("N", [1, 2, 64, 1024])
+def test_grid_abs_values_bit_identical_to_complex_exp(T, N):
+    # non-real characters mod 5, 7 and 16 give complex coefficient columns,
+    # so the conjugate fill of the t < 0 rows is not tested only on real C
+    chis = [chi for q in (5, 7, 16) for chi in character_group(q)
+            if not chi.is_real]
+    ns = np.arange(N + 1, 2 * N + 1, dtype=np.int64)
+    C = np.column_stack(
+        [np.ones(len(ns), dtype=np.complex128)]
+        + [np.asarray(chi.value_table())[ns % chi.q] for chi in chis])
+    assert np.any(C.imag != 0)
+    t_grid = _t_grid(T)
+    for sigma in (0.0, 0.5, 1.0, 1.5):
+        got = _grid_abs_values(t_grid, ns, sigma, C)
+        want = _grid_abs_values_reference(t_grid, ns, sigma, C)
+        assert np.array_equal(got, want)
+        rows = [0, len(t_grid) // 2 - 1, len(t_grid) // 2, len(t_grid) - 1]
+        assert [float(v).hex() for v in got[rows, -1]] == \
+            [float(v).hex() for v in want[rows, -1]]
+
+
+@pytest.mark.parametrize("t_grid", [
+    _t_grid(4.0) + GRID_STEP,  # shifted
+    np.arange(-16, 16, dtype=np.float64) * GRID_STEP,  # even length
+    np.array([-1.0, 0.0, 2.0]),  # odd length, not mirrored
+    np.array([], dtype=np.float64),
+])
+def test_grid_abs_values_requires_symmetric_grid(t_grid):
+    ns = np.arange(9, 17, dtype=np.int64)
+    C = np.ones((len(ns), 1), dtype=np.complex128)
+    with pytest.raises(ValueError, match="symmetric about 0"):
+        _grid_abs_values(t_grid, ns, 0.5, C)
 
 
 def test_select_well_spaced_runs(tables):
@@ -201,6 +261,10 @@ def test_large_value_counts_match_bruteforce(tables):
         assert int(report.lhs) == large_value_count_bruteforce(fam, V)
     # V above the sup: zero large values
     assert large_value_report(fam, 2 * sup).lhs == 0.0
+    # a NaN or infinite level would count against a NaN or zero rhs
+    for V in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="V must be positive and finite"):
+            large_value_report(fam, V)
 
 
 def test_divisor_moment():
