@@ -3,10 +3,14 @@
 (Z/q)^* is the product of one component (Z/p^e)^* per prime power p^e
 exactly dividing q. Each component is a product of cyclic factors with
 fixed generators: the smallest primitive root for odd p; none mod 2, 3
-mod 4, and the pair (2^e - 1, 5) mod 2^e for e >= 3. A character is
-stored as its exponents at these generators. A value chi(n) is the
-integer k with chi(n) = e(k / ord chi), where e(t) = exp(2 pi i t);
-``unit_root`` is the only conversion of a turn to a complex number.
+mod 4, and the pair (2^e - 1, 5) mod 2^e for e >= 3, lifted by CRT to
+g_i mod q (g mod p^e, 1 mod q/p^e) of orders o_i. A character is stored
+as its exponents c_i, chi(g_i) = e(c_i / o_i) with e(t) = exp(2 pi i t),
+and chi(n) is the integer k with chi(n) = e(k / ord chi), the one
+denominator. ``CharacterGroup.units()`` walks prod g_i^k_i in
+lexicographic (k_i) order, and a character's turns follow the same walk
+in steps of c_i ord chi / o_i mod ord chi; ``unit_root`` is the only
+conversion of a turn to a complex number.
 
 A component's conductor needs no discrete logarithm: it is 1 for the
 trivial character, else the least p^j (j >= 1, j >= 2 for p = 2) with
@@ -53,32 +57,8 @@ class _Component:
             self.generators, self.orders = (3,), (2,)
         else:
             self.generators, self.orders = (m - 1, 5), (2, m // 4)
-        # every order divides the largest, so turns share one denominator
-        self.exponent = max(self.orders, default=1)
         # least modulus p^j of a non-trivial character: mod 2 there is none
         self._least_conductor = 4 if p == 2 else p
-        self._dlog: dict[int, tuple[int, ...]] | None = None
-
-    def dlogs(self, r: int) -> tuple[int, ...]:
-        """Exponents (k_i) with r = prod g_i^k_i mod p^e, for a unit r < p^e."""
-        if self._dlog is None:
-            m = self.modulus
-            table: dict[int, tuple[int, ...]] = {1: ()}
-            for g, o in zip(self.generators, self.orders):
-                step = {}
-                for x, ks in table.items():
-                    for k in range(o):
-                        step[x] = ks + (k,)
-                        x = x * g % m
-                table = step
-            self._dlog = table
-        return self._dlog[r]
-
-    def turn(self, exps: tuple[int, ...], r: int) -> int:
-        """k with chi(r) = e(k / exponent), 0 <= k < exponent."""
-        E = self.exponent
-        return sum(c * k * (E // o) for c, k, o in
-                   zip(exps, self.dlogs(r % self.modulus), self.orders)) % E
 
     def conductor_of(self, exps: tuple[int, ...]) -> int:
         # for p^j >= the least conductor, the units congruent to 1 mod p^j
@@ -91,15 +71,11 @@ class _Component:
             f *= self.p
         return f
 
-    def induced_exponents(self, exps: tuple[int, ...], f_comp: "_Component") -> tuple[int, ...]:
-        # chi is trivial on the units congruent to 1 mod its conductor, so
-        # any lift of a generator of f_comp gives the inducing value
-        out = []
-        for g, o in zip(f_comp.generators, f_comp.orders):
-            k = self.turn(exps, g)
-            assert k * o % self.exponent == 0
-            out.append(k * o // self.exponent)
-        return tuple(out)
+
+def _lift(g: int, m: int, q: int) -> int:
+    """The residue mod q that is g mod m and 1 mod q/m (CRT, m || q)."""
+    r = q // m
+    return 1 + r * ((g - 1) * pow(r, -1, m) % m)
 
 
 def _smallest_primitive_root(p: int, e: int) -> int:
@@ -150,16 +126,15 @@ class CharacterGroup:
             raise ValueError(f"modulus must be in [1, {DEFAULT_MODULUS_CEILING}], got {q}")
         self.q = q
         self.components = [_Component(p, e) for p, e in factorize(q)]
+        self.generators: tuple[int, ...] = tuple(
+            _lift(g, comp.modulus, q) for comp in self.components for g in comp.generators
+        )
         self.orders: tuple[int, ...] = tuple(
             o for comp in self.components for o in comp.orders
         )
-        self.exponent = math.lcm(*self.orders)
-        self._slices: list[slice] = []
-        pos = 0
-        for comp in self.components:
-            n = len(comp.orders)
-            self._slices.append(slice(pos, pos + n))
-            pos += n
+        ends = itertools.accumulate((len(c.orders) for c in self.components), initial=0)
+        self._slices = [slice(a, b) for a, b in itertools.pairwise(ends)]
+        self._units: list[int] | None = None
 
     @property
     def phi(self) -> int:
@@ -167,6 +142,20 @@ class CharacterGroup:
         for o in self.orders:
             out *= o
         return out
+
+    def units(self) -> list[int]:
+        """Every unit prod g_i^k_i mod q, in the (k_i) order of
+        ``characters()`` (built once, cached)."""
+        if self._units is None:
+            q = self.q
+            units = [1 % q]
+            for g, o in zip(self.generators, self.orders):
+                powers = [1]
+                for _ in range(o - 1):
+                    powers.append(powers[-1] * g % q)
+                units = [u * x % q for u in units for x in powers]
+            self._units = units
+        return self._units
 
     def characters(self) -> list["DirichletCharacter"]:
         return [
@@ -182,8 +171,8 @@ class DirichletCharacter:
         self.group = group
         self.q = group.q
         self.component_exponents = exponents
-        self._conductor: int | None = None
         self._order: int | None = None
+        self._turns: list[int | None] | None = None
         self._value_cache: list[complex] | None = None
 
     def __repr__(self):
@@ -216,34 +205,40 @@ class DirichletCharacter:
     def is_real(self) -> bool:
         return self.order <= 2
 
+    def _turn_table(self) -> list[int | None]:
+        """Turns on residues 0..q-1, None off the units (built once, cached)."""
+        if self._turns is None:
+            order = self.order
+            turns = [0]
+            for c, o in zip(self.component_exponents, self.group.orders):
+                steps = [k * (c * order // o) % order for k in range(o)]
+                turns = [(t + s) % order for t in turns for s in steps]
+            table: list[int | None] = [None] * self.q
+            for u, t in zip(self.group.units(), turns):
+                table[u] = t
+            self._turns = table
+        return self._turns
+
     def evaluate(self, n: int) -> int | None:
         """k with chi(n) = e(k / order), 0 <= k < order; None when (n, q) > 1."""
-        r = n % self.q
-        if gcd(r, self.q) != 1:
-            return None
-        E = self.group.exponent
-        exps = self.component_exponents
-        total = sum(comp.turn(exps[s], r) * (E // comp.exponent) for comp, s
-                    in zip(self.group.components, self.group._slices))
-        return total % E // (E // self.order)
+        return self._turn_table()[n % self.q]
 
     def value_table(self) -> list[complex]:
         """Complex values on residues 0..q-1 (built once, cached)."""
         if self._value_cache is None:
             order = self.order
-            self._value_cache = [0j if k is None else unit_root(k, order)
-                                 for k in map(self.evaluate, range(self.q))]
+            roots = [unit_root(j, order) for j in range(order)]
+            self._value_cache = [0j if k is None else roots[k]
+                                 for k in self._turn_table()]
         return self._value_cache
 
     @property
     def conductor(self) -> int:
-        if self._conductor is None:
-            f = 1
-            exps = self.component_exponents
-            for comp, s in zip(self.group.components, self.group._slices):
-                f *= comp.conductor_of(exps[s])
-            self._conductor = f
-        return self._conductor
+        f = 1
+        exps = self.component_exponents
+        for comp, s in zip(self.group.components, self.group._slices):
+            f *= comp.conductor_of(exps[s])
+        return f
 
     @property
     def is_primitive(self) -> bool:
@@ -258,17 +253,19 @@ def character_group(q: int) -> list[DirichletCharacter]:
 def conductor_and_primitivity(
     chi: DirichletCharacter,
 ) -> tuple[int, bool, DirichletCharacter]:
-    """Conductor, primitivity flag, and the inducing primitive character."""
+    """Conductor, primitivity flag, and the inducing primitive character:
+    chi is trivial on the units = 1 mod f, so at the lift to q of a
+    generator of f of order o its turn k gives the exponent k o / ord chi."""
     f = chi.conductor
     f_group = CharacterGroup(f)
+    moduli = {comp.p: comp.modulus for comp in chi.group.components}
+    order = chi.order
     new_exps: list[int] = []
-    f_comps = {comp.p: comp for comp in f_group.components}
-    exps = chi.component_exponents
-    for comp, s in zip(chi.group.components, chi.group._slices):
-        f_comp = f_comps.get(comp.p)
-        if f_comp is None:
-            continue  # component conductor 1: drops out entirely
-        new_exps.extend(comp.induced_exponents(exps[s], f_comp))
+    for f_comp in f_group.components:
+        for g, o in zip(f_comp.generators, f_comp.orders):
+            k = chi.evaluate(_lift(g, moduli[f_comp.p], chi.q))
+            assert k * o % order == 0
+            new_exps.append(k * o // order)
     inducing = DirichletCharacter(f_group, tuple(new_exps))
     assert inducing.conductor == f
     return f, f == chi.q, inducing

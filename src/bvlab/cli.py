@@ -124,8 +124,9 @@ class ExperimentConfig:
                             allowed=("prime-powers", "primes"))
     hb_x: int = _key("hb", 10**4, "x", ge=2, le=_CEILING)
     hb_n_max: int = _key("hb", 10**4, "n_max", ge=1)
-    # the families read every modulus q < 2Q
-    q_values: list[int] = _key("meanvalue", [4, 8, 16], ge=1,
+    # the families read every modulus q < 2Q; the fourth-moment family
+    # needs a primitive character of modulus 2 <= q < 2Q, so Q >= 2
+    q_values: list[int] = _key("meanvalue", [4, 8, 16], ge=2,
                                le=_MODULUS_CEILING // 2)
     t_values: list[int] = _key("meanvalue", [16, 64], ge=1)
     n_min_exp: int = _key("meanvalue", 6, ge=0)

@@ -213,8 +213,9 @@ def build_triple_family(
     coefficients: dict[int, complex] | None = None,
 ) -> TripleFamily:
     """``coefficients`` is the a_n map of the "explicit" kind. A family
-    needs Q >= 1, N >= 1, N' > N and a finite sigma: anything else would
-    give a report with no triples or a NaN moment."""
+    needs Q >= 1, a primitive character of modulus min_conductor <= q < 2Q,
+    N >= 1, N' > N and a finite sigma: anything else would give a report
+    with no triples or a NaN moment."""
     import numpy as np
     if N_prime is None:
         N_prime = 2 * N
@@ -227,6 +228,8 @@ def build_triple_family(
     if not math.isfinite(sigma):
         raise ValueError("sigma must be finite")
     chis = primitive_characters(Q, min_conductor=min_conductor)
+    if not chis:
+        raise ValueError(f"no primitive character of modulus {min_conductor} <= q < {2 * Q}")
     t_grid = _t_grid(T)
     ns = np.arange(N + 1, N_prime + 1, dtype=np.int64)
     base = _base_coefficients(kind, ns, tables, coefficients)

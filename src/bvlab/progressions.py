@@ -81,11 +81,14 @@ def _residue_weights(y: float, q: int, tables: MultiplicativeTables) -> np.ndarr
 
 def psi_chi(y: float, chi: DirichletCharacter, tables: MultiplicativeTables) -> complex:
     """psi(y, chi) = sum of Lambda(n) chi(n) over n <= y."""
-    q = chi.q
-    w = _residue_weights(y, q, tables)
+    return _twisted_sum(_residue_weights(y, chi.q, tables), chi)
+
+
+def _twisted_sum(w: np.ndarray, chi: DirichletCharacter) -> complex:
+    """sum over residues r of w[r] chi(r), each part by one math.fsum."""
     vals = chi.value_table()
-    re = math.fsum(w[r] * vals[r].real for r in range(q) if w[r])
-    im = math.fsum(w[r] * vals[r].imag for r in range(q) if w[r])
+    re = math.fsum(w[r] * vals[r].real for r in range(chi.q) if w[r])
+    im = math.fsum(w[r] * vals[r].imag for r in range(chi.q) if w[r])
     return complex(re, im)
 
 
@@ -119,14 +122,9 @@ def progression_identity_residual(
     lhs = psi_ap(y, q, a, tables) - psi_coprime(y, q, tables) / phi_q
 
     w = _residue_weights(y, q, tables)
-    rhs_terms: list[complex] = []
-    for chi in group.characters():
-        if chi.is_principal:
-            continue
-        vals = chi.value_table()
-        s = sum(w[r] * vals[r] for r in range(q) if w[r])
-        rhs_terms.append(vals[a % q].conjugate() * s)
-    rhs = sum(rhs_terms) / phi_q
+    # characters()[0] is the principal character
+    rhs = sum(chi.value_table()[a % q].conjugate() * _twisted_sum(w, chi)
+              for chi in group.characters()[1:]) / phi_q
     return abs(lhs - rhs)
 
 

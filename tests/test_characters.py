@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import subprocess
@@ -155,11 +156,102 @@ def test_generator_convention():
     }
     assert CharacterGroup(16).orders == (2, 4)
     assert CharacterGroup(45).orders == (6, 4)
+    # lifted by CRT to g mod p^e, 1 mod q/p^e: 11 = 2 mod 9 = 1 mod 5
+    assert CharacterGroup(45).generators == (11, 37)
+    assert CharacterGroup(40).generators == (31, 21, 17)
+    for q in (1, 2, 8, 45, 720):
+        assert sorted(CharacterGroup(q).units()) == [
+            n for n in range(q) if gcd(n, q) == 1]
     chars16, chars45 = character_group(16), character_group(45)
     assert chars16[0].component_exponents == (0, 0)
     assert chars16[-1].component_exponents == (1, 3)
     assert chars45[0].component_exponents == (0, 0)
     assert chars45[-1].component_exponents == (5, 3)
+
+
+@functools.cache
+def _old_dlogs(m, generators, orders):
+    """{r: (k_i)} with r = prod g_i^k_i mod m = p^e over one component's
+    own generators: the discrete-log table of the per-component route."""
+    table = {1 % m: ()}
+    for g, o in zip(generators, orders):
+        step = {}
+        for x, ks in table.items():
+            for k in range(o):
+                step[x] = ks + (k,)
+                x = x * g % m
+        table = step
+    return table
+
+
+def _old_component_turn(comp, exps, r):
+    """chi_p(r) = e(k / E_p) with E_p the component's largest order."""
+    E = max(comp.orders, default=1)
+    ks = _old_dlogs(comp.modulus, comp.generators, comp.orders)[r % comp.modulus]
+    return sum(c * k * (E // o) for c, k, o in zip(exps, ks, comp.orders)) % E
+
+
+def _old_route(chi):
+    """chi's turns on 0..q-1 by the per-component route: a gcd, a dlog and
+    a turn over each component's exponent, summed over the group exponent
+    lcm(orders), then reduced to ord chi."""
+    group, q = chi.group, chi.q
+    E = math.lcm(*group.orders)
+    out = []
+    for r in range(q):
+        if gcd(r, q) != 1:
+            out.append(None)
+            continue
+        total, pos = 0, 0
+        for comp in group.components:
+            exps = chi.component_exponents[pos:pos + len(comp.orders)]
+            pos += len(comp.orders)
+            total += _old_component_turn(comp, exps, r) * (E // max(comp.orders, default=1))
+        out.append(total % E // (E // chi.order))
+    return out
+
+
+def _old_inducing_exponents(chi):
+    f_comps = {c.p: c for c in CharacterGroup(chi.conductor).components}
+    out, pos = [], 0
+    for comp in chi.group.components:
+        exps = chi.component_exponents[pos:pos + len(comp.orders)]
+        pos += len(comp.orders)
+        f_comp = f_comps.get(comp.p)
+        if f_comp is None:
+            continue
+        E = max(comp.orders, default=1)
+        for g, o in zip(f_comp.generators, f_comp.orders):
+            out.append(_old_component_turn(comp, exps, g) * o // E)
+    return tuple(out)
+
+
+def _hex(values):
+    return [(v.real.hex(), v.imag.hex()) for v in values]
+
+
+def _sampled_characters():
+    for q in range(1, 61):
+        yield from character_group(q)
+    for q in (128, 243, 256, 625, 1000, 1024, 2310, 4096):
+        chars = character_group(q)
+        yield from chars[::max(1, len(chars) // 12)] + chars[-1:]
+
+
+def test_walk_matches_per_component_route():
+    # the turn table walked over the lifted generator powers against the
+    # discrete-log route it replaced: the same integer turns on n in
+    # [0, 2q + 2], and the same value-table bits
+    for chi in _sampled_characters():
+        q, old = chi.q, _old_route(chi)
+        assert [chi.evaluate(n) for n in range(2 * q + 3)] == \
+            [old[n % q] for n in range(2 * q + 3)], chi
+        assert _hex(chi.value_table()) == \
+            _hex([0j if k is None else unit_root(k, chi.order) for k in old]), chi
+    for q in range(1, 121):
+        for chi in character_group(q):
+            _, _, inducing = conductor_and_primitivity(chi)
+            assert inducing.component_exponents == _old_inducing_exponents(chi), chi
 
 
 def test_primitive_count_formula():

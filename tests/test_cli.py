@@ -216,6 +216,7 @@ def test_sieve_ceiling_boundary_accepted():
 
 @pytest.mark.parametrize("command, section, lines", [
     ("meanvalue", "meanvalue", "q_values = 0"),
+    ("meanvalue", "meanvalue", "q_values = 1"),  # no fourth-moment character
     ("meanvalue", "meanvalue", "q_values = 4 -3"),
     ("meanvalue", "meanvalue", "t_values = 0"),
     ("meanvalue", "meanvalue", "t_values = 16 -1"),
@@ -251,7 +252,7 @@ def test_out_of_range_value_exit_code(tmp_path, command, section, lines):
 @pytest.mark.parametrize("command, section, lines", [
     ("exceptions", "exceptions", "x = 132"),  # the least x with x^(9/40) >= 3
     ("meanvalue", "meanvalue",
-     "q_values = 1\nt_values = 1\nn_min_exp = 0\nn_max_exp = 1"),
+     "q_values = 2\nt_values = 1\nn_min_exp = 0\nn_max_exp = 1"),
     ("hb-verify", "hb", "x = 100\nn_max = 1"),
     ("hb-verify", "hb", "x = 2\nn_max = 2"),
     ("meanvalue", "meanvalue",

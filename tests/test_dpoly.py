@@ -158,6 +158,17 @@ def test_vacuous_or_nan_families_rejected(tables, Q, N, N_prime, sigma, match):
         build_triple_family(Q, 16.0, N, N_prime, "unit", tables, sigma=sigma)
 
 
+def test_family_without_characters_rejected(tables):
+    # mod 2 has no primitive character, so Q = 1 with min_conductor 2 would
+    # give an empty family: lhs 0 against the fourth moment's rhs 4.3e15
+    with pytest.raises(ValueError, match="no primitive character"):
+        build_triple_family(1, 16.0, 64, None, "unit", tables, min_conductor=2)
+    with pytest.raises(ValueError, match="no primitive character"):
+        fourth_moment_report(1, 16.0, 64, tables)
+    assert len(build_triple_family(2, 16.0, 64, None, "unit", tables,
+                                   min_conductor=2).polynomials) == 1
+
+
 def _grid_abs_values_reference(t_grid, ns, sigma, C):
     # reference route: the complex exponential on the full grid
     nf = ns.astype(np.float64)
