@@ -23,6 +23,9 @@ def main() -> None:
                     default=[0.5, 1.0, 2.0, 3.0])
     ap.add_argument("--out", default="exception_survey.csv")
     args = ap.parse_args()
+    if min(args.x_values) < 132:
+        # 132 is the least x with max_modulus(x) >= 3; a moduli set needs Q >= 3
+        ap.error(f"every x must be at least 132, got {min(args.x_values)}")
 
     tables = build_tables(max(args.x_values))
     rows = []

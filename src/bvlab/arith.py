@@ -161,18 +161,6 @@ def _assemble(limit: int, spf: np.ndarray, mobius: np.ndarray,
     )
 
 
-def tau_b(n: int, b: int) -> int:
-    """Number of ordered b-tuples of positive integers with product n."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    if not 1 <= b <= 8:
-        raise ValueError("b must be in [1, 8]")
-    out = 1
-    for _, e in factorize(n):
-        out *= math.comb(e + b - 1, b - 1)
-    return out
-
-
 @dataclass(frozen=True)
 class ModuliSet:
     """Pairwise relatively prime moduli in [Q, 2Q)."""

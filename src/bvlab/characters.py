@@ -250,27 +250,6 @@ def character_group(q: int) -> list[DirichletCharacter]:
     return CharacterGroup(q).characters()
 
 
-def conductor_and_primitivity(
-    chi: DirichletCharacter,
-) -> tuple[int, bool, DirichletCharacter]:
-    """Conductor, primitivity flag, and the inducing primitive character:
-    chi is trivial on the units = 1 mod f, so at the lift to q of a
-    generator of f of order o its turn k gives the exponent k o / ord chi."""
-    f = chi.conductor
-    f_group = CharacterGroup(f)
-    moduli = {comp.p: comp.modulus for comp in chi.group.components}
-    order = chi.order
-    new_exps: list[int] = []
-    for f_comp in f_group.components:
-        for g, o in zip(f_comp.generators, f_comp.orders):
-            k = chi.evaluate(_lift(g, moduli[f_comp.p], chi.q))
-            assert k * o % order == 0
-            new_exps.append(k * o // order)
-    inducing = DirichletCharacter(f_group, tuple(new_exps))
-    assert inducing.conductor == f
-    return f, f == chi.q, inducing
-
-
 def primitive_count(q: int) -> int:
     """Number of primitive characters mod q: sum over d|q of mu(d)*phi(q/d),
     taken as its multiplicative closed form, the product over p^e || q of

@@ -207,6 +207,8 @@ def _validate(cfg: ExperimentConfig) -> None:
                     shown = ", ".join(map(str, b)) if bound == "allowed" else b
                     raise InvalidValueError(f"{name} = {v} must be {words} {shown}")
     # the rules that involve two keys or a special shape
+    if not cfg.output_dir:
+        raise InvalidValueError("[general] output_dir must be non-empty")
     if cfg.hb_n_max > cfg.hb_x:
         raise InvalidValueError(f"[hb] n_max {cfg.hb_n_max} exceeds x {cfg.hb_x}")
     if cfg.n_min_exp > cfg.n_max_exp:
@@ -427,6 +429,7 @@ def main(argv: list[str] | None = None) -> int:
             cfg.output_dir = args.output_dir
         if args.seed is not None:
             cfg.seed = args.seed
+        _validate(cfg)  # the command-line values too
         _COMMANDS[args.command](cfg)
     except (ConfigParseError, UnknownKeyError, InvalidValueError,
             AssertionError) as exc:

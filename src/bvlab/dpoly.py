@@ -1,14 +1,14 @@
 """Dirichlet polynomials on dyadic intervals and the discrete mean-value,
-fourth-moment, large-value, and divisor-moment inequality checkers.
+fourth-moment and large-value inequality checkers.
 
 Every checker returns a BoundReport (lhs, rhs formula value, ratio): the
 implied constants of the checked inequalities are estimated as observed
 ratios over declared sweeps, never asserted. The interval-stretch constant
 is fixed at 2: every polynomial lives on (N, 2N] or a sub-interval.
 
-The x entering L = log x and the x^(9/20) terms is a configuration scale
-decoupled from sieve limits (default 2^40), so the exponent shapes can be
-probed without astronomical tables.
+The x entering L = log x is a configuration scale decoupled from sieve
+limits (default 2^40), so the exponent shapes can be probed without
+astronomical tables.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .arith import MultiplicativeTables, tau_b
+from .arith import MultiplicativeTables
 from .characters import CharacterGroup, DirichletCharacter
 from .reports import BoundReport
 
@@ -30,11 +30,6 @@ DEFAULT_X_SCALE = 2**40
 # the index gap is >= SPACING_GAP. Another step needs a float distance test.
 GRID_STEP = 0.25
 SPACING_GAP = round(1 / GRID_STEP)
-
-
-class DifficultIntervalError(ValueError):
-    """N_j falls in the exponent range (9/40, 1/4) where neither the
-    second-moment nor the fourth-moment route applies."""
 
 
 @dataclass
@@ -327,47 +322,3 @@ def large_value_count_bruteforce(family: TripleFamily, V: float) -> int:
             if abs(P.eval(t, sigma=family.sigma)) >= V:
                 count += 1
     return count
-
-
-def divisor_moment_report(N: int, b: int,
-                          x_scale: int = DEFAULT_X_SCALE) -> BoundReport:
-    """N^-1 * sum over n <= 2N of tau_b(n)^2 against L^(b^2 - 1)."""
-    if N < 1:
-        raise ValueError("N must be at least 1")
-    if not 1 <= b <= 8:
-        raise ValueError("b must be in [1, 8]")
-    L = math.log(x_scale)
-    total = sum(tau_b(n, b) ** 2 for n in range(1, 2 * N + 1))
-    lhs = total / N
-    rhs = L ** (b * b - 1)
-    return BoundReport(lhs=lhs, rhs_formula_value=rhs,
-                       parameters={"N": N, "b": b},
-                       label="divisor-moment")
-
-
-def mixed_second_moment_report(
-    Q: int,
-    T: float,
-    N_j: int,
-    tables: MultiplicativeTables | None,
-    x_scale: int = DEFAULT_X_SCALE,
-    kind: str = "unit",
-) -> BoundReport:
-    """Second moment of one dyadic factor at sigma = 1/2 against
-    x^(9/20) T L^10, routed around the difficult interval: the
-    second-moment path needs N_j <= x^(9/40), the fourth-moment path
-    (via Cauchy-Schwarz) needs N_j > x^(1/4)."""
-    small = N_j**40 <= x_scale**9
-    large = N_j**4 > x_scale
-    if not (small or large):
-        raise DifficultIntervalError(
-            f"N_j={N_j} has exponent inside (9/40, 1/4] of x={x_scale}; "
-            "neither route applies"
-        )
-    path = "second-moment" if small else "fourth-moment-cauchy-schwarz"
-    family = build_triple_family(Q, T, N_j, None, kind, tables, sigma=0.5)
-    L = math.log(x_scale)
-    rhs = x_scale ** 0.45 * T * L**10
-    return BoundReport(lhs=family.moment(2), rhs_formula_value=rhs,
-                       parameters={"Q": Q, "T": T, "N_j": N_j, "path": path},
-                       label="mixed-second-moment")

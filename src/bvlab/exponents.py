@@ -10,7 +10,7 @@ shape on a grid.
 The partition and the grid scan run on integers: a tuple becomes its
 numerators over one common denominator D, and a slack becomes an integer
 over a common scale S. Fractions appear only at the edges, in the inputs,
-the certificate strings, ``case_bounds`` and the reported worst case.
+the certificate strings and the reported worst case.
 """
 
 from __future__ import annotations
@@ -207,30 +207,6 @@ def partition_bruteforce(u: tuple[F, ...]) -> PartitionOutcome | None:
 
 
 @dataclass(frozen=True)
-class CaseBound:
-    """One exponent bound: the quantity is at most
-    T^(T_exponent) x^(x_exponent) L^(log_power) and is claimed to be
-    at most T^(claim_T) x^(claim_x) up to log powers. log_power None
-    marks an unspecified absolute constant."""
-
-    case_id: str
-    x_exponent: F
-    T_exponent: F
-    log_power: F | None
-    claim_x: F
-    claim_T: F
-
-    def slack(self, tau: F) -> F:
-        return (self.x_exponent + self.T_exponent * tau) - (
-            self.claim_x + self.claim_T * tau
-        )
-
-    def admissible(self) -> bool:
-        # the slack is affine in tau, so tau in {0, 1} covers [0, 1]
-        return self.slack(F(0)) <= 0 and self.slack(F(1)) <= 0
-
-
-@dataclass(frozen=True)
 class _SlackForm:
     """One case bound as an affine form: the x exponent is
     const + s * 2 theta + m1 * M1 + m2 * M2 + ui * u_i + mx * max(M1, M2),
@@ -289,30 +265,6 @@ _FORMS: dict[str, tuple[_SlackForm, ...]] = {
                    claim_T=F(1, 2), s=F(1, 2), m1=F(1, 2), m2=F(1, 12), ui=F(1, 12)),
     ),
 }
-
-
-def case_bounds(
-    u: tuple[F, ...], outcome: PartitionOutcome, theta: F = THETA_MAX
-) -> list[CaseBound]:
-    """Exponent bounds for one tuple under its certified split, as exact
-    affine forms in (u, theta, tau). The grouped-polynomial sizes enter
-    as M = x^(sum over A1), N = x^(sum over A2), and Q^2 contributes
-    x^(2 theta); at theta = 9/40 the generic x^(9/20) factors appear."""
-    u = tuple(F(x) for x in u)
-    outcome.verify(u)
-    s = 2 * F(theta)  # exponent of Q^2
-    m1 = sum(u[j] for j in outcome.A1)
-    m2 = sum(u[j] for j in outcome.A2)
-    ui = F(0) if outcome.i is None else u[outcome.i]
-    b = len(outcome.A2)
-    return [
-        CaseBound(f.case_id,
-                  f.const + f.s * s + f.m1 * m1 + f.m2 * m2 + f.ui * ui
-                  + f.mx * max(m1, m2),
-                  f.T, None if f.log is None else f.log(b),
-                  claim_x=f.claim_x, claim_T=f.claim_T)
-        for f in _FORMS[outcome.variant]
-    ]
 
 
 def published_fractions() -> dict[str, F]:
@@ -525,14 +477,6 @@ def polytope_scan(grid_step: F, theta: F = THETA_MAX) -> ScanResult:
         passed=violations == 0,
         violations=violations,
     )
-
-
-def claims_within_global_budget() -> bool:
-    """Every per-case claimed exponent pair sits inside the certified
-    global budget (39/40) tau + 1/2, checked at tau in {0, 1}."""
-    return all(f.claim_x + f.claim_T * tau <= TARGET_X + TARGET_T * tau
-               for forms in _FORMS.values() for f in forms
-               for tau in (F(0), F(1)))
 
 
 def random_exponent_tuple(rng) -> tuple[F, ...]:

@@ -92,40 +92,6 @@ def _dirichlet_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def reconstruct_bruteforce(n: int, x: float, tables: MultiplicativeTables) -> float:
-    """Oracle: enumerate every tuple (m_1..m_j, n_1..n_j) with product n
-    directly. Exponential in divisors; for small n only."""
-    z, _, _ = _integer_sizes(x)
-    total = 0.0
-    for j, coeff in enumerate(SIGNED_BINOMIALS, start=1):
-        for tup in _ordered_factorizations(n, 2 * j):
-            ms, ns = tup[:j], tup[j:]
-            if any(m > z for m in ms):
-                continue
-            w = math.log(ns[0]) if ns[0] > 1 else 0.0
-            if w == 0.0:
-                continue
-            mu = 1
-            for m in ms:
-                mu *= int(tables.mobius[m])
-                if mu == 0:
-                    break
-            if mu == 0:
-                continue
-            total += coeff * mu * w
-    return total
-
-
-def _ordered_factorizations(n: int, slots: int):
-    if slots == 1:
-        yield (n,)
-        return
-    for d in range(1, n + 1):
-        if n % d == 0:
-            for rest in _ordered_factorizations(n // d, slots - 1):
-                yield (d,) + rest
-
-
 def verify_identity(x: float, n_max: int, tables: MultiplicativeTables) -> BoundReport:
     """Max over n <= n_max of |reconstruction(n) - Lambda(n)|; the identity
     is exact, so the residual is pure floating error."""
@@ -155,33 +121,6 @@ def dyadic_grid_count(x: float) -> int:
     return count
 
 
-def dyadic_grid(x: float) -> list[tuple[int, ...]]:
-    """Enumerate the admissible dyadic tuples as exponent 8-tuples
-    (N_i = 2^e_i; e_i = 0 marks the degenerate interval, replaced by
-    [1, 2)); sizes multiply to <= x and the four mobius-slot sizes satisfy
-    2 * N_i <= x^(1/4). The enumeration oracle for ``dyadic_grid_count``."""
-    if x < 2**8:
-        raise ValueError("x must be at least 2^8")
-    _, L, cap_high = _integer_sizes(x)
-    tuples = []
-    for highs in product(range(cap_high + 1), repeat=4):
-        rem_high = L - sum(highs)
-        if rem_high < 0:
-            continue
-        for lows in _tuples_sum_at_most(rem_high, 4):
-            tuples.append(lows + highs)
-    return tuples
-
-
-def _tuples_sum_at_most(total: int, slots: int):
-    if slots == 0:
-        yield ()
-        return
-    for e in range(total + 1):
-        for rest in _tuples_sum_at_most(total - e, slots - 1):
-            yield (e,) + rest
-
-
 def dyadic_grid_report(x_values: list[float]) -> BoundReport:
     """Empirical constant for count <= C * (log x)^8 across a sweep."""
     ratios = {}
@@ -193,41 +132,4 @@ def dyadic_grid_report(x_values: list[float]) -> BoundReport:
         rhs_formula_value=math.log(worst_x) ** 8,
         parameters={"x_values": list(x_values), "ratios": ratios},
         label="dyadic-grid-count",
-    )
-
-
-def log_removal_check(
-    N1: int,
-    f: dict[int, float],
-    upper_limit: str = "exact",
-) -> BoundReport:
-    """Compare sum of f(n) log n on (N1, 2N1] with the layer integral
-    int (1/v) sum over n in (max(v, N1), 2N1] of f(n) dv.
-
-    upper_limit="exact" integrates v up to 2N1, which reconstructs the
-    log weight identically; upper_limit="printed" stops at N1, where the
-    indicator never depends on v and the integral collapses to log N1
-    per point. Both are reported; the difference is the point of the check.
-    """
-    if N1 < 1:
-        raise ValueError("N1 must be at least 1")
-    if upper_limit not in ("exact", "printed"):
-        raise ValueError("upper_limit must be 'exact' or 'printed'")
-    support = {n: w for n, w in f.items() if N1 < n <= 2 * N1 and w != 0.0}
-    lhs = math.fsum(w * math.log(n) for n, w in support.items())
-
-    top = 2 * N1 if upper_limit == "exact" else N1
-    # closed form: each point n contributes log(min(n, top)) relative
-    # to the v-layers below it
-    rhs = math.fsum(
-        w * (math.log(N1) + max(0.0, math.log(min(n, top) / N1)))
-        for n, w in support.items()
-    ) if top >= N1 else 0.0
-
-    return BoundReport(
-        lhs=lhs,
-        rhs_formula_value=rhs,
-        parameters={"N1": N1, "upper_limit": upper_limit,
-                    "difference": lhs - rhs},
-        label="log-removal",
     )

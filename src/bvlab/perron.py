@@ -133,11 +133,6 @@ def _to_complex(vec: tuple) -> complex:
                    math.fsum(float(m) * r.imag for m, r in zip(vec, roots)))
 
 
-def exact_partial_sum(family: list[DirichletPolynomial], y: float) -> complex:
-    """sum_{n <= y} of the product coefficients, via convolution arrays."""
-    return _to_complex(_ring_partial_sum(product_coefficients(family), y))
-
-
 def exact_partial_sum_bruteforce(
     family: list[DirichletPolynomial], y: float
 ) -> complex:

@@ -7,7 +7,7 @@ this is exact and avoids an O(x) scan per modulus.
 
 Every sum here reads Lambda through ``tables.jumps(y)``, the prime powers
 n <= y and their weights, which raises ValueError for y past the table.
-One walk over the jumps serves E*, E-dagger and the character extremum:
+One walk over the jumps serves E* and E-dagger:
 ``_class_prefix_sums`` groups the prime powers n <= x by n mod q with one
 stable argsort (a radix sort for q <= 2^16) and takes a cumulative sum
 per class, giving every class sum just before and just after each jump.
@@ -26,8 +26,7 @@ from math import gcd
 from typing import TYPE_CHECKING
 
 from .arith import ModuliSet, MultiplicativeTables
-from .characters import (CharacterGroup, DirichletCharacter, conductor_and_primitivity,
-                         euler_phi)
+from .characters import euler_phi
 
 if TYPE_CHECKING:
     import numpy as np
@@ -43,89 +42,9 @@ class ErrorTermRecord:
     exceptional: bool = False
 
 
-@dataclass
-class CharacterExtremum:
-    chi: DirichletCharacter
-    y_chi: float
-    a_chi: complex  # unit modulus; a_chi * psi(y_chi, chi) = |psi(y_chi, chi)|
-
-
 def psi(y: float, tables: MultiplicativeTables) -> float:
     """Chebyshev psi(y) = sum of Lambda(n) over n <= y."""
     return math.fsum(tables.jumps(y)[1])
-
-
-def psi_ap(y: float, q: int, a: int, tables: MultiplicativeTables) -> float:
-    """Sum of Lambda(n) over prime powers n <= y with n = a (mod q)."""
-    pp, logs = tables.jumps(y)
-    if q < 1:
-        raise ValueError("q must be positive")
-    return math.fsum(logs[pp % q == a % q])
-
-
-def psi_coprime(y: float, q: int, tables: MultiplicativeTables) -> float:
-    """Sum of Lambda(n) over n <= y coprime to q."""
-    import numpy as np
-    pp, logs = tables.jumps(y)
-    if q < 1:
-        raise ValueError("q must be positive")
-    return math.fsum(logs[np.gcd(pp, q) == 1])
-
-
-def _residue_weights(y: float, q: int, tables: MultiplicativeTables) -> np.ndarray:
-    """w[r] = sum of Lambda(n) over prime powers n <= y, n = r (mod q)."""
-    import numpy as np
-    pp, logs = tables.jumps(y)
-    return np.bincount((pp % q).astype(np.int64), weights=logs, minlength=q)
-
-
-def psi_chi(y: float, chi: DirichletCharacter, tables: MultiplicativeTables) -> complex:
-    """psi(y, chi) = sum of Lambda(n) chi(n) over n <= y."""
-    return _twisted_sum(_residue_weights(y, chi.q, tables), chi)
-
-
-def _twisted_sum(w: np.ndarray, chi: DirichletCharacter) -> complex:
-    """sum over residues r of w[r] chi(r), each part by one math.fsum."""
-    vals = chi.value_table()
-    re = math.fsum(w[r] * vals[r].real for r in range(chi.q) if w[r])
-    im = math.fsum(w[r] * vals[r].imag for r in range(chi.q) if w[r])
-    return complex(re, im)
-
-
-def character_extremum(
-    x: float, chi: DirichletCharacter, tables: MultiplicativeTables
-) -> CharacterExtremum:
-    """y(chi) maximizing |psi(y, chi)| over y <= x, with the unimodular
-    phase a(chi) that rotates the maximum onto the positive real axis."""
-    import numpy as np
-    pp, logs = tables.jumps(x)
-    # the running sums of Lambda(n) chi(n) over the jumps are psi(n, chi)
-    running = np.cumsum(logs * np.asarray(chi.value_table())[pp % chi.q])
-    # a leading 0 stands for y = 1, kept unless some |psi(n, chi)| exceeds 0
-    i = int(np.argmax(np.abs(np.concatenate(([0], running)))))
-    best_y = float(pp[i - 1]) if i else 1.0
-    value = psi_chi(best_y, chi, tables)
-    a = 1 + 0j if value == 0 else abs(value) / value
-    return CharacterExtremum(chi=chi, y_chi=best_y, a_chi=a)
-
-
-def progression_identity_residual(
-    y: float, q: int, a: int, tables: MultiplicativeTables
-) -> float:
-    """|LHS - RHS| of the character-orthogonality decomposition of the
-    progression sum: psi(y; q, a) - psi_coprime(y)/phi(q) against
-    (1/phi(q)) * sum over non-principal chi of conj(chi(a)) psi(y, chi)."""
-    if gcd(a, q) != 1:
-        raise ValueError(f"a={a} and q={q} must be coprime")
-    group = CharacterGroup(q)
-    phi_q = group.phi
-    lhs = psi_ap(y, q, a, tables) - psi_coprime(y, q, tables) / phi_q
-
-    w = _residue_weights(y, q, tables)
-    # characters()[0] is the principal character
-    rhs = sum(chi.value_table()[a % q].conjugate() * _twisted_sum(w, chi)
-              for chi in group.characters()[1:]) / phi_q
-    return abs(lhs - rhs)
 
 
 def e_star(x: float, q: int, tables: MultiplicativeTables) -> ErrorTermRecord:
@@ -211,19 +130,6 @@ def e_dagger_bruteforce(x: int, q: int, tables: MultiplicativeTables) -> float:
         cum = np.cumsum(np.where(n % q == a, lam, 0.0))
         best = max(best, float(np.max(np.abs(cum - total / phi_q))))
     return best
-
-
-def reduction_gap(
-    y: float, q: int, chi: DirichletCharacter, tables: MultiplicativeTables
-) -> tuple[float, float]:
-    """The two reduction gaps, both O(L^2 log L / Q) with an empirical
-    constant: (1/phi)|psi(y) - psi_coprime(y, q)| and
-    (1/phi)|psi(y, chi_inducing) - psi(y, chi)|."""
-    phi_q = euler_phi(q)
-    g1 = abs(psi(y, tables) - psi_coprime(y, q, tables)) / phi_q
-    _, _, inducing = conductor_and_primitivity(chi)
-    g2 = abs(psi_chi(y, inducing, tables) - psi_chi(y, chi, tables)) / phi_q
-    return g1, g2
 
 
 def max_modulus(x: float) -> int:

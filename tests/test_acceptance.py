@@ -19,7 +19,6 @@ from bvlab.dpoly import (
     DirichletPolynomial,
     build_triple_family,
     derivative_second_moment_report,
-    divisor_moment_report,
     fourth_moment_report,
     large_value_count_bruteforce,
     large_value_report,
@@ -47,9 +46,9 @@ from bvlab.perron import (
 from bvlab.progressions import (
     e_star_bruteforce,
     exception_scan,
-    progression_identity_residual,
     psi,
 )
+from paper_checks import divisor_moment_report, progression_identity_residual
 
 
 def _report(n, ok, detail):

@@ -11,21 +11,17 @@ from bvlab.arith import (
     ModuliSet,
     build_tables,
     enumerate_moduli_set,
-    tau_b,
 )
 from bvlab.characters import character_group, euler_phi, factorize
 from bvlab.heathbrown import verify_identity
 from bvlab.progressions import (
-    character_extremum,
     e_dagger,
     e_dagger_bruteforce,
     e_star,
     e_star_bruteforce,
     psi,
-    psi_ap,
-    psi_chi,
-    psi_coprime,
 )
+from paper_checks import character_extremum, psi_ap, psi_chi, psi_coprime, tau_b
 
 
 def _naive_mobius(n):

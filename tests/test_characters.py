@@ -13,14 +13,13 @@ import bvlab
 from bvlab.characters import (
     CharacterGroup,
     character_group,
-    conductor_and_primitivity,
     euler_phi,
     factorize,
     primitive_count,
     unit_root,
 )
 from bvlab.dpoly import DirichletPolynomial
-from bvlab.perron import exact_partial_sum
+from paper_checks import conductor_and_primitivity, exact_partial_sum
 
 
 def test_unit_root_reads_the_reduced_fraction():

@@ -240,6 +240,7 @@ def test_sieve_ceiling_boundary_accepted():
     ("exceptions", "exceptions", "x = 1000\nA = 400"),  # (log x)^A overflows
     ("exceptions", "exceptions", "x = 1000\nA = 366.8"),  # phi(q) (log x)^A does
     ("exponents", "exponents", "theta = -1/8"),
+    ("sieve", "general", "output_dir ="),
 ])
 def test_out_of_range_value_exit_code(tmp_path, command, section, lines):
     # rejected by _validate before any library code runs
@@ -247,6 +248,15 @@ def test_out_of_range_value_exit_code(tmp_path, command, section, lines):
                            f"[{section}]\n{lines}\n")
     assert cli.main([command, "--config", cfg]) == cli.EXIT_INVALID_VALUE
     assert not (tmp_path / "out").exists()
+
+
+def test_empty_output_dir_option_exit_code(tmp_path, monkeypatch):
+    # rejected before the command runs, as the empty key in a file is
+    monkeypatch.setitem(cli._COMMANDS, "sieve", lambda cfg: pytest.fail("sieve ran"))
+    cfg = _write(tmp_path, "[sieve]\nlimit = 3000\n")
+    assert cli.main(["sieve", "--config", cfg, "--output-dir", ""]) == \
+        cli.EXIT_INVALID_VALUE
+    assert cli.main(["sieve", "--output-dir", ""]) == cli.EXIT_INVALID_VALUE
 
 
 @pytest.mark.parametrize("command, section, lines", [

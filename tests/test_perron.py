@@ -9,13 +9,13 @@ from bvlab.dpoly import DirichletPolynomial
 from bvlab.perron import (
     ContourSpec,
     default_contour,
-    exact_partial_sum,
     exact_partial_sum_bruteforce,
     height_trend,
     horizontal_bound_check,
     truncated_perron,
     write_perron_csv,
 )
+from paper_checks import exact_partial_sum
 
 CHI1 = character_group(1)[0]
 MAX_REFINE_ROUNDS = 40
@@ -52,8 +52,9 @@ def _panel_edges(height, max_freq):
     return np.concatenate([-pos[::-1], pos[1:]])
 
 
-def _integrate_panels(lo, hi, sigma0, log_ratios, coeffs, order):
-    """Gauss-Legendre value of int F(s) y^s / s dt on each panel [lo, hi]."""
+def _integrate_panels(lo, hi, sigma0, log_ratio, order):
+    """Gauss-Legendre value of int y^s n^(-s) / s dt on each panel [lo, hi],
+    for one term with log_ratio = log(y / n)."""
     nodes, weights = np.polynomial.legendre.leggauss(order)
     n_panels = len(lo)
     out = np.zeros(n_panels, dtype=np.complex128)
@@ -63,40 +64,24 @@ def _integrate_panels(lo, hi, sigma0, log_ratios, coeffs, order):
     for start in range(0, n_panels, panels_per_chunk):
         sl = slice(start, min(start + panels_per_chunk, n_panels))
         t = mid[sl, None] + half[sl, None] * nodes[None, :]
-        s_t = t.ravel()
-        vals = np.zeros(s_t.shape, dtype=np.complex128)
-        for lr, c in zip(log_ratios, coeffs):
-            vals += c * np.exp(sigma0 * lr) * np.exp(1j * s_t * lr)
-        vals /= sigma0 + 1j * s_t
-        vals = vals.reshape(t.shape)
+        vals = np.exp(sigma0 * log_ratio) * np.exp(1j * t * log_ratio)
+        vals /= sigma0 + 1j * t
         out[sl] = half[sl] * (vals @ weights)
     return out
 
 
-def quadrature_perron(family, y, spec, rel_tol=1e-8):
-    """Oracle: the truncated Perron integral by adaptive composite
-    Gauss-Legendre panels (12 against 24 nodes, bisecting the panels
-    whose two values disagree), independent of the closed form."""
-    ns, coeffs = _float_coefficients(family)
-    if len(ns) == 0:
-        return 0j
-    log_ratios = np.log(y / ns.astype(np.float64))
-    edges = _panel_edges(spec.height, float(np.max(np.abs(log_ratios))))
+def _term_quadrature(log_ratio, spec, density):
+    """The truncated Perron integral of one term y^s n^(-s) / s by adaptive
+    composite Gauss-Legendre panels (12 against 24 nodes, bisecting each
+    panel whose two values differ by more than density times its width)."""
+    edges = _panel_edges(spec.height, abs(log_ratio))
     lo, hi = edges[:-1], edges[1:]
     sigma0 = float(spec.sigma0)
-
-    coarse = _integrate_panels(lo, hi, sigma0, log_ratios, coeffs, 12)
-    fine = _integrate_panels(lo, hi, sigma0, log_ratios, coeffs, 24)
-    reference = max(1.0, float(abs(np.sum(fine))))
-    tol_density = rel_tol * reference / (2.0 * spec.height)
-    # integrand amplitude at t = 0 sets the attainable floating-point floor
-    amp = float(np.sum(np.abs(coeffs) * np.exp(sigma0 * log_ratios)))
-
     total = 0j
     for _ in range(MAX_REFINE_ROUNDS):
-        err = np.abs(fine - coarse)
-        budget = np.maximum(tol_density * (hi - lo), 1e-15 * amp * (hi - lo))
-        ok = err <= budget
+        coarse = _integrate_panels(lo, hi, sigma0, log_ratio, 12)
+        fine = _integrate_panels(lo, hi, sigma0, log_ratio, 24)
+        ok = np.abs(fine - coarse) <= density * (hi - lo)
         total += complex(np.sum(fine[ok]))
         if np.all(ok):
             return total / (2.0 * math.pi)
@@ -104,9 +89,28 @@ def quadrature_perron(family, y, spec, rel_tol=1e-8):
         mid = (lo_bad + hi_bad) / 2.0
         lo = np.concatenate([lo_bad, mid])
         hi = np.concatenate([mid, hi_bad])
-        coarse = _integrate_panels(lo, hi, sigma0, log_ratios, coeffs, 12)
-        fine = _integrate_panels(lo, hi, sigma0, log_ratios, coeffs, 24)
-    raise AssertionError(f"quadrature did not reach {rel_tol}")
+    raise AssertionError(f"quadrature of log(y/n) = {log_ratio} did not converge")
+
+
+def quadrature_perron(ns, coeffs, y, spec, weight, terms, rel_tol=1e-8):
+    """Oracle: the truncated Perron integral of sum c_n n^(-s), independent
+    of the closed form, as sum c_n J_n with J_n the quadrature of the term
+    y^s n^(-s) / s. ``terms`` caches J_n by n for this y and spec.
+
+    ``weight`` bounds sum |c_n| for every family that shares ``terms``.
+    J_n's error budget per unit height is
+    (rel_tol / (2 height weight) + 1e-15 (y/n)^sigma0) / 2. Weighted by
+    |c_n| and summed over a family, that is at most the mean of the two
+    parts of a whole-family quadrature's budget, rel_tol max(1, |I|) /
+    (2 height) and 1e-15 sum |c_n| (y/n)^sigma0, so no more than the larger
+    one, which such a quadrature allows."""
+    for n in ns.tolist():
+        if n not in terms:
+            lr = math.log(y / n)
+            density = (rel_tol / (2.0 * spec.height * weight)
+                       + 1e-15 * math.exp(float(spec.sigma0) * lr)) / 2.0
+            terms[n] = _term_quadrature(lr, spec, density)
+    return complex(sum(c * terms[n] for n, c in zip(ns.tolist(), coeffs.tolist())))
 
 
 def _families(q, tables, real=True):
@@ -233,12 +237,16 @@ def test_height_trend_and_csv(tmp_path, tables):
 
 @pytest.mark.parametrize("q", [1, 5, 13])
 def test_closed_form_matches_quadrature(q, tables):
-    for label, fam in _families(q, tables):
-        for y in (4.5, 10.5, 30.5, 60.5):
-            for height in (1e2, 1e3, 1e4):
-                spec = default_contour(y, height)
+    fams = [(label, fam, *_float_coefficients(fam))
+            for label, fam in _families(q, tables)]
+    weight = max(float(np.sum(np.abs(coeffs))) for *_, coeffs in fams)
+    for y in (4.5, 10.5, 30.5, 60.5):
+        for height in (1e2, 1e3, 1e4):
+            spec = default_contour(y, height)
+            terms = {}
+            for label, fam, ns, coeffs in fams:
                 r = truncated_perron(fam, y, spec)
-                oracle = quadrature_perron(fam, y, spec)
+                oracle = quadrature_perron(ns, coeffs, y, spec, weight, terms)
                 assert abs(r.approx - oracle) <= 1e-12 * max(1.0, abs(r.exact)), \
                     (label, y, height, r.approx, oracle)
 
