@@ -10,8 +10,9 @@ a table.
 
 import argparse
 import csv
+import math
 
-from bvlab.arith import build_tables, enumerate_moduli_set
+from bvlab.arith import DEFAULT_LIMIT_CEILING, build_tables, enumerate_moduli_set
 from bvlab.progressions import exception_scan, max_modulus
 
 
@@ -26,6 +27,13 @@ def main() -> None:
     if min(args.x_values) < 132:
         # 132 is the least x with max_modulus(x) >= 3; a moduli set needs Q >= 3
         ap.error(f"every x must be at least 132, got {min(args.x_values)}")
+    if max(args.x_values) > DEFAULT_LIMIT_CEILING:
+        # the sieve behind E*(x, q) stops at this ceiling
+        ap.error(f"every x must be at most {DEFAULT_LIMIT_CEILING}, "
+                 f"got {max(args.x_values)}")
+    bad = [A for A in args.a_values if not 0 <= A < math.inf]
+    if bad:
+        ap.error(f"every A must be finite and nonnegative, got {bad[0]}")
 
     tables = build_tables(max(args.x_values))
     rows = []

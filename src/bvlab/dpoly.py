@@ -13,6 +13,7 @@ astronomical tables.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -124,53 +125,100 @@ def _grid_abs_values(t_grid: np.ndarray, ns: np.ndarray, sigma: float,
 
     t_grid must be of odd length and symmetric about 0
     (t_grid[::-1] == -t_grid), as every _t_grid is; anything else raises
-    ValueError. Only the rows with t >= 0 of the phase matrix
-    n^(-sigma) exp(-i t log n) are computed: the angle t log n goes through
-    the real cos and sin, whose values are bit for bit those of the complex
-    exp(-i t log n), and the imaginary part is then negated. The rows with
-    t < 0 are the conjugates of their mirror rows, with the same bits as
-    computing them: (-t) log n = -(t log n) exactly in IEEE arithmetic, cos
-    is even and sin odd, and the real scale n^(-sigma) does not depend on
-    the sign of t. The scale is applied even at sigma = 0, where multiplying
-    by 1 + 0i sets the signs of the zeros as the complex route does."""
+    ValueError. The rows with t >= 0 of exp(-i t log n) depend only on the
+    grid and the n range, not on sigma or C, so the last such block is held
+    (one block at a time, (len(t_grid) // 2 + 1) * len(ns) complex values:
+    4.2 MB at T = 64, N = 1024 and 16.8 MB at T = 64, N = 4096). Each call
+    scales it by the real n^(-sigma) into a fresh phase matrix, the same
+    complex-by-real multiply as scaling in place, so every bit is that of
+    the complex route. The rows with t < 0 are the conjugates of their
+    mirror rows, with the same bits as computing them: (-t) log n =
+    -(t log n) exactly in IEEE arithmetic, cos is even and sin odd, and the
+    real scale n^(-sigma) does not depend on the sign of t. The scale is
+    applied even at sigma = 0, where multiplying by 1 + 0i sets the signs
+    of the zeros as the complex route does."""
     import numpy as np
     if len(t_grid) % 2 == 0 or not np.array_equal(t_grid[::-1], -t_grid):
         raise ValueError("t_grid must be of odd length and symmetric about 0")
     m = len(t_grid) // 2
     nf = ns.astype(np.float64)
+    top = _half_phase_block(np.asarray(t_grid[m:], dtype=np.float64).tobytes(),
+                            nf.tobytes())
     phase = np.empty((len(t_grid), len(ns)), dtype=np.complex128)
-    top = phase[m:]
-    ang = np.outer(t_grid[m:], np.log(nf))
-    np.cos(ang, out=top.real)
-    np.sin(ang, out=top.imag)
-    np.negative(top.imag, out=top.imag)
-    top *= nf ** (-sigma)
-    np.conjugate(top[1:][::-1], out=phase[:m])
+    np.multiply(top, nf ** (-sigma), out=phase[m:])
+    np.conjugate(phase[m + 1:][::-1], out=phase[:m])
     return np.abs(phase @ C)
 
 
-def _greedy_spaced(vals: np.ndarray) -> np.ndarray:
-    """Sorted grid indices picked greedily by falling value, ties by rising t."""
+@functools.lru_cache(maxsize=1)
+def _half_phase_block(t_rows: bytes, n_values: bytes) -> np.ndarray:
+    """Read-only exp(-i t log n) for the float64 t rows and n values whose
+    bytes are given (the exact arrays are the key): the angle goes through
+    the real cos and sin, whose values are bit for bit those of the complex
+    exp, and the imaginary part is then negated."""
     import numpy as np
-    free = np.ones(len(vals), dtype=bool)
-    chosen = np.zeros(len(vals), dtype=bool)
-    for k in np.argsort(-vals, kind="stable").tolist():
-        if free[k]:
-            chosen[k] = True
-            free[max(k - SPACING_GAP + 1, 0):k + SPACING_GAP] = False
-    return np.flatnonzero(chosen)
+    t = np.frombuffer(t_rows, dtype=np.float64)
+    nf = np.frombuffer(n_values, dtype=np.float64)
+    block = np.empty((len(t), len(nf)), dtype=np.complex128)
+    ang = np.outer(t, np.log(nf))
+    np.cos(ang, out=block.real)
+    np.sin(ang, out=block.imag)
+    np.negative(block.imag, out=block.imag)
+    block.flags.writeable = False
+    return block
 
 
+def _greedy_spaced_columns(vals: np.ndarray) -> np.ndarray:
+    """Boolean mask of the grid points each column of vals keeps when its
+    points are visited by falling value, ties by rising t, and a point is
+    kept unless a kept point lies within SPACING_GAP - 1 indices.
+
+    All columns are decided together in rounds (Blelloch, Fineman and
+    Shun, SPAA 2012): a live point whose rank is the least among the live
+    points of its window is kept, and the points of its window die. Every
+    better-ranked point of that window is already decided and not kept,
+    so the sequential visit keeps it too: the result is the same set."""
+    import numpy as np
+    rows, cols = vals.shape
+    w = SPACING_GAP - 1
+    # dead points and the padding hold rank `rows`, above every live rank;
+    # int32 halves the memory traffic of the rounds (a grid of 2^31 rows
+    # would not fit in memory)
+    padded = np.full((rows + 2 * w, cols), rows, dtype=np.int32)
+    live_rank = padded[w:w + rows]
+    np.put_along_axis(live_rank, np.argsort(-vals, axis=0, kind="stable"),
+                      np.arange(rows, dtype=np.int32)[:, None], axis=0)
+    picked = np.zeros((rows + 2 * w, cols), dtype=bool)
+    kept = np.zeros(vals.shape, dtype=bool)
+    while True:
+        live = live_rank < rows
+        if not live.any():
+            return kept
+        low = live_rank.copy()
+        for d in range(1, w + 1):
+            np.minimum(low, padded[w - d:w - d + rows], out=low)
+            np.minimum(low, padded[w + d:w + d + rows], out=low)
+        new = picked[w:w + rows]
+        np.equal(live_rank, low, out=new)
+        new &= live
+        kept |= new
+        dead = new.copy()
+        for d in range(1, w + 1):
+            dead |= picked[w - d:w - d + rows]
+            dead |= picked[w + d:w + d + rows]
+        np.copyto(live_rank, rows, where=dead)
+
+
+@functools.lru_cache(maxsize=2)
 def primitive_characters(Q: int,
-                         min_conductor: int = 1) -> list[DirichletCharacter]:
+                         min_conductor: int = 1) -> tuple[DirichletCharacter, ...]:
     """All primitive characters mod q over min_conductor <= q < 2Q
-    (q = 1 contributes the trivial character)."""
-    out = []
-    for q in range(min_conductor, 2 * Q):
-        for chi in CharacterGroup(q).characters():
-            if chi.is_primitive:
-                out.append(chi)
-    return out
+    (q = 1 contributes the trivial character). The last two results are
+    held, as tuples so no caller can change a shared one: a sweep that
+    alternates min_conductor at one Q builds each character, and its value
+    table, once."""
+    return tuple(chi for q in range(min_conductor, 2 * Q)
+                 for chi in CharacterGroup(q).characters() if chi.is_primitive)
 
 
 @dataclass
@@ -222,7 +270,7 @@ def build_triple_family(
         raise ValueError("N' must exceed N")
     if not math.isfinite(sigma):
         raise ValueError("sigma must be finite")
-    chis = primitive_characters(Q, min_conductor=min_conductor)
+    chis = primitive_characters(Q, min_conductor)
     if not chis:
         raise ValueError(f"no primitive character of modulus {min_conductor} <= q < {2 * Q}")
     t_grid = _t_grid(T)
@@ -239,9 +287,10 @@ def build_triple_family(
         polys.append(P)
     grid_vals = _grid_abs_values(t_grid, ns, sigma, C)
 
+    kept = _greedy_spaced_columns(grid_vals)
     spaced, abs_vals = [], []
     for j, chi in enumerate(chis):
-        idx = _greedy_spaced(grid_vals[:, j])
+        idx = np.flatnonzero(kept[:, j])
         spaced.append(WellSpacedSet(chi=chi, points=t_grid[idx].tolist()))
         abs_vals.append(grid_vals[idx, j])
     return TripleFamily(Q=Q, T=T, N=N, N_prime=N_prime, kind=kind, sigma=sigma,

@@ -25,10 +25,6 @@ THETA_MAX = F(9, 40)
 DELTA = F(1, 20)
 ALLOWED_GRID_STEPS = (F(1, 8), F(1, 16), F(1, 40), F(1, 80))
 
-# the certified exponent target: combined <= (39/40) tau + 1/2
-TARGET_X = F(1, 2)
-TARGET_T = F(39, 40)
-
 _ALL = frozenset(range(8))
 
 

@@ -19,8 +19,9 @@ from bvlab.dpoly import (
     large_value_report,
     mean_value_report,
     primitive_characters,
-    _greedy_spaced,
+    _greedy_spaced_columns,
     _grid_abs_values,
+    _half_phase_block,
     _t_grid,
 )
 from bvlab.reports import BoundReport
@@ -82,7 +83,7 @@ def test_selected_points_always_one_spaced(raw_vals):
     # the contiguous grid, whatever the value profile looks like (ties
     # included), and every grid point lies within 1 of a selected one
     vals = np.array(raw_vals)
-    idx = _greedy_spaced(vals)
+    idx = np.flatnonzero(_greedy_spaced_columns(vals[:, None])[:, 0])
     pts = (idx * GRID_STEP).tolist()
     for a, b in zip(pts, pts[1:]):
         assert b - a >= 1.0
@@ -111,10 +112,11 @@ def test_selection_matches_float_reference_on_families(tables, Q, T, N, sigma):
     t_grid = _t_grid(T)
     C = np.column_stack([P.twisted_coefficients() for P in fam.polynomials])
     grid_vals = _grid_abs_values(t_grid, fam.polynomials[0].support, sigma, C)
+    kept = _greedy_spaced_columns(grid_vals)
     for j, (J, vals) in enumerate(zip(fam.spaced_sets, fam.abs_values)):
         want = _greedy_spaced_reference(t_grid, grid_vals[:, j])
         want_idx = np.searchsorted(t_grid, want)
-        assert _greedy_spaced(grid_vals[:, j]).tolist() == want_idx.tolist()
+        assert np.flatnonzero(kept[:, j]).tolist() == want_idx.tolist()
         assert J.points == want
         assert np.array_equal(vals, grid_vals[want_idx, j])
 
@@ -130,8 +132,37 @@ def test_selection_matches_float_reference_on_tied_values():
             vals = rng.random(len(t_grid))
         tied += len(np.unique(vals)) < len(vals)
         want = np.searchsorted(t_grid, _greedy_spaced_reference(t_grid, vals))
-        assert _greedy_spaced(vals).tolist() == want.tolist()
+        got = np.flatnonzero(_greedy_spaced_columns(vals[:, None])[:, 0])
+        assert got.tolist() == want.tolist()
     assert tied >= 100
+
+
+@pytest.mark.parametrize("T", [1.0, 2.25, 16.0, 64.0])
+def test_batched_selection_matches_reference_column_by_column(T):
+    # one call decides every column: random, small-integer (many ties),
+    # all-equal, all-zero and planted-tie columns side by side, on grids
+    # down to the shortest one (T = 1, 9 rows)
+    rng = np.random.default_rng(20261019)
+    t_grid = _t_grid(T)
+    rows = len(t_grid)
+    cols = [rng.random(rows), rng.integers(0, 4, rows).astype(np.float64),
+            np.full(rows, 2.5), np.zeros(rows)]
+    for _ in range(12):
+        col = rng.random(rows)
+        # copy one value onto a few other points, near and far
+        at = rng.choice(rows, size=min(rows, 4), replace=False)
+        col[at] = col[at[0]]
+        cols.append(col)
+    vals = np.column_stack(cols)
+    kept = _greedy_spaced_columns(vals)
+    assert kept.shape == vals.shape and kept.dtype == bool
+    for j in range(vals.shape[1]):
+        want = np.searchsorted(t_grid,
+                               _greedy_spaced_reference(t_grid, vals[:, j]))
+        assert np.flatnonzero(kept[:, j]).tolist() == want.tolist()
+    # no column depends on its neighbours
+    perm = rng.permutation(vals.shape[1])
+    assert np.array_equal(_greedy_spaced_columns(vals[:, perm]), kept[:, perm])
 
 
 @pytest.mark.parametrize("T", [0.0, 0.5, 0.99, math.nan, math.inf])
@@ -198,6 +229,38 @@ def test_grid_abs_values_bit_identical_to_complex_exp(T, N):
             [float(v).hex() for v in want[rows, -1]]
 
 
+def test_held_phase_block_never_goes_stale():
+    # sigma changes, then N, then T, then a grid and an n set of the same
+    # shapes but other values, then the first (T, N) again: each result has
+    # the bits of the complex route, whichever block was held before
+    chis = [chi for chi in character_group(7) if not chi.is_real]
+
+    def case(T, N, sigma, t_scale=1.0, n_scale=1):
+        ns = np.arange(N + 1, 2 * N + 1, dtype=np.int64) * n_scale
+        C = np.column_stack([np.ones(len(ns), dtype=np.complex128)]
+                            + [np.asarray(chi.value_table())[ns % 7]
+                               for chi in chis])
+        return _t_grid(T) * t_scale, ns, sigma, C
+
+    for args in [case(16.0, 64, 0.0), case(16.0, 64, 0.5),
+                 case(16.0, 128, 0.5), case(10.3, 128, 0.5),
+                 case(10.3, 128, 0.5, t_scale=0.5),
+                 case(10.3, 128, 0.5, n_scale=3), case(16.0, 64, 0.0)]:
+        assert np.array_equal(_grid_abs_values(*args),
+                              _grid_abs_values_reference(*args))
+    before = _half_phase_block.cache_info()
+    got = _grid_abs_values(*case(16.0, 64, 1.5))
+    after = _half_phase_block.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    assert np.array_equal(got, _grid_abs_values_reference(*case(16.0, 64, 1.5)))
+    t_grid, ns = case(16.0, 64, 0.0)[:2]
+    block = _half_phase_block(t_grid[len(t_grid) // 2:].tobytes(),
+                              ns.astype(np.float64).tobytes())
+    assert block.shape == (len(t_grid) // 2 + 1, len(ns))
+    with pytest.raises(ValueError, match="read-only"):
+        block[0, 0] = 0
+
+
 @pytest.mark.parametrize("t_grid", [
     _t_grid(4.0) + GRID_STEP,  # shifted
     np.arange(-16, 16, dtype=np.float64) * GRID_STEP,  # even length
@@ -221,6 +284,8 @@ def test_select_well_spaced_runs(tables):
 
 def test_primitive_character_family_size():
     fam = primitive_characters(4)
+    # one tuple per (Q, min_conductor), shared and immutable
+    assert isinstance(fam, tuple) and primitive_characters(4) is fam
     # q < 8: conductors 1, 3, 4, 5 (x2), 7 (x6) -> 1+1+1+3+5+... enumerate
     assert all(chi.is_primitive for chi in fam)
     assert sorted({chi.q for chi in fam}) == [1, 3, 4, 5, 7]

@@ -4,7 +4,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from bvlab.arith import enumerate_moduli_set
+import pytest
+
+from bvlab.arith import DEFAULT_LIMIT_CEILING, enumerate_moduli_set
 from bvlab.progressions import exception_scan, max_modulus
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -43,3 +45,29 @@ def test_survey_rejects_x_below_132(tmp_path):
     assert run.returncode == 2
     assert "at least 132" in run.stderr
     assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--a-values", "1", "nan"], "finite and nonnegative, got nan"),
+    (["--a-values", "inf"], "finite and nonnegative, got inf"),
+    (["--a-values=-inf"], "finite and nonnegative, got -inf"),
+    (["--a-values", "-0.5", "1"], "finite and nonnegative, got -0.5"),
+    (["--x-values", "1000", str(2 * DEFAULT_LIMIT_CEILING)],
+     f"at most {DEFAULT_LIMIT_CEILING}"),
+])
+def test_survey_rejects_bad_a_and_x_above_the_ceiling(tmp_path, args, message):
+    # each of these once wrote a NaN row, took a negative A, or died in the
+    # sieve with a traceback; now each is an argument error before any sieve
+    run = _survey(*args, "--out", str(tmp_path / "s.csv"))
+    assert run.returncode == 2
+    assert message in run.stderr
+    assert "Traceback" not in run.stderr
+    assert not (tmp_path / "s.csv").exists()
+
+
+def test_survey_accepts_a_zero(tmp_path):
+    # A = 0 is the weakest threshold, not an invalid one
+    out = tmp_path / "s.csv"
+    run = _survey("--x-values", "1000", "--a-values", "0", "--out", str(out))
+    assert run.returncode == 0, run.stderr
+    assert out.read_text().splitlines()[1].startswith("1000,0.0,")

@@ -9,8 +9,6 @@ from hypothesis import given, settings, strategies as st
 from bvlab.exponents import (
     _FORMS,
     ALLOWED_GRID_STEPS,
-    TARGET_T,
-    TARGET_X,
     THETA_MAX,
     PartitionOutcome,
     ScanResult,
@@ -28,6 +26,10 @@ from bvlab.exponents import (
     validate_exponents,
 )
 from bvlab.reports import write_json
+
+# the certified exponent target: combined <= (39/40) tau + 1/2
+TARGET_X = F(1, 2)
+TARGET_T = F(39, 40)
 
 
 def _u(*nums, den):

@@ -26,9 +26,25 @@ def _references(tree, skip=None):
     return found
 
 
+def _defined_names(node):
+    """Names a top-level statement defines: a function or class name, or
+    each name an assignment binds (tuple targets included)."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
 def test_every_public_definition_has_a_caller():
     # callers live in the package, the benchmark and the scripts; tests
-    # do not count, so a definition only tests reach belongs in the tests
+    # do not count, so a definition or constant only tests reach belongs in
+    # the tests. Private names, dunders such as __version__ included, are
+    # exempt.
     modules = sorted(PACKAGE.glob("*.py"))
     paths = modules + sorted((ROOT / "perfbench").glob("*.py")) \
         + sorted((ROOT / "scripts").glob("*.py"))
@@ -38,9 +54,8 @@ def test_every_public_definition_has_a_caller():
     for path in modules:
         elsewhere = set().union(*(r for p, r in refs.items() if p != path))
         for node in trees[path].body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
-                    and not node.name.startswith("_") \
-                    and node.name not in elsewhere \
-                    and node.name not in _references(trees[path], skip=node):
-                uncalled.append(f"{path.stem}.{node.name}")
+            for name in _defined_names(node):
+                if not name.startswith("_") and name not in elsewhere \
+                        and name not in _references(trees[path], skip=node):
+                    uncalled.append(f"{path.stem}.{name}")
     assert not uncalled, uncalled
