@@ -61,9 +61,10 @@ class MultiplicativeTables:
 
     def jumps(self, y: float) -> tuple[np.ndarray, np.ndarray]:
         """The jump points of psi up to y (the prime powers n <= y,
-        ascending) and their weights Lambda(n); ValueError if y > limit."""
+        ascending) and their weights Lambda(n); ValueError if y > limit
+        or y is NaN."""
         import numpy as np
-        if y > self.limit:
+        if not y <= self.limit:
             raise ValueError(f"y={y} exceeds the table limit {self.limit}")
         k = int(np.searchsorted(self.prime_powers, y, side="right"))
         return self.prime_powers[:k], self.prime_power_logs[:k]

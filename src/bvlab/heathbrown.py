@@ -29,7 +29,7 @@ def reconstruct(x: float, n_max: int, tables: MultiplicativeTables) -> np.ndarra
     """Array r with r[n] = the identity's reconstruction of Lambda(n),
     for 0 <= n <= n_max, built from Dirichlet convolutions."""
     import numpy as np
-    if n_max > x or x > tables.limit:
+    if not n_max <= x <= tables.limit:
         raise ValueError("need n_max <= x <= tables.limit")
     n_max = int(n_max)
     z, _, _ = _integer_sizes(x)

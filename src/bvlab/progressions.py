@@ -8,12 +8,15 @@ this is exact and avoids an O(x) scan per modulus.
 Every sum here reads Lambda through ``tables.jumps(y)``, the prime powers
 n <= y and their weights, which raises ValueError for y past the table.
 One walk over the jumps serves E* and E-dagger:
-``_class_prefix_sums`` groups the prime powers n <= x by n mod q with one
+``_class_sums`` groups the prime powers n <= x by n mod q with one
 stable argsort (a radix sort for q <= 2^16) and takes a cumulative sum
 per class, giving every class sum just before and just after each jump.
 That costs one sort and one np.cumsum call per class that holds a jump,
 and each class sum is added one weight at a time in jump order, so it is
-bit-equal to a running ``+=`` over the jumps.
+bit-equal to a running ``+=`` over the jumps. E* needs only the largest
+deviation and the least jump reaching it, so it reads the sums in class
+order; only E-dagger, whose running max and min run in jump order,
+scatters them back through ``_class_prefix_sums``.
 """
 
 from __future__ import annotations
@@ -51,19 +54,33 @@ def e_star(x: float, q: int, tables: MultiplicativeTables) -> ErrorTermRecord:
     """max over residues a coprime to q and over y <= x of
     |psi(y; q, a) - y/phi(q)|, exact via jump-point evaluation."""
     import numpy as np
+    _check_modulus(q)
     pp, logs = tables.jumps(x)
     inv_phi = 1.0 / euler_phi(q)
-    coprime, before, after, totals = _class_prefix_sums(pp, logs, q)
-    jumps = pp[coprime]
-    # left then right limit at each jump, so argmax keeps the first maximum
-    dev = np.column_stack((before[coprime], after[coprime]))
-    dev -= (jumps * inv_phi)[:, None]
-    dev = np.abs(dev, out=dev).ravel()
+    order, starts, ends, class_coprime, sums, totals = _class_sums(pp, logs, q)
     best, y_star = 0.0, 1.0
-    if len(dev):
-        i = int(np.argmax(dev))
-        if dev[i] > best:
-            best, y_star = float(dev[i]), float(jumps[i // 2])
+    if len(pp):
+        # in class order the right limit at a jump is its class's running
+        # sum and the left limit the sum one jump earlier (0 at a start)
+        jumps = pp[order]
+        line = jumps * inv_phi
+        dev = np.empty_like(sums)
+        dev[1:] = sums[:-1]
+        dev[starts] = 0
+        dev -= line
+        np.abs(dev, out=dev)
+        sums -= line
+        np.maximum(dev, np.abs(sums, out=sums), out=dev)
+        # a class not coprime to q holds only powers of the primes of q,
+        # so these classes are few and short
+        shared = ~class_coprime
+        for lo, hi in zip(starts[shared].tolist(), ends[shared].tolist()):
+            dev[lo:hi] = 0
+        top = dev.max()
+        if top > best:
+            # both limits of a jump share its y, and pp increases, so the
+            # least jump reaching the maximum is the first one in y
+            best, y_star = float(top), float(jumps[dev == top].min())
     endpoint = float(np.max(np.abs(totals - x * inv_phi)))
     if endpoint > best:
         best, y_star = endpoint, float(x)
@@ -89,6 +106,7 @@ def e_dagger(x: float, q: int, tables: MultiplicativeTables) -> ErrorTermRecord:
     """max over y <= x and a coprime to q of
     |psi(y; q, a) - psi(y)/phi(q)| (centered at the full Chebyshev sum)."""
     import numpy as np
+    _check_modulus(q)
     pp, logs = tables.jumps(x)
     inv_phi = 1.0 / euler_phi(q)
     best, y_star = 0.0, 1.0
@@ -150,7 +168,12 @@ def exception_scan(
     S: ModuliSet,
     tables: MultiplicativeTables,
 ) -> tuple[list[ErrorTermRecord], dict]:
-    """Flag each q in S whose E*(x, q) exceeds x / (phi(q) (log x)^A)."""
+    """Flag each q in S whose E*(x, q) exceeds x / (phi(q) (log x)^A).
+    ValueError unless x > 1 and A >= 0 are finite."""
+    if not 1 < x < math.inf:
+        raise ValueError(f"x must be finite and exceed 1, got {x}")
+    if not 0 <= A < math.inf:
+        raise ValueError(f"A must be finite and >= 0, got {A}")
     if Q > max_modulus(x):
         warnings.warn(f"Q={Q} exceeds x^(9/40); the scan proceeds anyway")
     log_x = math.log(x)
@@ -185,22 +208,31 @@ def write_error_csv(records: list[ErrorTermRecord], path: str) -> None:
             )
 
 
-def _class_prefix_sums(pp: np.ndarray, weights: np.ndarray, q: int):
-    """Walk the jumps pp in order, keeping one running sum of the weights
-    per class mod q. Returns (coprime, before, after, totals): whether
-    (n, q) = 1 for each jump n, the sum of n's class over the jumps < n
-    and over the jumps <= n, and the sums of the phi(q) coprime classes
-    over all jumps.
+def _check_modulus(q: int) -> None:
+    """TypeError unless q is an int (not a bool); ValueError if q < 1."""
+    if isinstance(q, bool) or not isinstance(q, int):
+        raise TypeError(f"modulus must be an int, got {q!r}")
+    if q < 1:
+        raise ValueError(f"modulus must be at least 1, got {q}")
 
-    A stable argsort of the residues groups the jumps by class, each
-    class in jump order. The residues are kept in the narrowest unsigned
-    dtype that holds q - 1, so numpy sorts 8- and 16-bit keys by radix
-    and no other full-length integer array is made; a stable order is
-    unique, so the cast changes no index. Each class is then summed by
-    np.cumsum, which adds its weights one at a time in jump order for
-    real and complex weights alike, so every sum is bit-equal to a
-    running ``+=`` over the jumps. Coprimality to q is tested once per
-    class."""
+
+def _class_sums(pp: np.ndarray, weights: np.ndarray, q: int):
+    """Group the jumps pp by class mod q, each class in jump order, and
+    keep one running sum of the weights per class. Returns (order, starts,
+    ends, class_coprime, sums, totals): the permutation of the jumps into
+    class order, the bounds [starts[k], ends[k]) of each class in it,
+    whether each class is coprime to q, the running sums in class order
+    (sums[i] is the sum of jump order[i]'s class over the jumps <= it),
+    and the sums of the phi(q) coprime classes over all jumps.
+
+    A stable argsort of the residues gives the class order. The residues
+    are kept in the narrowest unsigned dtype that holds q - 1, so numpy
+    sorts 8- and 16-bit keys by radix and no other full-length integer
+    array is made; a stable order is unique, so the cast changes no index.
+    Each class is then summed by np.cumsum, which adds its weights one at
+    a time in jump order for real and complex weights alike, so every sum
+    is bit-equal to a running ``+=`` over the jumps. Coprimality to q is
+    tested once per class."""
     import numpy as np
     r = (pp % q).astype(np.min_scalar_type(q - 1))
     order = np.argsort(r, kind="stable")
@@ -216,16 +248,28 @@ def _class_prefix_sums(pp: np.ndarray, weights: np.ndarray, q: int):
     sums = weights[order]
     for lo, hi in zip(starts.tolist(), ends.tolist()):
         np.cumsum(sums[lo:hi], out=sums[lo:hi])
+    # int64, as uint8 residues cannot meet q = 256 in np.gcd
+    class_coprime = np.gcd(sorted_r[starts].astype(np.int64), q) == 1
+    totals = sums[ends - 1][class_coprime]
+    if len(totals) < euler_phi(q):  # a coprime class without jumps sums to 0
+        totals = np.append(totals, 0)
+    return order, starts, ends, class_coprime, sums, totals
+
+
+def _class_prefix_sums(pp: np.ndarray, weights: np.ndarray, q: int):
+    """``_class_sums`` scattered back to jump order. Returns (coprime,
+    before, after, totals): whether (n, q) = 1 for each jump n, the sum of
+    n's class over the jumps < n and over the jumps <= n, and the sums of
+    the phi(q) coprime classes over all jumps. E-dagger needs these in
+    jump order for its running max and min; E* reads ``_class_sums`` in
+    class order and scatters nothing."""
+    import numpy as np
+    order, starts, ends, class_coprime, sums, totals = _class_sums(pp, weights, q)
     after = np.empty_like(sums)
     after[order] = sums
     before = np.empty_like(sums)
     before[order[1:]] = sums[:-1]
     before[order[starts]] = 0
-    # int64, as uint8 residues cannot meet q = 256 in np.gcd
-    class_coprime = np.gcd(sorted_r[starts].astype(np.int64), q) == 1
     coprime = np.empty(len(pp), dtype=bool)
     coprime[order] = np.repeat(class_coprime, ends - starts)
-    totals = sums[ends - 1][class_coprime]
-    if len(totals) < euler_phi(q):  # a coprime class without jumps sums to 0
-        totals = np.append(totals, 0)
     return coprime, before, after, totals

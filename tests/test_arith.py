@@ -165,7 +165,7 @@ def test_lambda_readers_refuse_y_past_the_table(reader):
     # 1024 = 2^10, so the last jump sits on the limit itself
     tables = build_tables(1024)
     read = _LAMBDA_READERS[reader]
-    for y in (tables.limit + 0.5, tables.limit + 1):
+    for y in (tables.limit + 0.5, tables.limit + 1, math.nan):
         with pytest.raises(ValueError, match="limit"):
             read(y, tables)
     assert read(tables.limit, tables) is not None

@@ -187,6 +187,38 @@ def test_scan_warns_when_q_too_large(tables):
         exception_scan(1000.0, 100, 1.0, S, tables)
 
 
+@pytest.mark.parametrize("x, A, match", [
+    (1.0, 1.0, "x must"),  # log x = 0: the threshold divided by zero
+    (0.5, 1.5, "x must"),  # log x < 0: a complex threshold
+    (math.nan, 1.0, "x must"),
+    (math.inf, 1.0, "x must"),
+    (1000.0, math.nan, "A must"),  # every threshold NaN, nothing flagged
+    (1000.0, math.inf, "A must"),
+    (1000.0, -0.5, "A must"),
+])
+def test_scan_rejects_bad_x_and_A(tables, x, A, match):
+    S = enumerate_moduli_set(3, "primes")
+    with pytest.raises(ValueError, match=match):
+        exception_scan(x, 3, A, S, tables)
+
+
+def test_scan_accepts_A_zero(tables):
+    S = enumerate_moduli_set(3, "primes")
+    records, summary = exception_scan(1000.0, 3, 0.0, S, tables)
+    assert [r.threshold for r in records] == [1000.0 / euler_phi(q) for q in S.members]
+    assert summary["A"] == 0.0
+
+
+@pytest.mark.parametrize("error_term", [e_star, e_dagger])
+def test_error_terms_reject_bad_moduli(tables, error_term):
+    for q in (2.0, True, False, "7", np.int64(7)):
+        with pytest.raises(TypeError, match="modulus must be an int"):
+            error_term(100.0, q, tables)
+    for q in (0, -7):
+        with pytest.raises(ValueError, match="modulus must be at least 1"):
+            error_term(100.0, q, tables)
+
+
 def test_range_guard(tables):
     with pytest.raises(ValueError):
         psi(float(tables.limit + 10), tables)
@@ -275,6 +307,17 @@ def test_error_terms_match_loop_at_edges(tables, x, q):
     assert _record(e_star(x, q, tables)) == _e_star_loop(x, q, tables)
     if q <= 12:
         assert _record(e_dagger(x, q, tables)) == _e_dagger_loop(x, q, tables)
+
+
+@pytest.mark.parametrize("x, q", [
+    # the moduli of the benchmark's scan pass; 49 and 64 have non-coprime
+    # classes of several jumps each (powers of 7 and of 2)
+    *((10**6, q) for q in (37, 41, 43, 47, 49, 53, 59, 61, 64, 67, 71, 73)),
+    (10**5, 10**5 + 3),  # q > x: every class holds at most one jump
+])
+def test_e_star_matches_loop_in_class_order(tables_large, x, q):
+    assert _record(e_star(float(x), q, tables_large)) == \
+        _e_star_loop(float(x), q, tables_large)
 
 
 def _class_prefix_loop(pp, weights, q):
