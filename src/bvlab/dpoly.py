@@ -7,8 +7,8 @@ ratios over declared sweeps, never asserted. The interval-stretch constant
 is fixed at 2: every polynomial lives on (N, 2N] or a sub-interval.
 
 The x entering L = log x is a configuration scale decoupled from sieve
-limits (default 2^40), so the exponent shapes can be probed without
-astronomical tables.
+limits (default 2^40; 2 <= x_scale < inf), so the exponent shapes can be
+probed without astronomical tables.
 """
 
 from __future__ import annotations
@@ -126,10 +126,13 @@ def _grid_abs_values(t_grid: np.ndarray, ns: np.ndarray, sigma: float,
     t_grid must be of odd length and symmetric about 0
     (t_grid[::-1] == -t_grid), as every _t_grid is; anything else raises
     ValueError. The rows with t >= 0 of exp(-i t log n) depend only on the
-    grid and the n range, not on sigma or C, so the last such block is held
-    (one block at a time, (len(t_grid) // 2 + 1) * len(ns) complex values:
-    4.2 MB at T = 64, N = 1024 and 16.8 MB at T = 64, N = 4096). Each call
-    scales it by the real n^(-sigma) into a fresh phase matrix, the same
+    grid and the n range, not on sigma or C, so ``_half_phase_block`` holds
+    the unscaled blocks of the last two (t rows, n values) keys, each the
+    exact bytes of its arrays: a sweep that alternates two n ranges on one
+    grid builds each block once. A block is (len(t_grid) // 2 + 1) *
+    len(ns) complex values, 4.2 MB at T = 64, N = 1024, so the held state
+    is at most 2 x 16.8 MB at T = 64, N = 4096. Each call scales a block
+    by the real n^(-sigma) into a fresh phase matrix, the same
     complex-by-real multiply as scaling in place, so every bit is that of
     the complex route. The rows with t < 0 are the conjugates of their
     mirror rows, with the same bits as computing them: (-t) log n =
@@ -150,10 +153,11 @@ def _grid_abs_values(t_grid: np.ndarray, ns: np.ndarray, sigma: float,
     return np.abs(phase @ C)
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=2)
 def _half_phase_block(t_rows: bytes, n_values: bytes) -> np.ndarray:
     """Read-only exp(-i t log n) for the float64 t rows and n values whose
-    bytes are given (the exact arrays are the key): the angle goes through
+    bytes are given (the exact arrays are the key; the last two keys are
+    held, see ``_grid_abs_values``): the angle goes through
     the real cos and sin, whose values are bit for bit those of the complex
     exp, and the imaginary part is then negated."""
     import numpy as np
@@ -209,16 +213,47 @@ def _greedy_spaced_columns(vals: np.ndarray) -> np.ndarray:
         np.copyto(live_rank, rows, where=dead)
 
 
+@functools.lru_cache(maxsize=None)
+def _modulus_table(q: int) -> tuple[tuple[DirichletCharacter, ...], np.ndarray]:
+    """The primitive characters mod q, in ``CharacterGroup`` order, and
+    their values on the residues 0..q-1 as one read-only (count x q)
+    complex array whose row i is the i-th character's ``value_table()``.
+
+    Held for every q asked for, keyed on q alone, so families at every
+    (Q, min_conductor) share the smaller moduli and a sweep builds each
+    character group once. The arrays for all q < 2Q hold 16 bytes per
+    (character, residue) pair, besides the characters' own value lists:
+    0.07 MB at Q = 16 and 4.1 MB at Q = 64."""
+    import numpy as np
+    chis = tuple(chi for chi in CharacterGroup(q).characters() if chi.is_primitive)
+    values = np.array([chi.value_table() for chi in chis],
+                      dtype=np.complex128).reshape(len(chis), q)
+    values.flags.writeable = False
+    return chis, values
+
+
 @functools.lru_cache(maxsize=2)
 def primitive_characters(Q: int,
                          min_conductor: int = 1) -> tuple[DirichletCharacter, ...]:
     """All primitive characters mod q over min_conductor <= q < 2Q
-    (q = 1 contributes the trivial character). The last two results are
-    held, as tuples so no caller can change a shared one: a sweep that
-    alternates min_conductor at one Q builds each character, and its value
-    table, once."""
+    (q = 1 contributes the trivial character): the per-modulus tuples of
+    ``_modulus_table`` joined in order of q. The joined tuples of the last
+    two (Q, min_conductor) keys are held, one pointer per character, as
+    tuples so no caller can change a shared one."""
     return tuple(chi for q in range(min_conductor, 2 * Q)
-                 for chi in CharacterGroup(q).characters() if chi.is_primitive)
+                 for chi in _modulus_table(q)[0])
+
+
+def _twisted_columns(Q: int, min_conductor: int, ns: np.ndarray,
+                     base: np.ndarray) -> np.ndarray:
+    """The (len(ns) x count) matrix a_n chi(n) over the characters of
+    ``primitive_characters(Q, min_conductor)``, in that order: one gather
+    of chi(n mod q) per modulus, then one multiply by the base a_n, the
+    same complex product as ``DirichletPolynomial.twisted_coefficients``."""
+    import numpy as np
+    X = np.hstack([_modulus_table(q)[1].T[ns % q]
+                   for q in range(min_conductor, 2 * Q)])
+    return base[:, None] * X
 
 
 @dataclass
@@ -233,15 +268,44 @@ class TripleFamily:
     N_prime: int
     kind: str
     sigma: float
-    polynomials: list[DirichletPolynomial]
     spaced_sets: list[WellSpacedSet]
     abs_values: list[np.ndarray]  # |S| at the selected points, per chi
     G: float
+    base: np.ndarray = field(repr=False, compare=False)  # a_n on (N, N']
+    coefficients: dict[int, complex] | None = field(default=None, repr=False)
+
+    @functools.cached_property
+    def polynomials(self) -> list[DirichletPolynomial]:
+        """One polynomial per character, in family order, built on first
+        access for the oracle routes, which evaluate each one on its own
+        through ``twisted_coefficients()``. They share the family's a_n."""
+        polys = []
+        for J in self.spaced_sets:
+            P = DirichletPolynomial(N=self.N, N_prime=self.N_prime,
+                                    kind=self.kind, chi=J.chi,
+                                    coefficients=self.coefficients)
+            P._base = self.base
+            polys.append(P)
+        return polys
 
     def moment(self, p: int) -> float:
         """Sum of |S|^p over all triples."""
         import numpy as np
         return math.fsum(float(np.sum(v**p)) for v in self.abs_values)
+
+
+def _check_int(name: str, value) -> None:
+    """TypeError unless value is an int (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, got {value!r}")
+
+
+def _log_scale(x_scale: float) -> float:
+    """L = log x, for 2 <= x_scale < inf (the CLI's range): at 1 or below
+    L would be 0 or undefined, and an infinite x_scale gives ratio 0."""
+    if not 2 <= x_scale < math.inf:
+        raise ValueError(f"x_scale must be at least 2 and finite, got {x_scale!r}")
+    return math.log(x_scale)
 
 
 def build_triple_family(
@@ -256,10 +320,15 @@ def build_triple_family(
     coefficients: dict[int, complex] | None = None,
 ) -> TripleFamily:
     """``coefficients`` is the a_n map of the "explicit" kind. A family
-    needs Q >= 1, a primitive character of modulus min_conductor <= q < 2Q,
-    N >= 1, N' > N and a finite sigma: anything else would give a report
-    with no triples or a NaN moment."""
+    needs int Q >= 1, N >= 1, N' > N and min_conductor (TypeError for a
+    bool or any other type), a primitive character of modulus
+    min_conductor <= q < 2Q and a finite sigma: anything else would give a
+    report with no triples or a NaN moment."""
     import numpy as np
+    for name, value in (("Q", Q), ("N", N), ("N'", N_prime),
+                        ("min_conductor", min_conductor)):
+        if value is not None:
+            _check_int(name, value)
     if N_prime is None:
         N_prime = 2 * N
     if Q < 1:
@@ -268,6 +337,8 @@ def build_triple_family(
         raise ValueError("N must be at least 1")
     if N_prime <= N:
         raise ValueError("N' must exceed N")
+    if N_prime > 2 * N:
+        raise ValueError("interval stretch above (N, 2N] is not supported")
     if not math.isfinite(sigma):
         raise ValueError("sigma must be finite")
     chis = primitive_characters(Q, min_conductor)
@@ -276,16 +347,8 @@ def build_triple_family(
     t_grid = _t_grid(T)
     ns = np.arange(N + 1, N_prime + 1, dtype=np.int64)
     base = _base_coefficients(kind, ns, tables, coefficients)
-
-    polys = []
-    C = np.empty((len(ns), len(chis)), dtype=np.complex128)
-    for j, chi in enumerate(chis):
-        P = DirichletPolynomial(N=N, N_prime=N_prime, kind=kind, chi=chi,
-                                coefficients=coefficients)
-        P._base = base  # a_n does not depend on chi: shared, not recomputed
-        C[:, j] = P.twisted_coefficients()
-        polys.append(P)
-    grid_vals = _grid_abs_values(t_grid, ns, sigma, C)
+    grid_vals = _grid_abs_values(t_grid, ns, sigma,
+                                 _twisted_columns(Q, min_conductor, ns, base))
 
     kept = _greedy_spaced_columns(grid_vals)
     spaced, abs_vals = [], []
@@ -294,15 +357,16 @@ def build_triple_family(
         spaced.append(WellSpacedSet(chi=chi, points=t_grid[idx].tolist()))
         abs_vals.append(grid_vals[idx, j])
     return TripleFamily(Q=Q, T=T, N=N, N_prime=N_prime, kind=kind, sigma=sigma,
-                        polynomials=polys, spaced_sets=spaced, abs_values=abs_vals,
-                        G=float(np.sum(np.abs(base) ** 2)))
+                        spaced_sets=spaced, abs_values=abs_vals,
+                        G=float(np.sum(np.abs(base) ** 2)), base=base,
+                        coefficients=coefficients)
 
 
 def mean_value_report(family: TripleFamily,
                       x_scale: int = DEFAULT_X_SCALE) -> BoundReport:
     """Discrete second moment over the well-spaced triples against
     L * (Q^2 T + N) * G."""
-    L = math.log(x_scale)
+    L = _log_scale(x_scale)
     rhs = L * (family.Q**2 * family.T + family.N) * family.G
     return BoundReport(lhs=family.moment(2), rhs_formula_value=rhs,
                        parameters={"Q": family.Q, "T": family.T,
@@ -323,9 +387,9 @@ def fourth_moment_report(Q: int, T: float, N: int,
     diagonal piece is the extracted main term and is handled by the
     main-term analysis, not by this twisted-moment bound.
     """
+    L = _log_scale(x_scale)
     family = build_triple_family(Q, T, N, None, "unit", tables, sigma=0.5,
                                  min_conductor=2)
-    L = math.log(x_scale)
     rhs = Q**2 * T * L**10
     return BoundReport(lhs=family.moment(4), rhs_formula_value=rhs,
                        parameters={"Q": Q, "T": T, "N": family.N},
@@ -337,10 +401,10 @@ def derivative_second_moment_report(Q: int, T: float, N: int,
                                     x_scale: int = DEFAULT_X_SCALE) -> BoundReport:
     """Optional extra: second moment of the derivative polynomial
     (coefficients a_n log n) against Q^2 T L^13."""
+    L = _log_scale(x_scale)
     coeffs = {n: math.log(n) for n in range(N + 1, 2 * N + 1)}
     family = build_triple_family(Q, T, N, None, "explicit", tables, sigma=0.5,
                                  coefficients=coeffs)
-    L = math.log(x_scale)
     rhs = Q**2 * T * L**13
     return BoundReport(lhs=family.moment(2), rhs_formula_value=rhs,
                        parameters={"Q": Q, "T": T, "N": N},
@@ -354,7 +418,7 @@ def large_value_report(family: TripleFamily, V: float,
     import numpy as np
     if not 0 < V < math.inf:
         raise ValueError("V must be positive and finite")
-    L = math.log(x_scale)
+    L = _log_scale(x_scale)
     count = sum(int(np.sum(v >= V)) for v in family.abs_values)
     G, N, Q, T = family.G, family.N, family.Q, family.T
     rhs = G * N * V**-2 * L**6 + G**3 * N * Q**2 * T * V**-6 * L**18

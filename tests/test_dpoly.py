@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bvlab import dpoly
 from bvlab.characters import character_group
 from bvlab.dpoly import (
     DEFAULT_X_SCALE,
@@ -22,7 +23,9 @@ from bvlab.dpoly import (
     _greedy_spaced_columns,
     _grid_abs_values,
     _half_phase_block,
+    _modulus_table,
     _t_grid,
+    _twisted_columns,
 )
 from bvlab.reports import BoundReport
 from paper_checks import divisor_moment_report
@@ -102,16 +105,32 @@ def _greedy_spaced_reference(t_grid, vals):
     return sorted(chosen)
 
 
-@pytest.mark.parametrize("Q, T, N, sigma", [
-    (4, 16.0, 64, 0.0), (4, 16.0, 64, 0.5),
-    (8, 64.0, 1024, 0.0), (8, 64.0, 1024, 0.5),
-    (4, 10.3, 64, 0.5),  # T off the quarter grid
-])
-def test_selection_matches_float_reference_on_families(tables, Q, T, N, sigma):
-    fam = build_triple_family(Q, T, N, None, "unit", tables, sigma=sigma)
+FAMILY_CASES = [
+    (4, 16.0, 64, 0.0, "unit"), (4, 16.0, 64, 0.5, "unit"),
+    (8, 64.0, 1024, 0.0, "unit"), (8, 64.0, 1024, 0.5, "unit"),
+    (4, 10.3, 64, 0.5, "unit"),  # T off the quarter grid
+    (8, 16.0, 128, 0.5, "mobius"), (8, 16.0, 100, 0.0, "explicit"),
+]
+
+
+# the unit cases keep the ids they had before the kind was a parameter
+@pytest.mark.parametrize("Q, T, N, sigma, kind", FAMILY_CASES, ids=[
+    "-".join(map(str, case[:4] if case[4] == "unit" else case))
+    for case in FAMILY_CASES])
+def test_selection_matches_float_reference_on_families(tables, Q, T, N, sigma,
+                                                       kind):
+    # the family's columns, one gather per modulus, have the bits of the
+    # polynomials' own route (one value table per character); complex a_n
+    # for the explicit kind
+    coeffs = ({n: complex(n % 3, n % 5 - 2) / n for n in range(N + 1, 2 * N + 1)}
+              if kind == "explicit" else None)
+    fam = build_triple_family(Q, T, N, None, kind, tables, sigma=sigma,
+                              coefficients=coeffs)
     t_grid = _t_grid(T)
     C = np.column_stack([P.twisted_coefficients() for P in fam.polynomials])
-    grid_vals = _grid_abs_values(t_grid, fam.polynomials[0].support, sigma, C)
+    ns = fam.polynomials[0].support
+    assert _twisted_columns(Q, 1, ns, fam.base).tobytes() == C.tobytes()
+    grid_vals = _grid_abs_values(t_grid, ns, sigma, C)
     kept = _greedy_spaced_columns(grid_vals)
     for j, (J, vals) in enumerate(zip(fam.spaced_sets, fam.abs_values)):
         want = _greedy_spaced_reference(t_grid, grid_vals[:, j])
@@ -198,6 +217,79 @@ def test_family_without_characters_rejected(tables):
         fourth_moment_report(1, 16.0, 64, tables)
     assert len(build_triple_family(2, 16.0, 64, None, "unit", tables,
                                    min_conductor=2).polynomials) == 1
+
+
+@pytest.mark.parametrize("args, kwargs, name", [
+    ((4, 16.0, 64.5, None), {}, "N"),
+    ((4, 16.0, True, None), {}, "N"),
+    ((True, 16.0, 64, None), {}, "Q"),
+    ((4.0, 16.0, 64, None), {}, "Q"),
+    ((4, 16.0, 64, 128.0), {}, "N'"),
+    ((4, 16.0, 64, True), {}, "N'"),
+    ((4, 16.0, 64, None), {"min_conductor": 2.0}, "min_conductor"),
+    ((4, 16.0, 64, None), {"min_conductor": True}, "min_conductor"),
+])
+def test_family_sizes_must_be_ints(tables, args, kwargs, name):
+    # N = 64.5 built a family on n in [65, 129] reporting N' = 129.0, and
+    # Q = True a family of one character
+    with pytest.raises(TypeError, match=f"{name} must be an int"):
+        build_triple_family(*args, "unit", tables, **kwargs)
+
+
+@pytest.mark.parametrize("x_scale", [1, 0, -3, 1.5, math.nan, math.inf])
+def test_reports_reject_x_scale_outside_cli_range(tables, x_scale):
+    # x_scale = 1 gave rhs 0 and ratio inf, 0 a math domain error, and inf
+    # ratio 0; the CLI asks for x_scale >= 2
+    fam = build_triple_family(4, 16.0, 64, None, "unit", tables)
+    calls = [
+        lambda: mean_value_report(fam, x_scale=x_scale),
+        lambda: fourth_moment_report(4, 16.0, 64, tables, x_scale=x_scale),
+        lambda: derivative_second_moment_report(4, 16.0, 64, tables,
+                                                x_scale=x_scale),
+        lambda: large_value_report(fam, 1.0, x_scale=x_scale),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="x_scale must be at least 2"):
+            call()
+    assert mean_value_report(fam, x_scale=2).rhs_formula_value == pytest.approx(
+        math.log(2) * (16 * 16.0 + 64) * fam.G)
+
+
+def test_repeated_moments_pass_builds_nothing(tables, monkeypatch):
+    # the shape of one benchmark moments pass: families at Q = 4 and 8, each
+    # followed by its fourth moment (min_conductor 2), then the derivative
+    # at N/2. Run again, it reads the per-modulus tables and the two held
+    # phase blocks: no character group, no table and no block is built
+    T, N = 16.0, 128
+
+    def run():
+        fams = []
+        for Q in (4, 8):
+            fams.append(build_triple_family(Q, T, N, None, "unit", tables))
+            fourth_moment_report(Q, T, N, tables)
+        derivative_second_moment_report(4, T, N // 2, tables)
+        return fams
+
+    run()
+    held_tables = _modulus_table.cache_info()
+    held_blocks = _half_phase_block.cache_info()
+    built = []
+
+    class CountingGroup(dpoly.CharacterGroup):
+        def __init__(self, q):
+            built.append(q)
+            super().__init__(q)
+
+    monkeypatch.setattr(dpoly, "CharacterGroup", CountingGroup)
+    fams = run()
+    assert built == []
+    assert _modulus_table.cache_info().misses == held_tables.misses
+    blocks = _half_phase_block.cache_info()
+    assert (blocks.hits, blocks.misses) == (held_blocks.hits + 5,
+                                           held_blocks.misses)
+    # the families build no polynomial until an oracle reads them
+    assert all("polynomials" not in vars(fam) for fam in fams)
+    assert [P.chi for P in fams[0].polynomials] == list(primitive_characters(4))
 
 
 def _grid_abs_values_reference(t_grid, ns, sigma, C):
