@@ -103,11 +103,17 @@ class WellSpacedSet:
     points: list[float]
 
     def __post_init__(self):
-        pts = sorted(self.points)
-        for a, b in zip(pts, pts[1:]):
-            if b - a < 1.0:
-                raise AssertionError(f"points {a} and {b} are closer than 1")
-        self.points = pts
+        import numpy as np
+        pts = np.sort(np.asarray(self.points, dtype=np.float64))
+        # np.sort puts NaN last, so finite ends make every point finite
+        if len(pts) and not (math.isfinite(pts[0]) and math.isfinite(pts[-1])):
+            raise AssertionError(f"points must be finite, got {pts.tolist()}")
+        with np.errstate(over="ignore"):  # a gap past the float range is inf
+            close = np.flatnonzero(pts[1:] - pts[:-1] < 1.0)
+        if len(close):
+            a, b = pts[close[0]:close[0] + 2].tolist()
+            raise AssertionError(f"points {a} and {b} are closer than 1")
+        self.points = pts.tolist()
 
 
 def _t_grid(T: float) -> np.ndarray:
@@ -354,7 +360,7 @@ def build_triple_family(
     spaced, abs_vals = [], []
     for j, chi in enumerate(chis):
         idx = np.flatnonzero(kept[:, j])
-        spaced.append(WellSpacedSet(chi=chi, points=t_grid[idx].tolist()))
+        spaced.append(WellSpacedSet(chi=chi, points=t_grid[idx]))
         abs_vals.append(grid_vals[idx, j])
     return TripleFamily(Q=Q, T=T, N=N, N_prime=N_prime, kind=kind, sigma=sigma,
                         spaced_sets=spaced, abs_values=abs_vals,

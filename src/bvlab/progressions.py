@@ -13,10 +13,9 @@ stable argsort (a radix sort for q <= 2^16) and takes a cumulative sum
 per class, giving every class sum just before and just after each jump.
 That costs one sort and one np.cumsum call per class that holds a jump,
 and each class sum is added one weight at a time in jump order, so it is
-bit-equal to a running ``+=`` over the jumps. E* needs only the largest
-deviation and the least jump reaching it, so it reads the sums in class
-order; only E-dagger, whose running max and min run in jump order,
-scatters them back through ``_class_prefix_sums``.
+bit-equal to a running ``+=`` over the jumps. E* and E-dagger need only
+the largest deviation and the least jump reaching it, so both read the
+sums in class order, and nothing scatters them back to jump order.
 """
 
 from __future__ import annotations
@@ -104,31 +103,44 @@ def e_star_bruteforce(x: int, q: int, tables: MultiplicativeTables) -> float:
 
 def e_dagger(x: float, q: int, tables: MultiplicativeTables) -> ErrorTermRecord:
     """max over y <= x and a coprime to q of
-    |psi(y; q, a) - psi(y)/phi(q)| (centered at the full Chebyshev sum)."""
+    |psi(y; q, a) - psi(y)/phi(q)| (centered at the full Chebyshev sum).
+
+    The centre c = psi/phi(q) rises strictly (every weight is at least
+    log 2), so while a class holds one sum its deviation above c is
+    largest at the first jump and below c at the last. Float subtraction
+    is monotone and the steps of c span many ulps, so these run ends give
+    the floats and the first jump of a running loop over the jumps."""
     import numpy as np
     _check_modulus(q)
     pp, logs = tables.jumps(x)
     inv_phi = 1.0 / euler_phi(q)
     best, y_star = 0.0, 1.0
     if len(pp):
-        coprime, before, after, totals = _class_prefix_sums(pp, logs, q)
+        order, starts, ends, class_coprime, sums, totals = _class_sums(pp, logs, q)
         center = np.cumsum(logs) * inv_phi
-        # Class sums only grow, so after jump i the largest coprime class
-        # sum is the largest reached so far (0 before any), and the least
-        # is the least value a class still holds at some jump >= i: it
-        # keeps before[j] until its jump j, and its total after its last.
-        dev = np.where(coprime, after, 0.0)
-        np.maximum.accumulate(dev, out=dev)
-        dev -= center
-        held = np.full(len(pp), np.inf)
-        j = np.flatnonzero(coprime[1:]) + 1
-        held[j - 1] = before[j]
-        held[-1] = np.min(totals)
-        np.minimum.accumulate(held[::-1], out=held[::-1])
-        np.maximum(dev, center - held, out=dev)
-        i = int(np.argmax(dev))
-        if dev[i] > best:
-            best, y_star = float(dev[i]), float(pp[i])
+        # sums[i] holds from jump order[i] to held_to[i], the jump before
+        # its class's next one (the last jump for a class's final entry)
+        held_to = np.empty_like(order)
+        np.subtract(order[1:], 1, out=held_to[:-1])
+        held_to[ends - 1] = len(pp) - 1
+        below = center[held_to] - sums
+        above = np.subtract(sums, center[order], out=sums)
+        # a class not coprime to q holds only powers of the primes of q,
+        # so these classes are few and short
+        shared = ~class_coprime
+        for lo, hi in zip(starts[shared].tolist(), ends[shared].tolist()):
+            above[lo:hi] = below[lo:hi] = 0
+        # a coprime class holds 0 up to its first jump, or to the last
+        # jump if it has none (the 0 appended to totals)
+        firsts = order[starts[class_coprime]]
+        zero_to = len(pp) - 1 if len(firsts) < len(totals) else firsts.max() - 1
+        zero = center[zero_to] if zero_to >= 0 else 0.0
+        top = max(above.max(), below.max(), zero)
+        if top > best:
+            at = min(order[above == top].min(initial=len(pp)),
+                     held_to[below == top].min(initial=len(pp)),
+                     zero_to if zero == top else len(pp))
+            best, y_star = float(top), float(pp[at])
     return ErrorTermRecord(q=q, a="max", y_star=y_star, E_value=best)
 
 
@@ -254,22 +266,3 @@ def _class_sums(pp: np.ndarray, weights: np.ndarray, q: int):
     if len(totals) < euler_phi(q):  # a coprime class without jumps sums to 0
         totals = np.append(totals, 0)
     return order, starts, ends, class_coprime, sums, totals
-
-
-def _class_prefix_sums(pp: np.ndarray, weights: np.ndarray, q: int):
-    """``_class_sums`` scattered back to jump order. Returns (coprime,
-    before, after, totals): whether (n, q) = 1 for each jump n, the sum of
-    n's class over the jumps < n and over the jumps <= n, and the sums of
-    the phi(q) coprime classes over all jumps. E-dagger needs these in
-    jump order for its running max and min; E* reads ``_class_sums`` in
-    class order and scatters nothing."""
-    import numpy as np
-    order, starts, ends, class_coprime, sums, totals = _class_sums(pp, weights, q)
-    after = np.empty_like(sums)
-    after[order] = sums
-    before = np.empty_like(sums)
-    before[order[1:]] = sums[:-1]
-    before[order[starts]] = 0
-    coprime = np.empty(len(pp), dtype=bool)
-    coprime[order] = np.repeat(class_coprime, ends - starts)
-    return coprime, before, after, totals

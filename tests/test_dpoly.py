@@ -71,10 +71,21 @@ def test_interval_stretch_guard(tables):
 
 
 def test_well_spaced_validation():
-    with pytest.raises(AssertionError):
-        WellSpacedSet(chi=CHI1, points=[0.0, 0.5])
+    with pytest.raises(AssertionError, match="points 0.0 and 0.5 are closer than 1"):
+        WellSpacedSet(chi=CHI1, points=[0.5, 3.0, 0.0])
     s = WellSpacedSet(chi=CHI1, points=[3.0, 0.0, -2.0])
     assert s.points == [-2.0, 0.0, 3.0]
+    assert all(type(t) is float for t in s.points)
+    # a gap past the float range overflows to inf, which is >= 1
+    big = WellSpacedSet(chi=CHI1, points=[1e308, -1e308])
+    assert big.points == [-1e308, 1e308]
+    # NaN compares false and inf - inf is NaN, so a pairwise gap test
+    # alone lets these through
+    nan, inf = math.nan, math.inf
+    for points in ([0.0, nan, 0.5], [nan], [0.0, inf], [-inf, 0.0],
+                   [0.0, inf, inf], [-inf, -inf, 0.0], [-inf, inf]):
+        with pytest.raises(AssertionError, match="finite"):
+            WellSpacedSet(chi=CHI1, points=points)
 
 
 @given(st.lists(st.one_of(st.floats(min_value=0, max_value=50),

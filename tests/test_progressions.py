@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import tracemalloc
 from math import gcd
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from bvlab.arith import build_tables, enumerate_moduli_set
 from bvlab.characters import CharacterGroup, character_group, euler_phi
 from bvlab.progressions import (
-    _class_prefix_sums,
+    _class_sums,
     e_dagger,
     e_dagger_bruteforce,
     e_star,
@@ -303,9 +304,10 @@ def test_error_terms_match_loop_at_one_million(tables_large, q):
 @pytest.mark.parametrize("x", [0.5, 1.0, 1.5, 2.0, 2.5, 30.0, 30.5, 9999.5])
 @pytest.mark.parametrize("q", [1, 2, 3, 12, 9973, 10007, 20011])
 def test_error_terms_match_loop_at_edges(tables, x, q):
-    # q = 10007 and 20011 lie above tables.limit = 10^4
+    # q = 10007 and 20011 lie above tables.limit = 10^4; for the large q
+    # most coprime classes hold 0 throughout (the loop is slow at 9999.5)
     assert _record(e_star(x, q, tables)) == _e_star_loop(x, q, tables)
-    if q <= 12:
+    if q <= 12 or x <= 30.5:
         assert _record(e_dagger(x, q, tables)) == _e_dagger_loop(x, q, tables)
 
 
@@ -320,38 +322,73 @@ def test_e_star_matches_loop_in_class_order(tables_large, x, q):
         _e_star_loop(float(x), q, tables_large)
 
 
-def _class_prefix_loop(pp, weights, q):
-    """Reference for _class_prefix_sums: one running += per class, jump by
-    jump, with the coprime class totals in residue order."""
-    running = {}
-    before, after = np.empty_like(weights), np.empty_like(weights)
+@pytest.mark.parametrize("x, q", [
+    # the moduli of the benchmark's scan pass; 49 and 64 have non-coprime
+    # classes of several jumps each (powers of 7 and of 2)
+    *((10**5, q) for q in (37, 41, 43, 47, 49, 53, 59, 61, 64, 67, 71, 73)),
+    # q > x: most coprime classes hold no jump, so their 0 held to the
+    # last jump decides
+    (2000, 2003), (2000, 4001),
+])
+def test_e_dagger_matches_loop_in_class_order(tables_large, x, q):
+    assert _record(e_dagger(float(x), q, tables_large)) == \
+        _e_dagger_loop(float(x), q, tables_large)
+
+
+def test_e_dagger_allocates_no_scatter(tables_large):
+    # the traced peak of one call, in full-length 8-byte arrays of the
+    # jumps: the class-order read needs about 6 (e_star about 5); the
+    # scatter back to jump order took about 8
+    pp, _ = tables_large.jumps(10**6)
+    e_dagger(10**6, 23, tables_large)
+    tracemalloc.start()
+    try:
+        e_dagger(10**6, 23, tables_large)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * 8 * len(pp)
+
+
+def _class_sums_loop(pp, weights, q):
+    """Reference for _class_sums: one running += per class, jump by jump,
+    then the classes laid out in residue order, each in jump order, with
+    the coprime class totals and a 0 for the coprime classes without
+    jumps."""
+    members, running = {}, {}
     for i, (n, w) in enumerate(zip(pp.tolist(), weights.tolist())):
         r = n % q
         if r in running:
-            before[i] = running[r]
-            running[r] += w
+            running[r].append(running[r][-1] + w)
         else:
-            before[i] = 0
-            running[r] = w
-        after[i] = running[r]
-    coprime = np.array([gcd(n, q) == 1 for n in pp.tolist()])
-    totals = [running[r] for r in sorted(running) if gcd(r, q) == 1]
+            running[r] = [w]
+        members.setdefault(r, []).append(i)
+    residues = sorted(running)
+    sizes = np.array([len(running[r]) for r in residues], dtype=np.intp)
+    ends = np.cumsum(sizes)
+    coprime = [gcd(r, q) == 1 for r in residues]
+    totals = [running[r][-1] for r, c in zip(residues, coprime) if c]
     if len(totals) < euler_phi(q):
         totals.append(0)
-    return coprime, before, after, np.array(totals, dtype=weights.dtype)
+    return (np.array([i for r in residues for i in members[r]], dtype=np.intp),
+            ends - sizes, ends, np.array(coprime),
+            np.array([s for r in residues for s in running[r]], dtype=weights.dtype),
+            np.array(totals, dtype=weights.dtype))
 
 
 @pytest.mark.parametrize("q", [1, 2, 37, 121, 10**5 + 3])
 def test_class_prefix_sums_match_running_sums_bit_for_bit(tables_large, q):
     # 9700 jumps up to 10^5: from one class (q = 1) through classes of
     # about sqrt(9700) jumps each (q = 121, with non-coprime classes) to
-    # one jump per class (q > x)
+    # one jump per class (q > x); every output of _class_sums is checked:
+    # the class order, the class bounds, the coprimality of each class,
+    # the running sums in class order and the totals
     pp, logs = tables_large.jumps(10**5)
     values = np.asarray(CharacterGroup(7).characters()[1].value_table())
     assert np.any(values.imag != 0)
     for weights in (logs, logs * values[pp % 7]):
-        got = _class_prefix_sums(pp, weights, q)
-        for g, w in zip(got, _class_prefix_loop(pp, weights, q), strict=True):
+        got = _class_sums(pp, weights, q)
+        for g, w in zip(got, _class_sums_loop(pp, weights, q), strict=True):
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
 
