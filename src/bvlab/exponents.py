@@ -26,12 +26,26 @@ DELTA = F(1, 20)
 ALLOWED_GRID_STEPS = (F(1, 8), F(1, 16), F(1, 40), F(1, 80))
 
 _ALL = frozenset(range(8))
+# The oracle's tables, by the 8-bit mask m of a subset of {0..7}: the
+# members of each m; for variant B, m = 1..255 ascending with (m less its
+# lowest member, that member, whether 2 <= |m| <= 6); for variant A, per
+# singleton i, the masks of combinations(rest, size) for size 2..5, in
+# that order, so the first witness is the one a loop over them finds.
+_GROUPS = tuple(frozenset(j for j in range(8) if m >> j & 1) for m in range(256))
+_B_WALK = tuple((m, m & (m - 1), (m & -m).bit_length() - 1, 2 <= len(_GROUPS[m]) <= 6)
+                for m in range(1, 256))
+_A_MASKS = tuple(tuple(sum(1 << j for j in combo)
+                       for size in range(2, 6)
+                       for combo in combinations([j for j in range(8) if j != i], size))
+                 for i in range(8))
 
 
 def validate_exponents(u) -> tuple[int, tuple[int, ...]]:
     """The one input check on an exponent tuple. Returns (D, a): D is the
     lcm of the denominators and a holds the integer numerators over D."""
     u = [x if isinstance(x, (int, F)) else F(x) for x in u]
+    if len(u) != 8:
+        raise ValueError("expected 8 exponents")
     dens = [x.denominator for x in u]
     D = math.lcm(*dens)
     a = tuple([x.numerator * (D // d) for x, d in zip(u, dens)])
@@ -164,41 +178,39 @@ def partition_exponents(u: tuple[F, ...]) -> PartitionOutcome:
 
 
 def partition_bruteforce(u: tuple[F, ...]) -> PartitionOutcome | None:
-    """Independent oracle: exhaust all admissible splits in a fixed order
-    and return the first one satisfying the variant constraints.
-    Integer arithmetic over a common denominator."""
+    """Independent oracle: the first admissible split in a fixed order.
+
+    One table of the 256 subset sums per tuple, filled as the masks are
+    walked: sums[m] = sums[m & (m - 1)] + a[lowest member of m]. Variant B
+    takes the least mask with 2 to 6 members whose sum and its complement's
+    are both at most 11/20. Only when none exists does variant A read the
+    same table: singleton i in index order, outside (9/40, 1/4), then the
+    groups of ``combinations(rest, size)`` for size 2..5 in that order, the
+    first with both group sums at most 9/20. Integer arithmetic over a
+    common denominator; the witness is checked before it is returned."""
     D, a = validate_exponents(u)
     total = sum(a)
-    subset_sum = [0] * 256
-    for mask in range(1, 256):
-        low = mask & -mask
-        subset_sum[mask] = subset_sum[mask ^ low] + a[low.bit_length() - 1]
-
-    for mask in range(256):
-        size = bin(mask).count("1")
-        if not 2 <= size <= 6:
-            continue
-        s = subset_sum[mask]
-        if 20 * s <= 11 * D and 20 * (total - s) <= 11 * D:
-            g1 = frozenset(j for j in range(8) if mask >> j & 1)
-            out = PartitionOutcome("B", g1, _ALL - g1)
+    top = 11 * D // 20  # 20 s <= 11 D, with s an integer
+    least = total - top
+    sums = [0] * 256
+    for mask, rest, j, sized in _B_WALK:
+        s = sums[mask] = sums[rest] + a[j]
+        if least <= s <= top and sized:
+            out = PartitionOutcome("B", _GROUPS[mask], _GROUPS[255 ^ mask])
             out._verify_scaled(D, a)
             return out
 
-    for i in range(8):
+    top = 9 * D // 20
+    for i, masks in enumerate(_A_MASKS):
         if 9 * D < 40 * a[i] < 10 * D:  # inside (9/40, 1/4)
             continue
-        rest = [j for j in range(8) if j != i]
-        rest_total = total - a[i]
-        for size in range(2, 6):
-            for combo in combinations(rest, size):
-                s = sum(a[j] for j in combo)
-                if 20 * s <= 9 * D and 20 * (rest_total - s) <= 9 * D:
-                    g1 = frozenset(combo)
-                    out = PartitionOutcome("A", g1,
-                                           frozenset(rest) - g1, i=i)
-                    out._verify_scaled(D, a)
-                    return out
+        least = total - a[i] - top
+        for mask in masks:
+            if least <= sums[mask] <= top:
+                out = PartitionOutcome("A", _GROUPS[mask],
+                                       _GROUPS[255 ^ mask ^ (1 << i)], i=i)
+                out._verify_scaled(D, a)
+                return out
     return None
 
 

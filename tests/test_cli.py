@@ -89,6 +89,15 @@ def test_failed_certificate_exit_code(tmp_path, monkeypatch):
         cli.main(["lemma4", "--config", cfg])
 
 
+def test_failed_oracle_exit_code(tmp_path, monkeypatch, capsys):
+    # the constructive split passes, the independent oracle finds none
+    monkeypatch.setattr(exponents, "partition_bruteforce", lambda u: None)
+    cfg = _write(tmp_path, BASE.format(out=tmp_path / "out"))
+    assert cli.main(["lemma4", "--config", cfg]) == cli.EXIT_ASSERTION
+    assert "oracle found no split" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "lemma4.json").exists()
+
+
 def test_unknown_section_exit_code(tmp_path):
     cfg = _write(tmp_path, "[mystery]\nx = 1\n")
     assert cli.main(["exponents", "--config", cfg]) == cli.EXIT_UNKNOWN_KEY

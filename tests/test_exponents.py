@@ -1,12 +1,15 @@
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bvlab.exponents import (
+    _ALL,
     _FORMS,
     ALLOWED_GRID_STEPS,
     THETA_MAX,
@@ -124,6 +127,80 @@ def test_oracle_agreement_on_randoms():
         out = partition_exponents(u)
         out.verify(u)
         assert partition_bruteforce(u) is not None
+
+
+def _reference_bruteforce(u: tuple[F, ...]) -> PartitionOutcome | None:
+    """The oracle as a plain loop: every subset sum rebuilt, every mask
+    rescanned for its size, variant A through ``combinations`` sums."""
+    D, a = validate_exponents(u)
+    total = sum(a)
+    subset_sum = [0] * 256
+    for mask in range(1, 256):
+        low = mask & -mask
+        subset_sum[mask] = subset_sum[mask ^ low] + a[low.bit_length() - 1]
+
+    for mask in range(256):
+        size = bin(mask).count("1")
+        if not 2 <= size <= 6:
+            continue
+        s = subset_sum[mask]
+        if 20 * s <= 11 * D and 20 * (total - s) <= 11 * D:
+            g1 = frozenset(j for j in range(8) if mask >> j & 1)
+            out = PartitionOutcome("B", g1, _ALL - g1)
+            out._verify_scaled(D, a)
+            return out
+
+    for i in range(8):
+        if 9 * D < 40 * a[i] < 10 * D:  # inside (9/40, 1/4)
+            continue
+        rest = [j for j in range(8) if j != i]
+        rest_total = total - a[i]
+        for size in range(2, 6):
+            for combo in combinations(rest, size):
+                s = sum(a[j] for j in combo)
+                if 20 * s <= 9 * D and 20 * (rest_total - s) <= 9 * D:
+                    g1 = frozenset(combo)
+                    out = PartitionOutcome("A", g1,
+                                           frozenset(rest) - g1, i=i)
+                    out._verify_scaled(D, a)
+                    return out
+    return None
+
+
+def test_oracle_matches_reference_loop_on_grid():
+    variants = Counter()
+    for u in grid_tuples(F(1, 16)):
+        out = partition_bruteforce(u)
+        assert out == _reference_bruteforce(u), u
+        variants[out.variant, out.i] += 1
+    assert variants == {("B", None): 795 - 148, ("A", 0): 148}
+
+
+def test_oracle_matches_reference_loop_on_randoms():
+    rng = random.Random(4040)
+    for _ in range(10**4):
+        u = random_exponent_tuple(rng)
+        assert partition_bruteforce(u) == _reference_bruteforce(u), u
+
+
+@pytest.mark.parametrize("u, i", [
+    ((F(1, 2),) + (F(1, 16),) * 7, 0),
+    (_u(23, 20, 19, 19, 19, 1, 1, 0, den=102), 1),  # u_1 in (9/40, 1/4)
+])
+def test_oracle_matches_reference_loop_on_named_singletons(u, i):
+    out = partition_bruteforce(u)
+    assert out == _reference_bruteforce(u)
+    assert (out.variant, out.i) == ("A", i)
+
+
+@pytest.mark.parametrize("n", [0, 7, 9])
+def test_tuple_length_checked(n):
+    u = tuple([F(1, 16)] * n)
+    split = PartitionOutcome("B", frozenset(range(4)), frozenset(range(4, 8)))
+    for check in (partition_exponents, partition_bruteforce, split.verify,
+                  validate_exponents):
+        with pytest.raises(ValueError, match="expected 8 exponents"):
+            check(u)
 
 
 @given(st.integers(min_value=0, max_value=2**63 - 1))
