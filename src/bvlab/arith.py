@@ -9,11 +9,11 @@ entries at a time, so the strided stores of the primes <= sqrt(limit) stay
 in cache), and the primes <= sqrt(limit) come from the same sieve run on
 sqrt(limit). Mobius is the Liouville function, from the recurrence
 lambda(n) = -lambda(n / spf(n)), set to 0 on the multiples of each p^2.
-The only scratch array as long as the table is the mask that picks out
-the primes.
-The von Mangoldt support is stored as the sorted prime powers, and the
-weights log p of their base primes are taken once, into
-``prime_power_logs``; the base prime of p^e is its smallest prime factor.
+The smallest prime factors and the mask that picks out the primes are the
+only scratch arrays as long as the table; the tables keep neither. They
+keep the primes, and the von Mangoldt support as the sorted prime powers,
+with the weights log p of their base primes taken once, into
+``prime_power_logs``.
 ``MultiplicativeTables.jumps`` is the one reader of those weights, and it
 refuses any range beyond the table. No Euler-phi table is sieved: phi(q)
 enters only the main term x/phi(q), once per modulus, and
@@ -48,14 +48,14 @@ class MultiplicativeTables:
 
     ``prime_powers`` holds every n = p^e <= limit in ascending order and
     ``prime_power_logs`` its weight Lambda(n) = log p; read them through
-    ``jumps``; the exact base prime p of n is ``smallest_prime_factor[n]``.
-    ``mobius`` and ``smallest_prime_factor`` are exact integer arrays
-    indexed by n. Immutable after construction.
+    ``jumps``. ``primes`` holds the primes <= limit, ascending, and
+    ``mobius`` is an exact integer array indexed by n. Immutable after
+    construction.
     """
 
     limit: int
     mobius: np.ndarray
-    smallest_prime_factor: np.ndarray
+    primes: np.ndarray
     prime_powers: np.ndarray = field(repr=False)
     prime_power_logs: np.ndarray = field(repr=False)
 
@@ -76,16 +76,6 @@ class MultiplicativeTables:
         lam = np.zeros(int(y) + 1)
         lam[pp] = logs
         return lam
-
-    def is_prime(self, n: int) -> bool:
-        if n > self.limit:
-            raise ValueError(f"n={n} outside table range [1, {self.limit}]")
-        return n >= 2 and int(self.smallest_prime_factor[n]) == n
-
-    def primes(self) -> np.ndarray:
-        """The primes <= limit, ascending: the prime powers p^e with e = 1."""
-        pp = self.prime_powers
-        return pp[self.smallest_prime_factor[pp] == pp]
 
 
 def build_tables(limit: int) -> MultiplicativeTables:
@@ -109,7 +99,7 @@ def build_tables(limit: int) -> MultiplicativeTables:
     for p in primes[: int(np.searchsorted(primes, math.isqrt(limit), side="right"))].tolist():
         mobius[p * p :: p * p] = 0
 
-    return _assemble(limit, spf, mobius, primes)
+    return _assemble(limit, mobius, primes)
 
 
 def _least_prime_factors(limit: int) -> tuple[np.ndarray, np.ndarray]:
@@ -135,7 +125,7 @@ def _least_prime_factors(limit: int) -> tuple[np.ndarray, np.ndarray]:
     return spf, primes
 
 
-def _assemble(limit: int, spf: np.ndarray, mobius: np.ndarray,
+def _assemble(limit: int, mobius: np.ndarray,
               primes: np.ndarray) -> MultiplicativeTables:
     """Tables from the sieved arrays: adds the sorted prime powers p^e <= limit
     and the logs of their base primes."""
@@ -156,7 +146,7 @@ def _assemble(limit: int, spf: np.ndarray, mobius: np.ndarray,
     return MultiplicativeTables(
         limit=int(limit),
         mobius=mobius,
-        smallest_prime_factor=spf,
+        primes=primes,
         prime_powers=powers[order],
         prime_power_logs=np.log(bases[order].astype(np.float64)),
     )

@@ -189,10 +189,6 @@ class DirichletCharacter:
         return hash((self.q, self.component_exponents))
 
     @property
-    def is_principal(self) -> bool:
-        return all(c == 0 for c in self.component_exponents)
-
-    @property
     def order(self) -> int:
         if self._order is None:
             out = 1

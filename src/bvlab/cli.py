@@ -29,7 +29,7 @@ from dataclasses import Field, dataclass, field, fields
 from fractions import Fraction
 
 from . import arith, characters, dpoly, exponents, heathbrown, perron, progressions
-from .reports import write_json, write_reports_csv
+from .reports import write_csv, write_json
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -237,7 +237,7 @@ def _out(cfg: ExperimentConfig, name: str) -> str:
 
 def cmd_sieve(cfg: ExperimentConfig) -> None:
     tables = arith.build_tables(cfg.limit)
-    n_primes = len(tables.primes())
+    n_primes = len(tables.primes)
     psi_x = progressions.psi(float(cfg.limit), tables)
     summary = {"limit": cfg.limit, "primes": n_primes, "psi_at_limit": psi_x}
     write_json(summary, _out(cfg, "sieve.json"))
@@ -256,10 +256,7 @@ def cmd_characters(cfg: ExperimentConfig) -> None:
                 f"primitive count mismatch at q={q}: {n_primitive} != {formula}"
             )
         rows.append({"q": q, "phi": group.phi, "primitive": n_primitive})
-    with open(_out(cfg, "characters.csv"), "w") as fh:
-        fh.write("q,phi,primitive\n")
-        for r in rows:
-            fh.write(f"{r['q']},{r['phi']},{r['primitive']}\n")
+    write_csv(rows, _out(cfg, "characters.csv"))
     print(f"characters: audited q <= {cfg.q_max}; "
           f"primitive-count formula matches enumeration")
 
@@ -272,7 +269,7 @@ def cmd_exceptions(cfg: ExperimentConfig) -> None:
     records, summary = progressions.exception_scan(
         float(cfg.x), Q, cfg.A, S, tables
     )
-    progressions.write_error_csv(records, _out(cfg, "exceptions.csv"))
+    write_csv([r.as_row() for r in records], _out(cfg, "exceptions.csv"))
     write_json(summary, _out(cfg, "exceptions.json"))
     print(f"exceptions: x={cfg.x} Q={Q} |S|={len(S.members)} "
           f"exceptional={summary['count_exceptional']} "
@@ -291,7 +288,7 @@ def cmd_hb_verify(cfg: ExperimentConfig) -> None:
     grid_report = heathbrown.dyadic_grid_report(
         [float(2**k) for k in range(8, 21, 2)]
     )
-    write_reports_csv([report, grid_report], _out(cfg, "hb.csv"))
+    write_csv([report.as_row(), grid_report.as_row()], _out(cfg, "hb.csv"))
     print(f"hb-verify: x={cfg.hb_x} max residual={report.lhs:.3e} "
           f"(worst n={worst_n}); dyadic grid ratio={grid_report.ratio:.4f}")
 
@@ -316,7 +313,7 @@ def cmd_meanvalue(cfg: ExperimentConfig) -> None:
         ]
     if any(not math.isfinite(r.ratio) for r in reports):
         raise AssertionError("non-finite mean-value ratio")
-    write_reports_csv(reports, _out(cfg, "meanvalue.csv"))
+    write_csv([r.as_row() for r in reports], _out(cfg, "meanvalue.csv"))
     worst = max(r.ratio for r in reports)
     print(f"meanvalue: {len(jobs)} sweep points, {len(reports)} reports, "
           f"max ratio={worst:.4f}")
@@ -372,7 +369,7 @@ def cmd_perron(cfg: ExperimentConfig) -> None:
     results = perron.height_trend(
         [P], cfg.y, tuple(cfg.heights), rel_tol=cfg.rel_tol
     )
-    perron.write_perron_csv(results, _out(cfg, "perron.csv"))
+    write_csv([r.as_row() for r in results], _out(cfg, "perron.csv"))
     sigma_grid = [0.5 + 0.05 * k for k in range(11)]
     perron.horizontal_bound_check([P], sigma_grid, max(cfg.heights))
     errs = " ".join(f"{r.abs_error:.3e}" for r in results)

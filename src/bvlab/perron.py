@@ -30,7 +30,6 @@ check it against.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -72,6 +71,12 @@ class PerronResult:
     @property
     def abs_error(self) -> float:
         return abs(self.approx - self.exact)
+
+    def as_row(self) -> dict:
+        return {"y": self.y, "height": self.height,
+                "approx_re": self.approx.real, "approx_im": self.approx.imag,
+                "exact_re": self.exact.real, "exact_im": self.exact.imag,
+                "abs_error": f"{self.abs_error:.6g}"}
 
 
 def _ring_order(family: list[DirichletPolynomial]) -> int:
@@ -193,14 +198,12 @@ def height_trend(
     family: list[DirichletPolynomial],
     y: float,
     heights: tuple[float, ...],
-    sigma0: float | None = None,
     rel_tol: float = 1e-8,
 ) -> list[PerronResult]:
-    """Truncation study at increasing heights (errors reported, not asserted).
-    rel_tol is accepted for compatibility; the closed form does not read it."""
-    specs = [default_contour(y, h) if sigma0 is None
-             else ContourSpec(sigma0=sigma0, height=h) for h in heights]
-    return [truncated_perron(family, y, spec) for spec in specs]
+    """Truncation study at increasing heights on default_contour's line
+    (errors reported, not asserted). rel_tol is accepted for
+    compatibility; the closed form does not read it."""
+    return [truncated_perron(family, y, default_contour(y, h)) for h in heights]
 
 
 def horizontal_bound_check(
@@ -247,17 +250,3 @@ def horizontal_bound_check(
         parameters={"height": height, "grid_size": len(sigma_grid), **worst},
         label="horizontal-triangle-bound",
     )
-
-
-def write_perron_csv(results: list[PerronResult], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["y", "height", "approx_re", "approx_im",
-                         "exact_re", "exact_im", "abs_error"])
-        for r in results:
-            writer.writerow([
-                f"{r.y:.12g}", f"{r.height:.12g}",
-                f"{r.approx.real:.12g}", f"{r.approx.imag:.12g}",
-                f"{r.exact.real:.12g}", f"{r.exact.imag:.12g}",
-                f"{r.abs_error:.6g}",
-            ])

@@ -20,7 +20,6 @@ sums in class order, and nothing scatters them back to jump order.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -37,11 +36,15 @@ if TYPE_CHECKING:
 @dataclass
 class ErrorTermRecord:
     q: int
-    a: int | str  # residue, or "max" for the max over residues
     y_star: float
     E_value: float
     threshold: float | None = None
     exceptional: bool = False
+
+    def as_row(self) -> dict:
+        return {"q": self.q, "phi_q": euler_phi(self.q), "E_star": self.E_value,
+                "y_star": self.y_star, "threshold": self.threshold,
+                "exceptional": int(self.exceptional)}
 
 
 def psi(y: float, tables: MultiplicativeTables) -> float:
@@ -83,7 +86,7 @@ def e_star(x: float, q: int, tables: MultiplicativeTables) -> ErrorTermRecord:
     endpoint = float(np.max(np.abs(totals - x * inv_phi)))
     if endpoint > best:
         best, y_star = endpoint, float(x)
-    return ErrorTermRecord(q=q, a="max", y_star=y_star, E_value=best)
+    return ErrorTermRecord(q=q, y_star=y_star, E_value=best)
 
 
 def e_star_bruteforce(x: int, q: int, tables: MultiplicativeTables) -> float:
@@ -141,7 +144,7 @@ def e_dagger(x: float, q: int, tables: MultiplicativeTables) -> ErrorTermRecord:
                      held_to[below == top].min(initial=len(pp)),
                      zero_to if zero == top else len(pp))
             best, y_star = float(top), float(pp[at])
-    return ErrorTermRecord(q=q, a="max", y_star=y_star, E_value=best)
+    return ErrorTermRecord(q=q, y_star=y_star, E_value=best)
 
 
 def e_dagger_bruteforce(x: int, q: int, tables: MultiplicativeTables) -> float:
@@ -206,18 +209,6 @@ def exception_scan(
         "max_ratio": max_ratio,
     }
     return records, summary
-
-
-def write_error_csv(records: list[ErrorTermRecord], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["q", "phi_q", "E_star", "y_star", "threshold", "exceptional"])
-        for r in records:
-            writer.writerow(
-                [r.q, euler_phi(r.q), f"{r.E_value:.12g}", f"{r.y_star:.12g}",
-                 "" if r.threshold is None else f"{r.threshold:.12g}",
-                 int(r.exceptional)]
-            )
 
 
 def _check_modulus(q: int) -> None:

@@ -1,8 +1,10 @@
-"""The universal verification record for inequality checkers.
+"""The universal verification record, and the one writer of artifacts.
 
 Implied constants in the checked inequalities are never asserted; each
 checker reports the observed left side, the right-side formula value,
 and their ratio, plus the full parameter set that produced them.
+Every CSV and JSON artifact is written here: a record gives its CSV row
+through ``as_row()``, and ``write_csv`` decides the file format.
 """
 
 from __future__ import annotations
@@ -45,9 +47,11 @@ def write_json(obj, path: str) -> None:
         fh.write("\n")
 
 
-def write_reports_csv(reports: list[BoundReport], path: str) -> None:
+def write_csv(rows: list[dict], path: str) -> None:
+    """Write one CSV artifact: the header is the union of the row keys in
+    first-seen order, floats are written ``.12g`` and None as an empty
+    cell, in the csv module's default dialect (CRLF line ends)."""
     keys: list[str] = []
-    rows = [r.as_row() for r in reports]
     for row in rows:
         for k in row:
             if k not in keys:

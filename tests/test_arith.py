@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from bvlab.arith import (
     LimitError,
     ModuliSet,
+    _least_prime_factors,
     build_tables,
     enumerate_moduli_set,
 )
@@ -48,7 +49,8 @@ def _naive_phi(n):
 def _support(tables):
     """The von Mangoldt support as a dict n -> p over every n = p^e."""
     pp = tables.prime_powers
-    return dict(zip(pp.tolist(), tables.smallest_prime_factor[pp].tolist()))
+    spf = _least_prime_factors(tables.limit)[0]
+    return dict(zip(pp.tolist(), spf[pp].tolist()))
 
 
 def _sieve_reference(limit):
@@ -98,17 +100,18 @@ def _sieve_reference(limit):
 def test_sieve_matches_reference_bit_for_bit(limit):
     ref = _sieve_reference(limit)
     tables = build_tables(limit)
-    for name in ("smallest_prime_factor", "mobius", "prime_powers",
-                 "prime_power_logs"):
+    spf = _least_prime_factors(limit)[0]
+    assert spf.dtype == ref["smallest_prime_factor"].dtype
+    assert np.array_equal(spf, ref["smallest_prime_factor"])
+    for name in ("mobius", "prime_powers", "prime_power_logs"):
         got = getattr(tables, name)
         assert got.dtype == ref[name].dtype, name
         assert np.array_equal(got, ref[name]), name
-    assert np.array_equal(tables.smallest_prime_factor[tables.prime_powers],
-                          ref["prime_power_bases"])
+    assert np.array_equal(spf[tables.prime_powers], ref["prime_power_bases"])
     assert _support(tables) == ref["lambda_support"]
     n = np.arange(2, limit + 1)
     ref_primes = n[ref["smallest_prime_factor"][2:] == n]
-    primes = tables.primes()
+    primes = tables.primes
     assert primes.dtype == ref_primes.dtype
     assert np.array_equal(primes, ref_primes)
 
@@ -181,16 +184,8 @@ def test_von_mangoldt_upto_is_dense_von_mangoldt(limit):
         f = factorize(m)
         oracle.append(math.log(f[0][0]) if len(f) == 1 else 0.0)
     assert lam.tolist() == oracle
-    bases = tables.smallest_prime_factor[tables.prime_powers]
+    bases = _least_prime_factors(limit)[0][tables.prime_powers]
     assert lam[tables.prime_powers].tolist() == [math.log(p) for p in bases.tolist()]
-
-
-def test_is_prime_range():
-    tables = build_tables(1000)
-    assert tables.is_prime(997) and not tables.is_prime(1000)
-    assert not any(tables.is_prime(n) for n in (-3, 0, 1))
-    with pytest.raises(ValueError, match=r"n=1009 outside table range \[1, 1000\]"):
-        tables.is_prime(1009)
 
 
 def test_prime_powers_sorted_and_complete(tables):
@@ -208,10 +203,11 @@ def test_prime_powers_sorted_and_complete(tables):
 
 
 def test_factorize_roundtrip(tables):
+    primes = set(tables.primes.tolist())
     for n in (1, 2, 97, 360, 9973, 9999):
         prod = 1
         for p, e in factorize(n):
-            assert tables.is_prime(p)
+            assert p in primes
             prod *= p**e
         assert prod == n
 
@@ -277,9 +273,10 @@ def test_primes_kind():
 
 def test_moduli_sets_match_sieve(tables):
     support = _support(tables)
+    primes = set(tables.primes.tolist())
     for Q in range(3, 301):
         window = range(Q, 2 * Q)
         assert enumerate_moduli_set(Q, "primes").members == \
-            [q for q in window if tables.is_prime(q)], Q
+            [q for q in window if q in primes], Q
         assert enumerate_moduli_set(Q, "prime-powers").members == \
             [q for q in window if q in support], Q

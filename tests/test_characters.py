@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bvlab
+from bvlab.arith import _least_prime_factors
 from bvlab.characters import (
     CharacterGroup,
     character_group,
@@ -58,8 +59,8 @@ def test_group_sizes_match_phi():
 def test_principal_character_first():
     for q in (1, 2, 8, 15, 36):
         chars = character_group(q)
-        assert chars[0].is_principal
-        assert sum(chi.is_principal for chi in chars) == 1
+        assert not any(chars[0].component_exponents)
+        assert sum(not any(chi.component_exponents) for chi in chars) == 1
 
 
 def test_values_are_roots_of_unity_or_zero():
@@ -306,11 +307,11 @@ def test_quarter_turn_values_are_exact():
                     {1, -1, 1j, -1j}, chi
 
 
-def _spf_phi(tables, n):
-    """phi(n) by walking the sieve's smallest prime factors."""
+def _spf_phi(spf, n):
+    """phi(n) by walking the sieve's smallest prime factors spf."""
     out = n
     while n > 1:
-        p = int(tables.smallest_prime_factor[n])
+        p = int(spf[n])
         out = out // p * (p - 1)
         while n % p == 0:
             n //= p
@@ -318,11 +319,12 @@ def _spf_phi(tables, n):
 
 
 def test_factorize_helpers_match_sieve(tables):
+    spf = _least_prime_factors(tables.limit)[0]
     for n in range(1, tables.limit + 1):
         f = factorize(n)
         assert math.prod(p**e for p, e in f) == n
         assert [p for p, _ in f] == sorted(p for p, _ in f)
-        assert euler_phi(n) == _spf_phi(tables, n), n
+        assert euler_phi(n) == _spf_phi(spf, n), n
     with pytest.raises(ValueError):
         factorize(0)
 
@@ -330,8 +332,9 @@ def test_factorize_helpers_match_sieve(tables):
 def test_primitive_count_matches_mobius_sum(tables):
     # the closed form against sum over d|q of mu(d) phi(q/d), with mu from
     # the sieve and phi from its smallest prime factors
+    spf = _least_prime_factors(tables.limit)[0]
     for q in range(1, 3001):
-        total = sum(int(tables.mobius[d]) * _spf_phi(tables, q // d)
+        total = sum(int(tables.mobius[d]) * _spf_phi(spf, q // d)
                     for d in range(1, q + 1) if q % d == 0)
         assert primitive_count(q) == total, q
     with pytest.raises(ValueError):

@@ -113,14 +113,27 @@ def test_bad_value_type_exit_code(tmp_path):
     assert cli.main(["sieve", "--config", cfg]) == cli.EXIT_INVALID_VALUE
 
 
+ARTIFACTS = ["certificate.json", "characters.csv", "exceptions.csv",
+             "exceptions.json", "fractions.json", "hb.csv", "lemma4.json",
+             "logpower.json", "meanvalue.csv", "perron.csv", "sieve.json"]
+
+
 def test_deterministic_outputs(tmp_path):
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    cfg1 = _write(tmp_path, BASE.format(out=out1), "c1.txt")
-    cfg2 = _write(tmp_path, BASE.format(out=out2), "c2.txt")
-    assert cli.main(["lemma4", "--config", cfg1]) == 0
-    assert cli.main(["lemma4", "--config", cfg2]) == 0
-    assert (out1 / "lemma4.json").read_bytes() == \
-        (out2 / "lemma4.json").read_bytes()
+    # two `bvlab all` runs at the desk sizes write the same artifacts, byte
+    # for byte, and every CSV artifact ends each line in CRLF, the csv
+    # module's default dialect
+    desk = str(ROOT / "scripts" / "desk.ini")
+    runs = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        assert cli.main(["all", "--config", desk, "--output-dir", str(out)]) == 0
+        runs.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert sorted(runs[0]) == ARTIFACTS
+    assert runs[0] == runs[1]
+    for name, data in runs[0].items():
+        if name.endswith(".csv"):
+            assert data.endswith(b"\r\n"), name
+            assert data.count(b"\n") == data.count(b"\r\n"), name
 
 
 def test_sieve_and_cache_consumers(tmp_path):

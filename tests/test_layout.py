@@ -40,11 +40,23 @@ def _defined_names(node):
     return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
 
 
+def _public_methods(node):
+    """The methods and properties a public class defines under public
+    names. Dataclass fields are assignments, not methods, so they stay
+    exempt: config keys are read through ``fields()``."""
+    if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+        return []
+    return [item for item in node.body
+            if isinstance(item, ast.FunctionDef)
+            and not item.name.startswith("_")]
+
+
 def test_every_public_definition_has_a_caller():
     # callers live in the package, the benchmark and the scripts; tests
     # do not count, so a definition or constant only tests reach belongs in
-    # the tests. Private names, dunders such as __version__ included, are
-    # exempt.
+    # the tests. The rule covers the public methods and properties of
+    # public classes too. Private names, dunders such as __version__
+    # included, are exempt.
     modules = sorted(PACKAGE.glob("*.py"))
     paths = modules + sorted((ROOT / "perfbench").glob("*.py")) \
         + sorted((ROOT / "scripts").glob("*.py"))
@@ -58,4 +70,8 @@ def test_every_public_definition_has_a_caller():
                 if not name.startswith("_") and name not in elsewhere \
                         and name not in _references(trees[path], skip=node):
                     uncalled.append(f"{path.stem}.{name}")
+            for method in _public_methods(node):
+                if method.name not in elsewhere \
+                        and method.name not in _references(trees[path], skip=method):
+                    uncalled.append(f"{path.stem}.{node.name}.{method.name}")
     assert not uncalled, uncalled

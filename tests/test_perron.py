@@ -13,8 +13,8 @@ from bvlab.perron import (
     height_trend,
     horizontal_bound_check,
     truncated_perron,
-    write_perron_csv,
 )
+from bvlab.reports import write_csv
 from paper_checks import exact_partial_sum
 
 CHI1 = character_group(1)[0]
@@ -224,15 +224,21 @@ def test_height_trend_and_csv(tmp_path, tables):
     results = height_trend(fam, 10.5, (1e3, 2e3, 4e3))
     assert len(results) == 3
     path = tmp_path / "perron.csv"
-    write_perron_csv(results, str(path))
+    write_csv([r.as_row() for r in results], str(path))
     lines = path.read_text().splitlines()
     assert lines[0].startswith("y,height,approx_re")
     assert len(lines) == 4
     # the default line of integration is default_contour's, height by height
     for r, h in zip(results, (1e3, 2e3, 4e3)):
         assert r == truncated_perron(fam, 10.5, default_contour(10.5, h))
-    explicit = height_trend(fam, 10.5, (1e3,), sigma0=1.5)
-    assert explicit == [truncated_perron(fam, 10.5, ContourSpec(1.5, 1e3))]
+    # a line of integration off the default one, against the quadrature
+    spec = ContourSpec(1.5, 1e3)
+    r = truncated_perron(fam, 10.5, spec)
+    ns, coeffs = _float_coefficients(fam)
+    weight = float(np.sum(np.abs(coeffs)))
+    oracle = quadrature_perron(ns, coeffs, 10.5, spec, weight, {})
+    assert abs(r.approx - oracle) <= 1e-12 * max(1.0, abs(r.exact))
+    assert r.exact == results[0].exact
 
 
 @pytest.mark.parametrize("q", [1, 5, 13])

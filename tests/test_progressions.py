@@ -7,7 +7,7 @@ from math import gcd
 import numpy as np
 import pytest
 
-from bvlab.arith import build_tables, enumerate_moduli_set
+from bvlab.arith import _least_prime_factors, build_tables, enumerate_moduli_set
 from bvlab.characters import CharacterGroup, character_group, euler_phi
 from bvlab.progressions import (
     _class_sums,
@@ -18,9 +18,8 @@ from bvlab.progressions import (
     exception_scan,
     max_modulus,
     psi,
-    write_error_csv,
 )
-from bvlab.reports import write_json
+from bvlab.reports import write_csv, write_json
 from paper_checks import (
     character_extremum,
     conductor_and_primitivity,
@@ -56,7 +55,7 @@ def test_psi_coprime_removes_bad_primes(tables):
     pp = tables.prime_powers
     expected = math.fsum(
         math.log(p) for n, p in
-        zip(pp.tolist(), tables.smallest_prime_factor[pp].tolist())
+        zip(pp.tolist(), _least_prime_factors(tables.limit)[0][pp].tolist())
         if n <= 100 and p in (2, 3)
     )
     assert removed == pytest.approx(expected, abs=1e-12)
@@ -175,7 +174,7 @@ def test_exception_scan_and_outputs(tmp_path, tables):
     assert summary["count_exceptional"] == sum(r.exceptional for r in records)
     csv_path = tmp_path / "err.csv"
     json_path = tmp_path / "summary.json"
-    write_error_csv(records, str(csv_path))
+    write_csv([r.as_row() for r in records], str(csv_path))
     write_json(summary, str(json_path))
     header = csv_path.read_text().splitlines()[0]
     assert header == "q,phi_q,E_star,y_star,threshold,exceptional"
