@@ -7,17 +7,17 @@ table comes from the sieve below.
 The smallest prime factors are sieved segment by segment (``SEGMENT``
 entries at a time, so the strided stores of the primes <= sqrt(limit) stay
 in cache), and the primes <= sqrt(limit) come from the same sieve run on
-sqrt(limit). Mobius is the Liouville function, from the recurrence
-lambda(n) = -lambda(n / spf(n)), set to 0 on the multiples of each p^2.
-The smallest prime factors and the mask that picks out the primes are the
-only scratch arrays as long as the table; the tables keep neither. They
-keep the primes, and the von Mangoldt support as the sorted prime powers,
-with the weights log p of their base primes taken once, into
+sqrt(limit). The smallest prime factors and the mask that picks out the
+primes are the only scratch arrays as long as the table; the tables keep
+neither. They keep the primes, and the von Mangoldt support as the sorted
+prime powers, with the weights log p of their base primes taken once, into
 ``prime_power_logs``.
 ``MultiplicativeTables.jumps`` is the one reader of those weights, and it
-refuses any range beyond the table. No Euler-phi table is sieved: phi(q)
-enters only the main term x/phi(q), once per modulus, and
-``characters.euler_phi`` supplies it.
+refuses any range beyond the table. No Mobius table is kept:
+``MultiplicativeTables.mobius_upto(y)`` sieves [0, y] on each call, from
+lambda(n) = -lambda(n / spf(n)) zeroed on the multiples of each p^2.
+No Euler-phi table is sieved: phi(q) enters only the main term x/phi(q),
+once per modulus, and ``characters.euler_phi`` supplies it.
 """
 
 from __future__ import annotations
@@ -48,13 +48,12 @@ class MultiplicativeTables:
 
     ``prime_powers`` holds every n = p^e <= limit in ascending order and
     ``prime_power_logs`` its weight Lambda(n) = log p; read them through
-    ``jumps``. ``primes`` holds the primes <= limit, ascending, and
-    ``mobius`` is an exact integer array indexed by n. Immutable after
-    construction.
+    ``jumps``. ``primes`` holds the primes <= limit, ascending. Mobius is
+    not held: ``mobius_upto`` sieves it on the range asked for. Immutable
+    after construction.
     """
 
     limit: int
-    mobius: np.ndarray
     primes: np.ndarray
     prime_powers: np.ndarray = field(repr=False)
     prime_power_logs: np.ndarray = field(repr=False)
@@ -77,29 +76,56 @@ class MultiplicativeTables:
         lam[pp] = logs
         return lam
 
+    def mobius_upto(self, y: float) -> np.ndarray:
+        """Dense int8 mu(m) for 0 <= m <= floor(y); ValueError if y > limit
+        or y is NaN. Sieved on each call over [0, floor(y)] only."""
+        import numpy as np
+        if not y <= self.limit:
+            raise ValueError(f"y={y} exceeds the table limit {self.limit}")
+        n = int(y)
+        spf, primes = _least_prime_factors(n)
+        # Liouville lambda(m) = -lambda(m / spf(m)); a block [lo, hi) with
+        # hi <= 2 lo reads only m / spf(m) <= m / 2 < lo, already filled.
+        mobius = np.zeros(n + 1, dtype=np.int8)
+        mobius[1:2] = 1
+        lo = 2
+        while lo <= n:
+            hi = min(2 * lo, lo + SEGMENT, n + 1)
+            cofactor = np.arange(lo, hi, dtype=np.uint32) // spf[lo:hi]
+            np.negative(mobius[cofactor], out=mobius[lo:hi])
+            lo = hi
+        # mu is lambda off the multiples of a square p^2
+        for p in primes[: int(np.searchsorted(primes, math.isqrt(n), side="right"))].tolist():
+            mobius[p * p :: p * p] = 0
+        return mobius
+
 
 def build_tables(limit: int) -> MultiplicativeTables:
-    """Sieve smallest prime factors, mobius and Lambda-support up to limit."""
+    """Sieve the primes and the Lambda support up to limit: the sorted
+    prime powers p^e <= limit and the logs of their base primes."""
     import numpy as np
     if limit < 2 or limit > DEFAULT_LIMIT_CEILING:
         raise LimitError(f"limit must be in [2, {DEFAULT_LIMIT_CEILING}], got {limit}")
-    spf, primes = _least_prime_factors(limit)
-
-    # Liouville lambda(n) = -lambda(n / spf(n)); a block [lo, hi) with
-    # hi <= 2 lo reads only n / spf(n) <= n / 2 < lo, already filled.
-    mobius = np.empty(limit + 1, dtype=np.int8)
-    mobius[:2] = (0, 1)
-    lo = 2
-    while lo <= limit:
-        hi = min(2 * lo, lo + SEGMENT, limit + 1)
-        cofactor = np.arange(lo, hi, dtype=np.uint32) // spf[lo:hi]
-        np.negative(mobius[cofactor], out=mobius[lo:hi])
-        lo = hi
-    # mu is lambda off the multiples of a square p^2
-    for p in primes[: int(np.searchsorted(primes, math.isqrt(limit), side="right"))].tolist():
-        mobius[p * p :: p * p] = 0
-
-    return _assemble(limit, mobius, primes)
+    primes = _least_prime_factors(limit)[1]
+    powers = [primes.astype(np.int64)]
+    bases = [powers[0]]
+    p = powers[0][: int(np.searchsorted(powers[0], math.isqrt(limit), side="right"))]
+    pe = p * p
+    while p.size:
+        keep = pe <= limit
+        p, pe = p[keep], pe[keep]
+        powers.append(pe)
+        bases.append(p)
+        pe = pe * p
+    powers = np.concatenate(powers)
+    bases = np.concatenate(bases)
+    order = np.argsort(powers, kind="stable")
+    return MultiplicativeTables(
+        limit=int(limit),
+        primes=primes,
+        prime_powers=powers[order],
+        prime_power_logs=np.log(bases[order].astype(np.float64)),
+    )
 
 
 def _least_prime_factors(limit: int) -> tuple[np.ndarray, np.ndarray]:
@@ -125,40 +151,12 @@ def _least_prime_factors(limit: int) -> tuple[np.ndarray, np.ndarray]:
     return spf, primes
 
 
-def _assemble(limit: int, mobius: np.ndarray,
-              primes: np.ndarray) -> MultiplicativeTables:
-    """Tables from the sieved arrays: adds the sorted prime powers p^e <= limit
-    and the logs of their base primes."""
-    import numpy as np
-    powers = [primes.astype(np.int64)]
-    bases = [powers[0]]
-    p = powers[0][: int(np.searchsorted(powers[0], math.isqrt(limit), side="right"))]
-    pe = p * p
-    while p.size:
-        keep = pe <= limit
-        p, pe = p[keep], pe[keep]
-        powers.append(pe)
-        bases.append(p)
-        pe = pe * p
-    powers = np.concatenate(powers)
-    bases = np.concatenate(bases)
-    order = np.argsort(powers, kind="stable")
-    return MultiplicativeTables(
-        limit=int(limit),
-        mobius=mobius,
-        primes=primes,
-        prime_powers=powers[order],
-        prime_power_logs=np.log(bases[order].astype(np.float64)),
-    )
-
-
 @dataclass(frozen=True)
 class ModuliSet:
     """Pairwise relatively prime moduli in [Q, 2Q)."""
 
     Q: int
     members: list[int]
-    kind: str  # "prime-powers" | "primes" | "custom"
 
     def __post_init__(self):
         for q in self.members:
@@ -182,7 +180,7 @@ def enumerate_moduli_set(Q: int, kind: str = "prime-powers",
     if kind == "custom":
         if custom is None:
             raise ValueError("kind='custom' requires a member list")
-        return ModuliSet(Q=Q, members=sorted(custom), kind=kind)
+        return ModuliSet(Q=Q, members=sorted(custom))
     if kind not in ("primes", "prime-powers"):
         raise ValueError(f"unknown moduli kind {kind!r}")
     members = []
@@ -191,4 +189,4 @@ def enumerate_moduli_set(Q: int, kind: str = "prime-powers",
         # one prime factor: q = p^e, and a prime when e = 1
         if len(f) == 1 and (kind == "prime-powers" or f[0][1] == 1):
             members.append(q)
-    return ModuliSet(Q=Q, members=members, kind=kind)
+    return ModuliSet(Q=Q, members=members)

@@ -130,7 +130,8 @@ class ExperimentConfig:
                                le=_MODULUS_CEILING // 2)
     t_values: list[int] = _key("meanvalue", [16, 64], ge=1)
     n_min_exp: int = _key("meanvalue", 6, ge=0)
-    # 2^(n_max_exp + 1) must not exceed the sieve ceiling
+    # keeps N' = 2^(n_max_exp + 1), the end of the longest polynomial, within
+    # the ceiling 10^8 that also bounds every sieved range
     n_max_exp: int = _key("meanvalue", 12, ge=0, le=_CEILING.bit_length() - 2)
     x_scale: int = _key("meanvalue", dpoly.DEFAULT_X_SCALE, ge=2)
     lemma4_grid_step: Fraction = _key("lemma4", Fraction(1, 8), "grid_step",
@@ -277,7 +278,8 @@ def cmd_exceptions(cfg: ExperimentConfig) -> None:
 
 
 def cmd_hb_verify(cfg: ExperimentConfig) -> None:
-    tables = arith.build_tables(cfg.hb_x)
+    # mu and Lambda are read up to n_max; build_tables needs limit >= 2
+    tables = arith.build_tables(max(cfg.hb_n_max, 2))
     report = heathbrown.verify_identity(float(cfg.hb_x), cfg.hb_n_max, tables)
     worst_n = report.parameters["worst_n"]
     if report.lhs > report.rhs_formula_value:
@@ -294,7 +296,6 @@ def cmd_hb_verify(cfg: ExperimentConfig) -> None:
 
 
 def cmd_meanvalue(cfg: ExperimentConfig) -> None:
-    tables = arith.build_tables(2 ** (cfg.n_max_exp + 1))
     jobs = [
         (Q, T, 2**k)
         for Q in cfg.q_values
@@ -303,12 +304,11 @@ def cmd_meanvalue(cfg: ExperimentConfig) -> None:
     ]
     reports = []
     for Q, T, N in jobs:
-        fam = dpoly.build_triple_family(Q, float(T), N, None, "unit", tables)
+        fam = dpoly.build_triple_family(Q, float(T), N, None, "unit", None)
         reports += [
             dpoly.mean_value_report(fam, x_scale=cfg.x_scale),
-            dpoly.fourth_moment_report(Q, float(T), N, tables,
-                                       x_scale=cfg.x_scale),
-            dpoly.derivative_second_moment_report(Q, float(T), N, tables,
+            dpoly.fourth_moment_report(Q, float(T), N, x_scale=cfg.x_scale),
+            dpoly.derivative_second_moment_report(Q, float(T), N,
                                                   x_scale=cfg.x_scale),
         ]
     if any(not math.isfinite(r.ratio) for r in reports):
@@ -362,10 +362,8 @@ def cmd_exponents(cfg: ExperimentConfig) -> None:
 
 
 def cmd_perron(cfg: ExperimentConfig) -> None:
-    tables = arith.build_tables(32)
     chi = characters.character_group(1)[0]
     P = dpoly.DirichletPolynomial(N=4, N_prime=8, kind="unit", chi=chi)
-    P.attach_tables(tables)
     results = perron.height_trend(
         [P], cfg.y, tuple(cfg.heights), rel_tol=cfg.rel_tol
     )

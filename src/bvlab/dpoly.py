@@ -86,9 +86,10 @@ def _base_coefficients(kind, ns, tables, explicit):
     if kind == "unit":
         return np.ones(len(ns), dtype=np.complex128)
     if kind == "mobius":
-        if tables is None or (len(ns) and ns[-1] > tables.limit):
+        top = int(ns[-1]) if len(ns) else 0
+        if tables is None or top > tables.limit:
             raise ValueError("mobius coefficients need tables covering N'")
-        return tables.mobius[ns].astype(np.complex128)
+        return tables.mobius_upto(top)[ns].astype(np.complex128)
     if kind == "explicit":
         if explicit is None:
             raise ValueError("explicit kind requires a coefficient map")
@@ -278,7 +279,6 @@ class TripleFamily:
     abs_values: list[np.ndarray]  # |S| at the selected points, per chi
     G: float
     base: np.ndarray = field(repr=False, compare=False)  # a_n on (N, N']
-    coefficients: dict[int, complex] | None = field(default=None, repr=False)
 
     @functools.cached_property
     def polynomials(self) -> list[DirichletPolynomial]:
@@ -288,8 +288,7 @@ class TripleFamily:
         polys = []
         for J in self.spaced_sets:
             P = DirichletPolynomial(N=self.N, N_prime=self.N_prime,
-                                    kind=self.kind, chi=J.chi,
-                                    coefficients=self.coefficients)
+                                    kind=self.kind, chi=J.chi)
             P._base = self.base
             polys.append(P)
         return polys
@@ -364,8 +363,7 @@ def build_triple_family(
         abs_vals.append(grid_vals[idx, j])
     return TripleFamily(Q=Q, T=T, N=N, N_prime=N_prime, kind=kind, sigma=sigma,
                         spaced_sets=spaced, abs_values=abs_vals,
-                        G=float(np.sum(np.abs(base) ** 2)), base=base,
-                        coefficients=coefficients)
+                        G=float(np.sum(np.abs(base) ** 2)), base=base)
 
 
 def mean_value_report(family: TripleFamily,

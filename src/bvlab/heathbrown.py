@@ -27,16 +27,18 @@ SIGNED_BINOMIALS = (4, -6, 4, -1)
 
 def reconstruct(x: float, n_max: int, tables: MultiplicativeTables) -> np.ndarray:
     """Array r with r[n] = the identity's reconstruction of Lambda(n),
-    for 0 <= n <= n_max, built from Dirichlet convolutions."""
+    for 0 <= n <= n_max, built from Dirichlet convolutions. Needs
+    n_max <= x < inf and n_max <= tables.limit: mu is read on
+    [1, min(z, n_max)] with z = floor(x^(1/4)), so x may pass the tables."""
     import numpy as np
-    if not n_max <= x <= tables.limit:
-        raise ValueError("need n_max <= x <= tables.limit")
+    if not (n_max <= x < math.inf and n_max <= tables.limit):
+        raise ValueError("need n_max <= x < inf and n_max <= tables.limit")
     n_max = int(n_max)
     z, _, _ = _integer_sizes(x)
 
     mu_trunc = np.zeros(n_max + 1)
     top = min(z, n_max)
-    mu_trunc[1 : top + 1] = tables.mobius[1 : top + 1]
+    mu_trunc[1 : top + 1] = tables.mobius_upto(top)[1:]
 
     logs = np.zeros(n_max + 1)
     if n_max >= 1:

@@ -103,10 +103,13 @@ def test_sieve_matches_reference_bit_for_bit(limit):
     spf = _least_prime_factors(limit)[0]
     assert spf.dtype == ref["smallest_prime_factor"].dtype
     assert np.array_equal(spf, ref["smallest_prime_factor"])
-    for name in ("mobius", "prime_powers", "prime_power_logs"):
+    for name in ("prime_powers", "prime_power_logs"):
         got = getattr(tables, name)
         assert got.dtype == ref[name].dtype, name
         assert np.array_equal(got, ref[name]), name
+    mobius = tables.mobius_upto(limit)
+    assert mobius.dtype == ref["mobius"].dtype
+    assert np.array_equal(mobius, ref["mobius"])
     assert np.array_equal(spf[tables.prime_powers], ref["prime_power_bases"])
     assert _support(tables) == ref["lambda_support"]
     n = np.arange(2, limit + 1)
@@ -130,8 +133,9 @@ def test_limit_validation():
 
 
 def test_sieve_against_naive(tables):
+    mobius = tables.mobius_upto(499)
     for n in range(1, 500):
-        assert int(tables.mobius[n]) == _naive_mobius(n)
+        assert int(mobius[n]) == _naive_mobius(n)
         assert euler_phi(n) == _naive_phi(n)
 
 
@@ -159,6 +163,7 @@ _LAMBDA_READERS = {
     "e_dagger_bruteforce-q7": lambda y, t: e_dagger_bruteforce(y, 7, t),
     "e_dagger_bruteforce-q1": lambda y, t: e_dagger_bruteforce(y, 1, t),
     "von_mangoldt_upto": lambda y, t: t.von_mangoldt_upto(y),
+    "mobius_upto": lambda y, t: t.mobius_upto(y),
     "verify_identity": lambda y, t: verify_identity(y, y, t),
 }
 
@@ -225,7 +230,7 @@ def test_phi_multiplicative(n, m):
 def test_mobius_square_vanishes(n):
     tables = _shared()
     if n * n <= tables.limit and n > 1:
-        assert int(tables.mobius[n * n]) == 0
+        assert int(tables.mobius_upto(n * n)[n * n]) == 0
 
 
 _CACHED = None
@@ -259,9 +264,9 @@ def test_moduli_set_window_and_coprimality():
     s = enumerate_moduli_set(22, "prime-powers")
     assert s.members == [23, 25, 27, 29, 31, 32, 37, 41, 43]
     with pytest.raises(ValueError, match="outside"):
-        ModuliSet(Q=10, members=[9], kind="custom")
+        ModuliSet(Q=10, members=[9])
     with pytest.raises(ValueError, match="share the factor"):
-        ModuliSet(Q=10, members=[10, 15], kind="custom")
+        ModuliSet(Q=10, members=[10, 15])
     with pytest.raises(ValueError, match="unknown moduli kind"):
         enumerate_moduli_set(10, "everything")
 

@@ -333,8 +333,9 @@ def test_primitive_count_matches_mobius_sum(tables):
     # the closed form against sum over d|q of mu(d) phi(q/d), with mu from
     # the sieve and phi from its smallest prime factors
     spf = _least_prime_factors(tables.limit)[0]
+    mobius = tables.mobius_upto(3000)
     for q in range(1, 3001):
-        total = sum(int(tables.mobius[d]) * _spf_phi(spf, q // d)
+        total = sum(int(mobius[d]) * _spf_phi(spf, q // d)
                     for d in range(1, q + 1) if q % d == 0)
         assert primitive_count(q) == total, q
     with pytest.raises(ValueError):

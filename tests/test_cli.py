@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from bvlab import cli, exponents
+from bvlab import arith, cli, exponents
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -162,6 +162,28 @@ def test_sieve_and_cache_consumers(tmp_path):
     assert sorted(sieve) == ["limit", "primes", "psi_at_limit"]
     assert sieve["limit"] == 3000 and sieve["primes"] == 430
     assert not (tmp_path / "absent.bin").exists()
+
+
+def test_each_command_sieves_only_the_range_it_reads(tmp_path, monkeypatch):
+    # sieve builds [sieve] limit, exceptions [exceptions] x and hb-verify
+    # [hb] n_max, at least 2, the least limit a table takes; the unit and
+    # log-coefficient polynomials of meanvalue and perron read no table
+    calls = []
+    build = arith.build_tables
+    monkeypatch.setattr(arith, "build_tables",
+                        lambda limit: calls.append(limit) or build(limit))
+    text = (f"[general]\noutput_dir = {tmp_path / 'out'}\n[sieve]\nlimit = 3000\n"
+            "[exceptions]\nx = 2000\n[hb]\nx = 5000\nn_max = {n_max}\n"
+            "[meanvalue]\nq_values = 2\nt_values = 1\nn_min_exp = 0\n"
+            "n_max_exp = 1\n[perron]\nheights = 1e3\n")
+    expected = [("sieve", 1000, [3000]), ("exceptions", 1000, [2000]),
+                ("hb-verify", 1000, [1000]), ("hb-verify", 1, [2]),
+                ("meanvalue", 1000, []), ("perron", 1000, [])]
+    for command, n_max, limits in expected:
+        calls.clear()
+        cfg = _write(tmp_path, text.replace("{n_max}", str(n_max)))
+        assert cli.main([command, "--config", cfg]) == 0, command
+        assert calls == limits, (command, n_max)
 
 
 def test_probe_theta_reports_without_failing(tmp_path):

@@ -10,6 +10,7 @@ from scipy.integrate import quad
 
 import bvlab
 
+from bvlab.arith import build_tables
 from bvlab.heathbrown import (
     SIGNED_BINOMIALS,
     _dirichlet_convolve,
@@ -62,7 +63,7 @@ def _reconstruct_reference(x, n_max, tables):
     z = int(math.floor(x ** 0.25 + 1e-9))
     mu_trunc = np.zeros(n_max + 1)
     top = min(z, n_max)
-    mu_trunc[1 : top + 1] = tables.mobius[1 : top + 1]
+    mu_trunc[1 : top + 1] = tables.mobius_upto(top)[1 : top + 1]
     logs = np.zeros(n_max + 1)
     logs[1:] = np.log(np.arange(1, n_max + 1, dtype=np.float64))
     unit = np.ones(n_max + 1)
@@ -90,6 +91,7 @@ def reconstruct_bruteforce(n, x, tables):
     """Oracle: enumerate every tuple (m_1..m_j, n_1..n_j) with product n
     directly. Exponential in divisors; for small n only."""
     z, _, _ = _integer_sizes(x)
+    mobius = tables.mobius_upto(n)  # every m divides n
     total = 0.0
     for j, coeff in enumerate(SIGNED_BINOMIALS, start=1):
         for tup in _ordered_factorizations(n, 2 * j):
@@ -101,7 +103,7 @@ def reconstruct_bruteforce(n, x, tables):
                 continue
             mu = 1
             for m in ms:
-                mu *= int(tables.mobius[m])
+                mu *= int(mobius[m])
                 if mu == 0:
                     break
             if mu == 0:
@@ -127,6 +129,17 @@ def test_reconstruction_agrees_with_bruteforce(tables):
         assert rec[n] == pytest.approx(
             reconstruct_bruteforce(n, x, tables), abs=1e-9
         )
+
+
+@pytest.mark.parametrize("x, n_max", [(2000, 2), (10**4, 600), (10**5, 3000),
+                                      (10**6, 9999)])
+def test_reconstruction_reads_no_table_past_n_max(x, n_max):
+    # mu is read on [1, min(z, n_max)] and nothing past n_max, so tables
+    # sieved to n_max, below x, give the bits of tables sieved to x
+    small = reconstruct(float(x), n_max, build_tables(n_max))
+    assert small.tobytes() == reconstruct(float(x), n_max, build_tables(x)).tobytes()
+    with pytest.raises(ValueError, match="inf"):
+        reconstruct(math.inf, n_max, build_tables(n_max))
 
 
 def test_verify_identity_report(tables):

@@ -75,3 +75,18 @@ def test_every_public_definition_has_a_caller():
                         and method.name not in _references(trees[path], skip=method):
                     uncalled.append(f"{path.stem}.{node.name}.{method.name}")
     assert not uncalled, uncalled
+
+
+def test_table_data_is_read_through_the_readers():
+    # outside arith, sieved data is reached only through jumps,
+    # von_mangoldt_upto, mobius_upto, primes and limit, so every read of
+    # Lambda or mu is refused past the range of the caller's tables
+    stored = {"prime_powers", "prime_power_logs", "mobius"}
+    reads = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "arith":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in stored:
+                reads.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert not reads, reads
