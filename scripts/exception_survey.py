@@ -10,10 +10,9 @@ a table.
 
 import argparse
 import csv
-import math
 
 from bvlab.arith import DEFAULT_LIMIT_CEILING, build_tables, enumerate_moduli_set
-from bvlab.progressions import exception_scan, max_modulus
+from bvlab.progressions import LEAST_X, exception_scan, max_modulus, threshold_scale
 
 
 def main() -> None:
@@ -24,16 +23,19 @@ def main() -> None:
                     default=[0.5, 1.0, 2.0, 3.0])
     ap.add_argument("--out", default="exception_survey.csv")
     args = ap.parse_args()
-    if min(args.x_values) < 132:
-        # 132 is the least x with max_modulus(x) >= 3; a moduli set needs Q >= 3
-        ap.error(f"every x must be at least 132, got {min(args.x_values)}")
+    if min(args.x_values) < LEAST_X:
+        # a moduli set needs Q = max_modulus(x) >= 3
+        ap.error(f"every x must be at least {LEAST_X}, got {min(args.x_values)}")
     if max(args.x_values) > DEFAULT_LIMIT_CEILING:
         # the sieve behind E*(x, q) stops at this ceiling
         ap.error(f"every x must be at most {DEFAULT_LIMIT_CEILING}, "
                  f"got {max(args.x_values)}")
-    bad = [A for A in args.a_values if not 0 <= A < math.inf]
-    if bad:
-        ap.error(f"every A must be finite and nonnegative, got {bad[0]}")
+    for x in args.x_values:
+        for A in args.a_values:
+            try:
+                threshold_scale(x, max_modulus(x), A)
+            except ValueError as exc:
+                ap.error(str(exc))
 
     tables = build_tables(max(args.x_values))
     rows = []

@@ -69,20 +69,24 @@ class MultiplicativeTables:
         return self.prime_powers[:k], self.prime_power_logs[:k]
 
     def von_mangoldt_upto(self, y: float) -> np.ndarray:
-        """Dense Lambda(m) for 0 <= m <= floor(y); ValueError if y > limit."""
+        """Dense Lambda(m) for 0 <= m <= floor(y), empty for y < 0;
+        ValueError if y > limit or y is NaN."""
         import numpy as np
         pp, logs = self.jumps(y)
-        lam = np.zeros(int(y) + 1)
+        lam = np.zeros(math.floor(y) + 1 if y >= 0 else 0)
         lam[pp] = logs
         return lam
 
     def mobius_upto(self, y: float) -> np.ndarray:
-        """Dense int8 mu(m) for 0 <= m <= floor(y); ValueError if y > limit
-        or y is NaN. Sieved on each call over [0, floor(y)] only."""
+        """Dense int8 mu(m) for 0 <= m <= floor(y), empty for y < 0;
+        ValueError if y > limit or y is NaN. Sieved on each call over
+        [0, floor(y)] only."""
         import numpy as np
         if not y <= self.limit:
             raise ValueError(f"y={y} exceeds the table limit {self.limit}")
-        n = int(y)
+        if y < 0:
+            return np.zeros(0, dtype=np.int8)
+        n = math.floor(y)
         spf, primes = _least_prime_factors(n)
         # Liouville lambda(m) = -lambda(m / spf(m)); a block [lo, hi) with
         # hi <= 2 lo reads only m / spf(m) <= m / 2 < lo, already filled.

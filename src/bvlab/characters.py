@@ -92,8 +92,11 @@ def _smallest_primitive_root(p: int, e: int) -> int:
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
-    """Prime factorisation of n >= 1 by trial division: (p, e) pairs in
-    increasing p, empty for n = 1."""
+    """Prime factorisation of an int n >= 1 by trial division: (p, e)
+    pairs in increasing p, empty for n = 1. TypeError for a bool or any
+    other type."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise TypeError(f"n must be an int, got {n!r}")
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     out = []
@@ -135,13 +138,6 @@ class CharacterGroup:
         ends = itertools.accumulate((len(c.orders) for c in self.components), initial=0)
         self._slices = [slice(a, b) for a, b in itertools.pairwise(ends)]
         self._units: list[int] | None = None
-
-    @property
-    def phi(self) -> int:
-        out = 1
-        for o in self.orders:
-            out *= o
-        return out
 
     def units(self) -> list[int]:
         """Every unit prod g_i^k_i mod q, in the (k_i) order of

@@ -117,8 +117,7 @@ class ExperimentConfig:
     table_cache: str = _key("general", "")  # accepted; nothing reads it
     limit: int = _key("sieve", 10**6, ge=2, le=_CEILING)
     q_max: int = _key("characters", 200, ge=1, le=_MODULUS_CEILING)
-    # 132 is the least x with progressions.max_modulus(x) >= 3
-    x: int = _key("exceptions", 10**6, ge=132, le=_CEILING)
+    x: int = _key("exceptions", 10**6, ge=progressions.LEAST_X, le=_CEILING)
     A: float = _key("exceptions", 1.0, ge=0)
     moduli_kind: str = _key("exceptions", "prime-powers",
                             allowed=("prime-powers", "primes"))
@@ -217,15 +216,10 @@ def _validate(cfg: ExperimentConfig) -> None:
                                 f"n_max_exp {cfg.n_max_exp}")
     if abs(cfg.y - round(cfg.y)) < 1e-9:
         raise InvalidValueError(f"y {cfg.y} must not be an integer")
-    # E*(x, q) <= max(psi(x), x) < 1.04 x, so each ratio E*/threshold is below
-    # 1.04 Q (log x)^A; a finite 2 Q (log x)^A keeps thresholds and ratios finite
     try:
-        scale = 2 * progressions.max_modulus(cfg.x) * math.log(cfg.x) ** cfg.A
-    except OverflowError:
-        scale = math.inf
-    if not math.isfinite(scale):
-        raise InvalidValueError(f"A {cfg.A} overflows the threshold "
-                                f"x / (phi(q) (log x)^A) at x = {cfg.x}")
+        progressions.threshold_scale(cfg.x, progressions.max_modulus(cfg.x), cfg.A)
+    except ValueError as exc:
+        raise InvalidValueError(str(exc)) from exc
 
 
 def _out(cfg: ExperimentConfig, name: str) -> str:
@@ -248,15 +242,14 @@ def cmd_sieve(cfg: ExperimentConfig) -> None:
 def cmd_characters(cfg: ExperimentConfig) -> None:
     rows = []
     for q in range(1, cfg.q_max + 1):
-        group = characters.CharacterGroup(q)
-        chars = group.characters()
-        n_primitive = sum(chi.is_primitive for chi in chars)
+        n_primitive = sum(chi.is_primitive for chi in characters.character_group(q))
         formula = characters.primitive_count(q)
         if n_primitive != formula:
             raise AssertionError(
                 f"primitive count mismatch at q={q}: {n_primitive} != {formula}"
             )
-        rows.append({"q": q, "phi": group.phi, "primitive": n_primitive})
+        rows.append({"q": q, "phi": characters.euler_phi(q),
+                     "primitive": n_primitive})
     write_csv(rows, _out(cfg, "characters.csv"))
     print(f"characters: audited q <= {cfg.q_max}; "
           f"primitive-count formula matches enumeration")

@@ -239,28 +239,24 @@ def _modulus_table(q: int) -> tuple[tuple[DirichletCharacter, ...], np.ndarray]:
     return chis, values
 
 
-@functools.lru_cache(maxsize=2)
-def primitive_characters(Q: int,
-                         min_conductor: int = 1) -> tuple[DirichletCharacter, ...]:
-    """All primitive characters mod q over min_conductor <= q < 2Q
-    (q = 1 contributes the trivial character): the per-modulus tuples of
-    ``_modulus_table`` joined in order of q. The joined tuples of the last
-    two (Q, min_conductor) keys are held, one pointer per character, as
-    tuples so no caller can change a shared one."""
-    return tuple(chi for q in range(min_conductor, 2 * Q)
-                 for chi in _modulus_table(q)[0])
-
-
 def _twisted_columns(Q: int, min_conductor: int, ns: np.ndarray,
-                     base: np.ndarray) -> np.ndarray:
-    """The (len(ns) x count) matrix a_n chi(n) over the characters of
-    ``primitive_characters(Q, min_conductor)``, in that order: one gather
-    of chi(n mod q) per modulus, then one multiply by the base a_n, the
-    same complex product as ``DirichletPolynomial.twisted_coefficients``."""
+                     base: np.ndarray) -> tuple[list[DirichletCharacter], np.ndarray]:
+    """The primitive characters of modulus min_conductor <= q < 2Q (q = 1
+    gives the trivial character) in order of q, and the (len(ns) x count)
+    matrix a_n chi(n) with one column per character in that order, both
+    from one walk over ``_modulus_table``: one gather of chi(n mod q) per
+    modulus, then one multiply by the base a_n, the same complex product as
+    ``DirichletPolynomial.twisted_coefficients``. ValueError, before the
+    product, if there is no such character."""
     import numpy as np
-    X = np.hstack([_modulus_table(q)[1].T[ns % q]
-                   for q in range(min_conductor, 2 * Q)])
-    return base[:, None] * X
+    chis, gathers = [], []
+    for q in range(min_conductor, 2 * Q):
+        q_chis, values = _modulus_table(q)
+        chis.extend(q_chis)
+        gathers.append(values.T[ns % q])
+    if not chis:
+        raise ValueError(f"no primitive character of modulus {min_conductor} <= q < {2 * Q}")
+    return chis, base[:, None] * np.hstack(gathers)
 
 
 @dataclass
@@ -346,14 +342,11 @@ def build_triple_family(
         raise ValueError("interval stretch above (N, 2N] is not supported")
     if not math.isfinite(sigma):
         raise ValueError("sigma must be finite")
-    chis = primitive_characters(Q, min_conductor)
-    if not chis:
-        raise ValueError(f"no primitive character of modulus {min_conductor} <= q < {2 * Q}")
     t_grid = _t_grid(T)
     ns = np.arange(N + 1, N_prime + 1, dtype=np.int64)
     base = _base_coefficients(kind, ns, tables, coefficients)
-    grid_vals = _grid_abs_values(t_grid, ns, sigma,
-                                 _twisted_columns(Q, min_conductor, ns, base))
+    chis, columns = _twisted_columns(Q, min_conductor, ns, base)
+    grid_vals = _grid_abs_values(t_grid, ns, sigma, columns)
 
     kept = _greedy_spaced_columns(grid_vals)
     spaced, abs_vals = [], []

@@ -20,8 +20,9 @@ The exact side is exact: coefficients live in the ring Q[x]/(x^L - 1),
 with x standing for exp(2 pi i / L) and L the lcm of the characters'
 orders (times 4 when a base coefficient is non-real, so that i = x^(L/4)).
 A character value, the integer turn k with chi(n) = e(k / ord chi), is the
-shift x^(k L / ord chi); unit and Mobius coefficients are integer
-multiplicities, and explicit float coefficients exact Fractions. The
+shift x^(k L / ord chi). Each nonzero real or imaginary part of a base
+coefficient is an exact multiplicity: an int where it is whole (every unit
+and Mobius coefficient), else a Fraction. The
 convolution array gives sum_{n <= y} c_n as a vector, converted to a
 complex number once with ``characters.unit_root``; a tuple enumeration
 (``exact_partial_sum_bruteforce``) is the independent oracle the tests
@@ -98,11 +99,9 @@ def _ring_terms(P: DirichletPolynomial, L: int) -> list[tuple[int, dict]]:
         if k is None or c == 0:
             continue
         k *= L // P.chi.order
-        if P.kind == "explicit":
-            parts = ((k, Fraction(c.real)), ((k + L // 4) % L, Fraction(c.imag)))
-        else:
-            parts = ((k, int(c.real)),)
-        out.append((n, {e: m for e, m in parts if m != 0}))
+        parts = ((k, c.real), ((k + L // 4) % L, c.imag))
+        out.append((n, {e: int(m) if m.is_integer() else Fraction(m)
+                        for e, m in parts if m != 0}))
     return out
 
 

@@ -28,6 +28,7 @@ from typing import TYPE_CHECKING
 
 from .arith import ModuliSet, MultiplicativeTables
 from .characters import euler_phi
+from .exponents import THETA_MAX
 
 if TYPE_CHECKING:
     import numpy as np
@@ -166,14 +167,40 @@ def e_dagger_bruteforce(x: int, q: int, tables: MultiplicativeTables) -> float:
 
 
 def max_modulus(x: float) -> int:
-    """The largest Q with Q^40 <= x^9 (Q = floor(x^(9/40)) in exact
-    integer arithmetic on floor(x)), the paper's range for the moduli."""
-    Q = int(x ** (9 / 40))
-    while Q**40 > int(x) ** 9:
+    """The largest Q <= x^THETA_MAX, that is Q^40 <= x^9 in exact integer
+    arithmetic on floor(x): the paper's range for the moduli."""
+    num, den = THETA_MAX.as_integer_ratio()
+    Q = int(x ** float(THETA_MAX))
+    while Q**den > int(x) ** num:
         Q -= 1
-    while (Q + 1) ** 40 <= int(x) ** 9:
+    while (Q + 1) ** den <= int(x) ** num:
         Q += 1
     return Q
+
+
+# the least x with max_modulus(x) >= 3, the least Q of a moduli set
+LEAST_X = 132
+
+
+def threshold_scale(x: float, Q: int, A: float) -> float:
+    """(log x)^A, the scale of the threshold x / (phi(q) (log x)^A) over the
+    moduli q < 2Q. ValueError unless x > 1 and A >= 0 are finite and both
+    2Q (log x)^A and x / (log x)^A are finite: as E*(x, q) <= max(psi(x), x)
+    < 1.04 x, every ratio E*/threshold is then below 1.04 Q (log x)^A, and
+    every threshold at most x / (log x)^A, which overflows at x < e for a
+    large A."""
+    if not 1 < x < math.inf:
+        raise ValueError(f"x must be finite and exceed 1, got {x}")
+    if not 0 <= A < math.inf:
+        raise ValueError(f"A must be finite and nonnegative, got {A}")
+    try:
+        scale = math.log(x) ** A
+    except OverflowError:
+        scale = math.inf
+    if not (scale > 0 and math.isfinite(2 * Q * scale) and math.isfinite(x / scale)):
+        raise ValueError(f"A {A} overflows the threshold "
+                         f"x / (phi(q) (log x)^A) at x = {x}")
+    return scale
 
 
 def exception_scan(
@@ -184,19 +211,14 @@ def exception_scan(
     tables: MultiplicativeTables,
 ) -> tuple[list[ErrorTermRecord], dict]:
     """Flag each q in S whose E*(x, q) exceeds x / (phi(q) (log x)^A).
-    ValueError unless x > 1 and A >= 0 are finite."""
-    if not 1 < x < math.inf:
-        raise ValueError(f"x must be finite and exceed 1, got {x}")
-    if not 0 <= A < math.inf:
-        raise ValueError(f"A must be finite and >= 0, got {A}")
+    ValueError on the inputs ``threshold_scale`` refuses."""
+    scale = threshold_scale(x, Q, A)
     if Q > max_modulus(x):
-        warnings.warn(f"Q={Q} exceeds x^(9/40); the scan proceeds anyway")
-    log_x = math.log(x)
+        warnings.warn(f"Q={Q} exceeds x^({THETA_MAX}); the scan proceeds anyway")
     records = []
     for q in S.members:
         rec = e_star(x, q, tables)
-        phi_q = euler_phi(q)
-        rec.threshold = x / (phi_q * log_x**A)
+        rec.threshold = x / (euler_phi(q) * scale)
         rec.exceptional = rec.E_value > rec.threshold
         records.append(rec)
     count = sum(r.exceptional for r in records)

@@ -14,7 +14,13 @@ from math import gcd
 
 import numpy as np
 
-from bvlab.characters import CharacterGroup, DirichletCharacter, _lift, factorize
+from bvlab.characters import (
+    CharacterGroup,
+    DirichletCharacter,
+    _lift,
+    euler_phi,
+    factorize,
+)
 from bvlab.dpoly import DEFAULT_X_SCALE
 from bvlab.perron import _ring_partial_sum, _to_complex, product_coefficients
 from bvlab.reports import BoundReport
@@ -62,7 +68,7 @@ def progression_identity_residual(y, q, a, tables):
     if gcd(a, q) != 1:
         raise ValueError(f"a={a} and q={q} must be coprime")
     group = CharacterGroup(q)
-    phi_q = group.phi
+    phi_q = euler_phi(q)
     lhs = psi_ap(y, q, a, tables) - psi_coprime(y, q, tables) / phi_q
 
     w = _residue_weights(y, q, tables)

@@ -108,7 +108,7 @@ def test_criterion_3_character_algebra():
         units = [a for a in range(q) if gcd(a, q) == 1] if q > 1 else [0]
         M = np.array([[chi.value_table()[a] for a in units]
                       for chi in chars])
-        eye = group.phi * np.eye(group.phi)
+        eye = len(chars) * np.eye(len(chars))
         worst = max(worst,
                     float(np.max(np.abs(M.conj().T @ M - eye))),
                     float(np.max(np.abs(M @ M.conj().T - eye))))

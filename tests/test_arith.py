@@ -179,6 +179,15 @@ def test_lambda_readers_refuse_y_past_the_table(reader):
     assert read(tables.limit, tables) is not None
 
 
+@pytest.mark.parametrize("y", [-3, -1, -0.5, -math.inf])
+def test_dense_readers_are_empty_below_zero(y):
+    # 0 <= m <= floor(y) holds for no m when y < 0
+    tables = build_tables(100)
+    lam, mu = tables.von_mangoldt_upto(y), tables.mobius_upto(y)
+    assert (lam.shape, lam.dtype) == ((0,), np.float64)
+    assert (mu.shape, mu.dtype) == ((0,), np.int8)
+
+
 @pytest.mark.parametrize("limit", [2, 3, 4, 97, 10**4])
 def test_von_mangoldt_upto_is_dense_von_mangoldt(limit):
     tables = build_tables(limit)

@@ -19,7 +19,6 @@ from bvlab.dpoly import (
     large_value_count_bruteforce,
     large_value_report,
     mean_value_report,
-    primitive_characters,
     _greedy_spaced_columns,
     _grid_abs_values,
     _half_phase_block,
@@ -140,7 +139,9 @@ def test_selection_matches_float_reference_on_families(tables, Q, T, N, sigma,
     t_grid = _t_grid(T)
     C = np.column_stack([P.twisted_coefficients() for P in fam.polynomials])
     ns = fam.polynomials[0].support
-    assert _twisted_columns(Q, 1, ns, fam.base).tobytes() == C.tobytes()
+    chis, X = _twisted_columns(Q, 1, ns, fam.base)
+    assert X.tobytes() == C.tobytes()
+    assert chis == [P.chi for P in fam.polynomials]
     grid_vals = _grid_abs_values(t_grid, ns, sigma, C)
     kept = _greedy_spaced_columns(grid_vals)
     for j, (J, vals) in enumerate(zip(fam.spaced_sets, fam.abs_values)):
@@ -300,7 +301,8 @@ def test_repeated_moments_pass_builds_nothing(tables, monkeypatch):
                                            held_blocks.misses)
     # the families build no polynomial until an oracle reads them
     assert all("polynomials" not in vars(fam) for fam in fams)
-    assert [P.chi for P in fams[0].polynomials] == list(primitive_characters(4))
+    assert [P.chi for P in fams[0].polynomials] == [
+        chi for q in range(1, 8) for chi in character_group(q) if chi.is_primitive]
 
 
 def _grid_abs_values_reference(t_grid, ns, sigma, C):
@@ -386,9 +388,8 @@ def test_select_well_spaced_runs(tables):
 
 
 def test_primitive_character_family_size():
-    fam = primitive_characters(4)
-    # one tuple per (Q, min_conductor), shared and immutable
-    assert isinstance(fam, tuple) and primitive_characters(4) is fam
+    ns = np.arange(17, 33, dtype=np.int64)
+    fam = _twisted_columns(4, 1, ns, np.ones(len(ns), dtype=np.complex128))[0]
     # q < 8: conductors 1, 3, 4, 5 (x2), 7 (x6) -> 1+1+1+3+5+... enumerate
     assert all(chi.is_primitive for chi in fam)
     assert sorted({chi.q for chi in fam}) == [1, 3, 4, 5, 7]

@@ -54,10 +54,12 @@ def test_survey_rejects_x_below_132(tmp_path):
     (["--a-values", "-0.5", "1"], "finite and nonnegative, got -0.5"),
     (["--x-values", "1000", str(2 * DEFAULT_LIMIT_CEILING)],
      f"at most {DEFAULT_LIMIT_CEILING}"),
+    (["--a-values", "1000"], "overflows"),
 ])
 def test_survey_rejects_bad_a_and_x_above_the_ceiling(tmp_path, args, message):
     # each of these once wrote a NaN row, took a negative A, or died in the
-    # sieve with a traceback; now each is an argument error before any sieve
+    # sieve or the threshold with a traceback; now each is an argument error
+    # before any sieve
     run = _survey(*args, "--out", str(tmp_path / "s.csv"))
     assert run.returncode == 2
     assert message in run.stderr

@@ -195,6 +195,8 @@ def test_scan_warns_when_q_too_large(tables):
     (1000.0, math.nan, "A must"),  # every threshold NaN, nothing flagged
     (1000.0, math.inf, "A must"),
     (1000.0, -0.5, "A must"),
+    (1000.0, 400.0, "overflows"),  # (log x)^A overflows
+    (1.5, 2000.0, "overflows"),  # (log x)^A underflows to 0: x / 0
 ])
 def test_scan_rejects_bad_x_and_A(tables, x, A, match):
     S = enumerate_moduli_set(3, "primes")
