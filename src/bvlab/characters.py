@@ -91,12 +91,17 @@ def _smallest_primitive_root(p: int, e: int) -> int:
     raise ValueError(f"no primitive root mod {p}^{e}")
 
 
+def _check_int(name: str, value) -> None:
+    """TypeError unless value is an int (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, got {value!r}")
+
+
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorisation of an int n >= 1 by trial division: (p, e)
     pairs in increasing p, empty for n = 1. TypeError for a bool or any
     other type."""
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise TypeError(f"n must be an int, got {n!r}")
+    _check_int("n", n)
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     out = []

@@ -368,9 +368,10 @@ def cmd_perron(cfg: ExperimentConfig) -> None:
 
 
 def cmd_all(cfg: ExperimentConfig) -> None:
-    for fn in (cmd_sieve, cmd_characters, cmd_exceptions, cmd_hb_verify,
-               cmd_meanvalue, cmd_lemma4, cmd_exponents, cmd_perron):
-        fn(cfg)
+    """Every other command of ``_COMMANDS``, in the table's order."""
+    for name, fn in _COMMANDS.items():
+        if name != "all":
+            fn(cfg)
 
 
 _COMMANDS = {

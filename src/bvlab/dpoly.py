@@ -4,7 +4,9 @@ fourth-moment and large-value inequality checkers.
 Every checker returns a BoundReport (lhs, rhs formula value, ratio): the
 implied constants of the checked inequalities are estimated as observed
 ratios over declared sweeps, never asserted. The interval-stretch constant
-is fixed at 2: every polynomial lives on (N, 2N] or a sub-interval.
+is fixed at 2: every polynomial lives on (N, 2N] or a sub-interval. A
+family is evaluated on one grid, t = k * GRID_STEP with |t| <= T, which
+the grid kernel takes as the integers (steps, N, N'), not as arrays.
 
 The x entering L = log x is a configuration scale decoupled from sieve
 limits (default 2^40; 2 <= x_scale < inf), so the exponent shapes can be
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from .arith import MultiplicativeTables
-from .characters import CharacterGroup, DirichletCharacter
+from .characters import CharacterGroup, DirichletCharacter, _check_int
 from .reports import BoundReport
 
 if TYPE_CHECKING:
@@ -47,6 +49,8 @@ class DirichletPolynomial:
 
     def __post_init__(self):
         import numpy as np
+        _check_int("N", self.N)
+        _check_int("N'", self.N_prime)
         if self.N_prime > 2 * self.N:
             raise ValueError("interval stretch above (N, 2N] is not supported")
         self._ns = np.arange(self.N + 1, self.N_prime + 1, dtype=np.int64)
@@ -117,59 +121,51 @@ class WellSpacedSet:
         self.points = pts.tolist()
 
 
-def _t_grid(T: float) -> np.ndarray:
-    import numpy as np
+def _grid_steps(T: float) -> int:
+    """The family grid is t = k * GRID_STEP for |k| <= steps."""
     if not 1 <= T < math.inf:
         raise ValueError("T must be at least 1 and finite")
-    steps = int(round(T / GRID_STEP))
-    return np.arange(-steps, steps + 1, dtype=np.float64) * GRID_STEP
+    return round(T / GRID_STEP)
 
 
-def _grid_abs_values(t_grid: np.ndarray, ns: np.ndarray, sigma: float,
+def _grid_abs_values(steps: int, N: int, N_prime: int, sigma: float,
                      C: np.ndarray) -> np.ndarray:
-    """|sum_n C[n, j] n^(-sigma - it)| for every t in t_grid (rows) and
-    every coefficient column j: one matrix product for all columns.
+    """|sum_n C[n, j] n^(-sigma - it)| for t = k * GRID_STEP, -steps <= k <=
+    steps (rows), n in (N, N'] and every coefficient column j: one matrix
+    product for all columns.
 
-    t_grid must be of odd length and symmetric about 0
-    (t_grid[::-1] == -t_grid), as every _t_grid is; anything else raises
-    ValueError. The rows with t >= 0 of exp(-i t log n) depend only on the
-    grid and the n range, not on sigma or C, so ``_half_phase_block`` holds
-    the unscaled blocks of the last two (t rows, n values) keys, each the
-    exact bytes of its arrays: a sweep that alternates two n ranges on one
-    grid builds each block once. A block is (len(t_grid) // 2 + 1) *
-    len(ns) complex values, 4.2 MB at T = 64, N = 1024, so the held state
-    is at most 2 x 16.8 MB at T = 64, N = 4096. Each call scales a block
-    by the real n^(-sigma) into a fresh phase matrix, the same
-    complex-by-real multiply as scaling in place, so every bit is that of
-    the complex route. The rows with t < 0 are the conjugates of their
-    mirror rows, with the same bits as computing them: (-t) log n =
-    -(t log n) exactly in IEEE arithmetic, cos is even and sin odd, and the
-    real scale n^(-sigma) does not depend on the sign of t. The scale is
-    applied even at sigma = 0, where multiplying by 1 + 0i sets the signs
-    of the zeros as the complex route does."""
+    The rows with t >= 0 of exp(-i t log n) depend only on (steps, N, N'),
+    not on sigma or C, so ``_half_phase_block`` holds the unscaled blocks
+    of the last two such keys: a sweep that alternates two n ranges on one
+    grid builds each block once. A block is (steps + 1) * (N' - N) complex
+    values, 4.2 MB at T = 64, N = 1024, so the held state is at most
+    2 x 16.8 MB at T = 64, N = 4096. Each call scales a block by the real
+    n^(-sigma) into a fresh phase matrix, the same complex-by-real multiply
+    as scaling in place, so every bit is that of the complex route. The
+    rows with t < 0 are the conjugates of their mirror rows, with the same
+    bits as computing them: (-t) log n = -(t log n) exactly in IEEE
+    arithmetic, cos is even and sin odd, and the real scale n^(-sigma) does
+    not depend on the sign of t. The scale is applied even at sigma = 0,
+    where multiplying by 1 + 0i sets the signs of the zeros as the complex
+    route does."""
     import numpy as np
-    if len(t_grid) % 2 == 0 or not np.array_equal(t_grid[::-1], -t_grid):
-        raise ValueError("t_grid must be of odd length and symmetric about 0")
-    m = len(t_grid) // 2
-    nf = ns.astype(np.float64)
-    top = _half_phase_block(np.asarray(t_grid[m:], dtype=np.float64).tobytes(),
-                            nf.tobytes())
-    phase = np.empty((len(t_grid), len(ns)), dtype=np.complex128)
-    np.multiply(top, nf ** (-sigma), out=phase[m:])
-    np.conjugate(phase[m + 1:][::-1], out=phase[:m])
+    top = _half_phase_block(steps, N, N_prime)
+    phase = np.empty((2 * steps + 1, N_prime - N), dtype=np.complex128)
+    nf = np.arange(N + 1, N_prime + 1, dtype=np.float64)
+    np.multiply(top, nf ** (-sigma), out=phase[steps:])
+    np.conjugate(phase[steps + 1:][::-1], out=phase[:steps])
     return np.abs(phase @ C)
 
 
 @functools.lru_cache(maxsize=2)
-def _half_phase_block(t_rows: bytes, n_values: bytes) -> np.ndarray:
-    """Read-only exp(-i t log n) for the float64 t rows and n values whose
-    bytes are given (the exact arrays are the key; the last two keys are
-    held, see ``_grid_abs_values``): the angle goes through
-    the real cos and sin, whose values are bit for bit those of the complex
-    exp, and the imaginary part is then negated."""
+def _half_phase_block(steps: int, N: int, N_prime: int) -> np.ndarray:
+    """Read-only exp(-i t log n) for t = k * GRID_STEP, 0 <= k <= steps, and
+    n in (N, N'] (the last two keys are held, see ``_grid_abs_values``):
+    the angle goes through the real cos and sin, whose values are bit for
+    bit those of the complex exp, and the imaginary part is then negated."""
     import numpy as np
-    t = np.frombuffer(t_rows, dtype=np.float64)
-    nf = np.frombuffer(n_values, dtype=np.float64)
+    t = np.arange(steps + 1) * GRID_STEP
+    nf = np.arange(N + 1, N_prime + 1, dtype=np.float64)
     block = np.empty((len(t), len(nf)), dtype=np.complex128)
     ang = np.outer(t, np.log(nf))
     np.cos(ang, out=block.real)
@@ -295,12 +291,6 @@ class TripleFamily:
         return math.fsum(float(np.sum(v**p)) for v in self.abs_values)
 
 
-def _check_int(name: str, value) -> None:
-    """TypeError unless value is an int (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{name} must be an int, got {value!r}")
-
-
 def _log_scale(x_scale: float) -> float:
     """L = log x, for 2 <= x_scale < inf (the CLI's range): at 1 or below
     L would be 0 or undefined, and an infinite x_scale gives ratio 0."""
@@ -342,17 +332,17 @@ def build_triple_family(
         raise ValueError("interval stretch above (N, 2N] is not supported")
     if not math.isfinite(sigma):
         raise ValueError("sigma must be finite")
-    t_grid = _t_grid(T)
+    steps = _grid_steps(T)
     ns = np.arange(N + 1, N_prime + 1, dtype=np.int64)
     base = _base_coefficients(kind, ns, tables, coefficients)
     chis, columns = _twisted_columns(Q, min_conductor, ns, base)
-    grid_vals = _grid_abs_values(t_grid, ns, sigma, columns)
+    grid_vals = _grid_abs_values(steps, N, N_prime, sigma, columns)
 
     kept = _greedy_spaced_columns(grid_vals)
     spaced, abs_vals = [], []
     for j, chi in enumerate(chis):
         idx = np.flatnonzero(kept[:, j])
-        spaced.append(WellSpacedSet(chi=chi, points=t_grid[idx]))
+        spaced.append(WellSpacedSet(chi=chi, points=(idx - steps) * GRID_STEP))
         abs_vals.append(grid_vals[idx, j])
     return TripleFamily(Q=Q, T=T, N=N, N_prime=N_prime, kind=kind, sigma=sigma,
                         spaced_sets=spaced, abs_values=abs_vals,

@@ -16,7 +16,6 @@ the certificate strings and the reported worst case.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction as F
 from itertools import combinations
@@ -218,15 +217,12 @@ def partition_bruteforce(u: tuple[F, ...]) -> PartitionOutcome | None:
 class _SlackForm:
     """One case bound as an affine form: the x exponent is
     const + s * 2 theta + m1 * M1 + m2 * M2 + ui * u_i + mx * max(M1, M2),
-    where M1 and M2 are the group sums and u_i the singleton exponent.
-    ``log`` gives the log power from b = |A2|; None marks an absolute
-    constant."""
+    where M1 and M2 are the group sums and u_i the singleton exponent."""
 
     case_id: str
     T: F
     claim_x: F
     claim_T: F
-    log: Callable[[int], F] | None = None
     const: F = F(0)
     s: F = F(0)
     m1: F = F(0)
@@ -235,34 +231,25 @@ class _SlackForm:
     mx: F = F(0)
 
 
-def _log_b(b: int) -> F:
-    return F((8 - b) ** 2 + b * b, 2)
-
-
 # Q^2 contributes x^(2 theta); at theta = 9/40 the generic x^(9/20)
 # factors appear. Case 3 takes the big group as A2, its mirror as A1.
 _FORMS: dict[str, tuple[_SlackForm, ...]] = {
     "B": (
-        _SlackForm("B-generic", T=F(1), claim_x=F(1, 2), claim_T=F(19, 20),
-                   log=_log_b, s=F(1)),
-        _SlackForm("B-generic", T=F(0), claim_x=F(1, 2), claim_T=F(0),
-                   log=_log_b, const=F(1, 2)),
+        _SlackForm("B-generic", T=F(1), claim_x=F(1, 2), claim_T=F(19, 20), s=F(1)),
+        _SlackForm("B-generic", T=F(0), claim_x=F(1, 2), claim_T=F(0), const=F(1, 2)),
         _SlackForm("B-generic", T=F(1, 2), claim_x=F(1, 2), claim_T=F(1, 2),
-                   log=_log_b, s=F(1, 2), mx=F(1, 2)),
+                   s=F(1, 2), mx=F(1, 2)),
     ),
     "A": (
         # trimming the triples where some grouped factor is below x^-1
-        _SlackForm("A-trim", T=F(1), claim_x=F(1, 2), claim_T=F(39, 40),
-                   log=lambda b: F(25) - DELTA, s=F(1)),
+        _SlackForm("A-trim", T=F(1), claim_x=F(1, 2), claim_T=F(39, 40), s=F(1)),
         _SlackForm("A-Case1", T=F(0), claim_x=F(1, 2), claim_T=F(0),
-                   log=lambda b: F((7 - b) ** 2 + b * b + 10, 2),
                    m1=F(1, 2), m2=F(1, 2), ui=F(1, 2)),
         _SlackForm("A-Case2-A1", T=F(31, 32), claim_x=F(319, 640),
                    claim_T=F(31, 32), s=F(31, 32),
                    m1=F(1, 16), m2=F(1, 16), ui=F(1, 16)),
         _SlackForm("A-Case2-B1", T=F(33, 40), claim_x=F(1, 2), claim_T=F(39, 40),
-                   log=lambda b: F(22) - F(3, 40), s=F(1),
-                   m1=F(1, 20), m2=F(1, 20), ui=F(1, 20)),
+                   s=F(1), m1=F(1, 20), m2=F(1, 20), ui=F(1, 20)),
         _SlackForm("A-Case3-A2", T=F(7, 16), claim_x=F(157, 320), claim_T=F(7, 16),
                    s=F(7, 16), m2=F(1, 2), m1=F(1, 8), ui=F(1, 8)),
         _SlackForm("A-Case3-B2", T=F(1, 2), claim_x=F(119, 240), claim_T=F(1, 2),

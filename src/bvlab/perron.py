@@ -52,10 +52,10 @@ class ContourSpec:
     height: float  # truncation height
 
     def __post_init__(self):
-        if not self.sigma0 > 1:
-            raise ValueError("sigma0 must exceed 1")
-        if not self.height > 0:
-            raise ValueError("height must be positive")
+        if not 1 < self.sigma0 < math.inf:
+            raise ValueError("sigma0 must exceed 1 and be finite")
+        if not 0 < self.height < math.inf:
+            raise ValueError("height must be positive and finite")
 
 
 def default_contour(y: float, height: float) -> ContourSpec:
@@ -113,7 +113,7 @@ def product_coefficients(family: list[DirichletPolynomial]) -> np.ndarray:
     L = _ring_order(family)
     n_max = 1
     for P in family:
-        n_max *= int(P.N_prime)
+        n_max *= P.N_prime
     out = np.zeros((n_max + 1, L), dtype=object)
     out[1, 0] = 1
     for P in family:
@@ -174,8 +174,8 @@ def truncated_perron(
     import numpy as np
     from scipy.special import exp1  # deferred: importing scipy.special is slow
 
-    if not y > 0:
-        raise ValueError("y must be positive")
+    if not 0 < y < math.inf:
+        raise ValueError("y must be positive and finite")
     if abs(y - round(y)) < 1e-9:
         raise ValueError("y must stay away from integers")
     coeffs_exact = product_coefficients(family)
@@ -214,11 +214,14 @@ def horizontal_bound_check(
     asserted at every grid point: with at most N_j coefficients of modulus
     at most 1, each factor obeys the triangle inequality bound N_j^(1-sigma),
     which takes n^(-sigma) <= N_j^(-sigma) for n > N_j and so needs
-    sigma >= 0. A family with an empty factor has the product 0 exactly and
-    reports the ratio 0."""
+    sigma >= 0, and a finite height and sigma (ValueError otherwise). A
+    family with an empty factor has the product 0 exactly and reports the
+    ratio 0."""
     import numpy as np
-    if any(sigma < 0 for sigma in sigma_grid):
-        raise ValueError("the triangle-inequality bound needs sigma >= 0")
+    if not math.isfinite(height):
+        raise ValueError("height must be finite")
+    if not all(0 <= sigma < math.inf for sigma in sigma_grid):
+        raise ValueError("the triangle-inequality bound needs finite sigma >= 0")
     for P in family:
         if float(np.max(np.abs(P.base_coefficients()), initial=0.0)) > 1.0:
             raise ValueError("coefficients must be bounded by 1")

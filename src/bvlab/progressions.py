@@ -27,7 +27,7 @@ from math import gcd
 from typing import TYPE_CHECKING
 
 from .arith import ModuliSet, MultiplicativeTables
-from .characters import euler_phi
+from .characters import _check_int, euler_phi
 from .exponents import THETA_MAX
 
 if TYPE_CHECKING:
@@ -235,8 +235,7 @@ def exception_scan(
 
 def _check_modulus(q: int) -> None:
     """TypeError unless q is an int (not a bool); ValueError if q < 1."""
-    if isinstance(q, bool) or not isinstance(q, int):
-        raise TypeError(f"modulus must be an int, got {q!r}")
+    _check_int("modulus", q)
     if q < 1:
         raise ValueError(f"modulus must be at least 1, got {q}")
 

@@ -21,9 +21,9 @@ from bvlab.dpoly import (
     mean_value_report,
     _greedy_spaced_columns,
     _grid_abs_values,
+    _grid_steps,
     _half_phase_block,
     _modulus_table,
-    _t_grid,
     _twisted_columns,
 )
 from bvlab.reports import BoundReport
@@ -69,6 +69,15 @@ def test_interval_stretch_guard(tables):
         DirichletPolynomial(N=4, N_prime=9, kind="unit", chi=CHI1)
 
 
+@pytest.mark.parametrize("N, N_prime, name", [
+    (2.5, 5, "N"), (True, 2, "N"), (4, 8.0, "N'"), (1, True, "N'"),
+])
+def test_polynomial_sizes_must_be_ints(N, N_prime, name):
+    # N = 2.5 gave the support [3, 4, 5], where a family refuses a float N
+    with pytest.raises(TypeError, match=f"{name} must be an int"):
+        DirichletPolynomial(N=N, N_prime=N_prime, kind="unit", chi=CHI1)
+
+
 def test_well_spaced_validation():
     with pytest.raises(AssertionError, match="points 0.0 and 0.5 are closer than 1"):
         WellSpacedSet(chi=CHI1, points=[0.5, 3.0, 0.0])
@@ -101,6 +110,12 @@ def test_selected_points_always_one_spaced(raw_vals):
     for a, b in zip(pts, pts[1:]):
         assert b - a >= 1.0
     assert all(np.min(np.abs(idx - k)) < SPACING_GAP for k in range(len(vals)))
+
+
+def _grid_points(T):
+    # the family grid t = k * GRID_STEP, |k| <= steps, as floats
+    steps = _grid_steps(T)
+    return np.arange(-steps, steps + 1) * GRID_STEP
 
 
 def _greedy_spaced_reference(t_grid, vals):
@@ -136,13 +151,13 @@ def test_selection_matches_float_reference_on_families(tables, Q, T, N, sigma,
               if kind == "explicit" else None)
     fam = build_triple_family(Q, T, N, None, kind, tables, sigma=sigma,
                               coefficients=coeffs)
-    t_grid = _t_grid(T)
+    t_grid = _grid_points(T)
     C = np.column_stack([P.twisted_coefficients() for P in fam.polynomials])
     ns = fam.polynomials[0].support
     chis, X = _twisted_columns(Q, 1, ns, fam.base)
     assert X.tobytes() == C.tobytes()
     assert chis == [P.chi for P in fam.polynomials]
-    grid_vals = _grid_abs_values(t_grid, ns, sigma, C)
+    grid_vals = _grid_abs_values(_grid_steps(T), N, 2 * N, sigma, C)
     kept = _greedy_spaced_columns(grid_vals)
     for j, (J, vals) in enumerate(zip(fam.spaced_sets, fam.abs_values)):
         want = _greedy_spaced_reference(t_grid, grid_vals[:, j])
@@ -156,7 +171,7 @@ def test_selection_matches_float_reference_on_tied_values():
     rng = np.random.default_rng(20261018)
     tied = 0
     for case in range(300):
-        t_grid = _t_grid(int(rng.integers(4, 160)) / 4)
+        t_grid = _grid_points(int(rng.integers(4, 160)) / 4)
         if case % 3 == 0:
             vals = rng.integers(0, 4, len(t_grid)).astype(np.float64)
         else:
@@ -174,7 +189,7 @@ def test_batched_selection_matches_reference_column_by_column(T):
     # all-equal, all-zero and planted-tie columns side by side, on grids
     # down to the shortest one (T = 1, 9 rows)
     rng = np.random.default_rng(20261019)
-    t_grid = _t_grid(T)
+    t_grid = _grid_points(T)
     rows = len(t_grid)
     cols = [rng.random(rows), rng.integers(0, 4, rows).astype(np.float64),
             np.full(rows, 2.5), np.zeros(rows)]
@@ -305,9 +320,10 @@ def test_repeated_moments_pass_builds_nothing(tables, monkeypatch):
         chi for q in range(1, 8) for chi in character_group(q) if chi.is_primitive]
 
 
-def _grid_abs_values_reference(t_grid, ns, sigma, C):
+def _grid_abs_values_reference(steps, N, sigma, C):
     # reference route: the complex exponential on the full grid
-    nf = ns.astype(np.float64)
+    t_grid = np.arange(-steps, steps + 1) * GRID_STEP
+    nf = np.arange(N + 1, 2 * N + 1, dtype=np.float64)
     return np.abs((np.exp(-1j * np.outer(t_grid, np.log(nf)))
                    * nf ** (-sigma)) @ C)
 
@@ -324,59 +340,45 @@ def test_grid_abs_values_bit_identical_to_complex_exp(T, N):
         [np.ones(len(ns), dtype=np.complex128)]
         + [np.asarray(chi.value_table())[ns % chi.q] for chi in chis])
     assert np.any(C.imag != 0)
-    t_grid = _t_grid(T)
+    steps = _grid_steps(T)
     for sigma in (0.0, 0.5, 1.0, 1.5):
-        got = _grid_abs_values(t_grid, ns, sigma, C)
-        want = _grid_abs_values_reference(t_grid, ns, sigma, C)
+        got = _grid_abs_values(steps, N, 2 * N, sigma, C)
+        want = _grid_abs_values_reference(steps, N, sigma, C)
         assert np.array_equal(got, want)
-        rows = [0, len(t_grid) // 2 - 1, len(t_grid) // 2, len(t_grid) - 1]
+        rows = [0, steps - 1, steps, 2 * steps]
         assert [float(v).hex() for v in got[rows, -1]] == \
             [float(v).hex() for v in want[rows, -1]]
 
 
 def test_held_phase_block_never_goes_stale():
-    # sigma changes, then N, then T, then a grid and an n set of the same
-    # shapes but other values, then the first (T, N) again: each result has
-    # the bits of the complex route, whichever block was held before
+    # sigma changes, then N, then T, then the first (T, N) again: each
+    # result has the bits of the complex route, whichever block was held
+    # before
     chis = [chi for chi in character_group(7) if not chi.is_real]
 
-    def case(T, N, sigma, t_scale=1.0, n_scale=1):
-        ns = np.arange(N + 1, 2 * N + 1, dtype=np.int64) * n_scale
+    def case(T, N, sigma):
+        ns = np.arange(N + 1, 2 * N + 1, dtype=np.int64)
         C = np.column_stack([np.ones(len(ns), dtype=np.complex128)]
                             + [np.asarray(chi.value_table())[ns % 7]
                                for chi in chis])
-        return _t_grid(T) * t_scale, ns, sigma, C
+        return _grid_steps(T), N, sigma, C
+
+    def kernel(steps, N, sigma, C):
+        return _grid_abs_values(steps, N, 2 * N, sigma, C)
 
     for args in [case(16.0, 64, 0.0), case(16.0, 64, 0.5),
                  case(16.0, 128, 0.5), case(10.3, 128, 0.5),
-                 case(10.3, 128, 0.5, t_scale=0.5),
-                 case(10.3, 128, 0.5, n_scale=3), case(16.0, 64, 0.0)]:
-        assert np.array_equal(_grid_abs_values(*args),
-                              _grid_abs_values_reference(*args))
+                 case(16.0, 64, 0.0)]:
+        assert np.array_equal(kernel(*args), _grid_abs_values_reference(*args))
     before = _half_phase_block.cache_info()
-    got = _grid_abs_values(*case(16.0, 64, 1.5))
+    got = kernel(*case(16.0, 64, 1.5))
     after = _half_phase_block.cache_info()
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
     assert np.array_equal(got, _grid_abs_values_reference(*case(16.0, 64, 1.5)))
-    t_grid, ns = case(16.0, 64, 0.0)[:2]
-    block = _half_phase_block(t_grid[len(t_grid) // 2:].tobytes(),
-                              ns.astype(np.float64).tobytes())
-    assert block.shape == (len(t_grid) // 2 + 1, len(ns))
+    block = _half_phase_block(_grid_steps(16.0), 64, 128)
+    assert block.shape == (_grid_steps(16.0) + 1, 64)
     with pytest.raises(ValueError, match="read-only"):
         block[0, 0] = 0
-
-
-@pytest.mark.parametrize("t_grid", [
-    _t_grid(4.0) + GRID_STEP,  # shifted
-    np.arange(-16, 16, dtype=np.float64) * GRID_STEP,  # even length
-    np.array([-1.0, 0.0, 2.0]),  # odd length, not mirrored
-    np.array([], dtype=np.float64),
-])
-def test_grid_abs_values_requires_symmetric_grid(t_grid):
-    ns = np.arange(9, 17, dtype=np.int64)
-    C = np.ones((len(ns), 1), dtype=np.complex128)
-    with pytest.raises(ValueError, match="symmetric about 0"):
-        _grid_abs_values(t_grid, ns, 0.5, C)
 
 
 def test_select_well_spaced_runs(tables):

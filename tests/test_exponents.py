@@ -12,6 +12,7 @@ from bvlab.exponents import (
     _ALL,
     _FORMS,
     ALLOWED_GRID_STEPS,
+    DELTA,
     THETA_MAX,
     PartitionOutcome,
     ScanResult,
@@ -239,6 +240,20 @@ class CaseBound:
         return self.slack(F(0)) <= 0 and self.slack(F(1)) <= 0
 
 
+def _log_b(b):
+    return F((8 - b) ** 2 + b * b, 2)
+
+
+# the L power of each case bound from b = |A2|; a case absent here is
+# bounded up to an absolute constant
+CASE_LOG_POWERS = {
+    "B-generic": _log_b,
+    "A-trim": lambda b: F(25) - DELTA,
+    "A-Case1": lambda b: F((7 - b) ** 2 + b * b + 10, 2),
+    "A-Case2-B1": lambda b: F(22) - F(3, 40),
+}
+
+
 def case_bounds(u, outcome, theta=THETA_MAX):
     """Exponent bounds for one tuple under its certified split, read from
     the slack forms ``_FORMS`` as exact affine forms in (u, theta, tau).
@@ -255,7 +270,8 @@ def case_bounds(u, outcome, theta=THETA_MAX):
         CaseBound(f.case_id,
                   f.const + f.s * s + f.m1 * m1 + f.m2 * m2 + f.ui * ui
                   + f.mx * max(m1, m2),
-                  f.T, None if f.log is None else f.log(b),
+                  f.T, CASE_LOG_POWERS[f.case_id](b)
+                  if f.case_id in CASE_LOG_POWERS else None,
                   claim_x=f.claim_x, claim_T=f.claim_T)
         for f in _FORMS[outcome.variant]
     ]

@@ -90,3 +90,26 @@ def test_table_data_is_read_through_the_readers():
             if isinstance(node, ast.Attribute) and node.attr in stored:
                 reads.append(f"{path.name}:{node.lineno} .{node.attr}")
     assert not reads, reads
+
+
+def test_int_arguments_are_checked_by_one_helper():
+    # "an int and not a bool" is stated once, in characters._check_int:
+    # every other isinstance(..., bool) in the package is a second copy
+    copies = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        helper = next((node for node in tree.body
+                       if isinstance(node, ast.FunctionDef)
+                       and path.stem == "characters"
+                       and node.name == "_check_int"), None)
+        stack = [tree]
+        while stack:
+            node = stack.pop()
+            if node is helper:
+                continue
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id == "isinstance" and len(node.args) == 2 \
+                    and "bool" in _references(node.args[1]):
+                copies.append(f"{path.name}:{node.lineno}")
+            stack.extend(ast.iter_child_nodes(node))
+    assert not copies, copies

@@ -139,6 +139,11 @@ def test_contour_validation():
         ContourSpec(sigma0=1.0, height=10.0)
     with pytest.raises(ValueError):
         ContourSpec(sigma0=1.5, height=-1.0)
+    # an infinite size gave approx nan+nanj
+    inf, nan = math.inf, math.nan
+    for sigma0, height in ((1.5, inf), (inf, 1e4), (nan, 1e4), (1.5, nan)):
+        with pytest.raises(ValueError, match="finite"):
+            ContourSpec(sigma0=sigma0, height=height)
 
 
 def test_exact_sides_agree(tables):
@@ -178,6 +183,9 @@ def test_integer_y_rejected(tables):
         truncated_perron(fam, 10.0, default_contour(10.5, 100.0))
     with pytest.raises(ValueError):
         truncated_perron(fam, -2.5, default_contour(10.5, 100.0))
+    # y = inf raised OverflowError from round
+    with pytest.raises(ValueError, match="finite"):
+        truncated_perron(fam, math.inf, default_contour(10.5, 100.0))
 
 
 def test_empty_sum_is_near_zero(tables):
@@ -217,6 +225,13 @@ def test_horizontal_rejects_large_coefficients(tables):
     for grid in ([-1.0], [0.5, -1e-9, 1.0]):
         with pytest.raises(ValueError, match="sigma >= 0"):
             horizontal_bound_check(desk, grid, 0.01)
+    # a NaN sigma gave ratio inf, and a non-finite height ratio 0, a pass
+    for grid in ([math.nan], [0.5, math.inf]):
+        with pytest.raises(ValueError, match="finite sigma"):
+            horizontal_bound_check(desk, grid, 1e4)
+    for height in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="height must be finite"):
+            horizontal_bound_check(desk, [0.5], height)
 
 
 def test_height_trend_and_csv(tmp_path, tables):
@@ -239,6 +254,9 @@ def test_height_trend_and_csv(tmp_path, tables):
     oracle = quadrature_perron(ns, coeffs, 10.5, spec, weight, {})
     assert abs(r.approx - oracle) <= 1e-12 * max(1.0, abs(r.exact))
     assert r.exact == results[0].exact
+    # an infinite height reported abs_error nan
+    with pytest.raises(ValueError, match="finite"):
+        height_trend(fam, 10.5, (1e4, math.inf))
 
 
 @pytest.mark.parametrize("q", [1, 5, 13])
