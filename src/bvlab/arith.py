@@ -4,18 +4,21 @@ Tables are built once, frozen, and shared; every downstream sum (Chebyshev
 psi, character-twisted sums, Heath-Brown reconstruction) reads from them.
 Nothing is cached on disk: each caller sieves the range it reads, so every
 table comes from the sieve below.
-The smallest prime factors are sieved segment by segment (``SEGMENT``
-entries at a time, so the strided stores of the primes <= sqrt(limit) stay
-in cache), and the primes <= sqrt(limit) come from the same sieve run on
-sqrt(limit). The smallest prime factors and the mask that picks out the
-primes are the only scratch arrays as long as the table; the tables keep
-neither. They keep the primes, and the von Mangoldt support as the sorted
-prime powers, with the weights log p of their base primes taken once, into
-``prime_power_logs``.
+The primes are sieved over the odd numbers only, one bool per odd number
+(entry i stands for 2i + 1), segment by segment (``SEGMENT`` entries at a
+time, so the strided stores of the odd primes <= sqrt(limit) stay in
+cache), and the primes <= sqrt(limit) come from the same sieve run on
+sqrt(limit). That mask, an eighth of the table's span in bytes, is the
+only scratch array as long as the table, and the tables do not keep it.
+They keep the primes, and the von Mangoldt support as the sorted prime
+powers, with the weights log p of their base primes taken once, into
+``prime_power_logs``: the few powers p^e with e >= 2 are merged into the
+primes in place of a sort of the whole support.
 ``MultiplicativeTables.jumps`` is the one reader of those weights, and it
 refuses any range beyond the table. No Mobius table is kept:
 ``MultiplicativeTables.mobius_upto(y)`` sieves [0, y] on each call, from
-lambda(n) = -lambda(n / spf(n)) zeroed on the multiples of each p^2.
+lambda(n) = -lambda(n / spf(n)) zeroed on the multiples of each p^2; it is
+the one reader of the smallest prime factors, and it sieves them itself.
 No Euler-phi table is sieved: phi(q) enters only the main term x/phi(q),
 once per modulus, and ``characters.euler_phi`` supplies it.
 """
@@ -34,7 +37,8 @@ if TYPE_CHECKING:
     import numpy as np
 
 DEFAULT_LIMIT_CEILING = 10**8
-# entries per block of the least-prime-factor stores and the Liouville walk
+# entries per block of the prime and least-prime-factor stores and the
+# Liouville walk
 SEGMENT = 1 << 18
 
 
@@ -65,7 +69,9 @@ class MultiplicativeTables:
         import numpy as np
         if not y <= self.limit:
             raise ValueError(f"y={y} exceeds the table limit {self.limit}")
-        k = int(np.searchsorted(self.prime_powers, y, side="right"))
+        # an integer key: a float one would make a float copy of the table;
+        # -inf has no floor
+        k = int(np.searchsorted(self.prime_powers, math.floor(y), side="right")) if y >= 0 else 0
         return self.prime_powers[:k], self.prime_power_logs[:k]
 
     def von_mangoldt_upto(self, y: float) -> np.ndarray:
@@ -87,7 +93,7 @@ class MultiplicativeTables:
         if y < 0:
             return np.zeros(0, dtype=np.int8)
         n = math.floor(y)
-        spf, primes = _least_prime_factors(n)
+        spf = _least_prime_factors(n)
         # Liouville lambda(m) = -lambda(m / spf(m)); a block [lo, hi) with
         # hi <= 2 lo reads only m / spf(m) <= m / 2 < lo, already filled.
         mobius = np.zeros(n + 1, dtype=np.int8)
@@ -99,6 +105,7 @@ class MultiplicativeTables:
             np.negative(mobius[cofactor], out=mobius[lo:hi])
             lo = hi
         # mu is lambda off the multiples of a square p^2
+        primes = self.primes
         for p in primes[: int(np.searchsorted(primes, math.isqrt(n), side="right"))].tolist():
             mobius[p * p :: p * p] = 0
         return mobius
@@ -110,10 +117,10 @@ def build_tables(limit: int) -> MultiplicativeTables:
     import numpy as np
     if limit < 2 or limit > DEFAULT_LIMIT_CEILING:
         raise LimitError(f"limit must be in [2, {DEFAULT_LIMIT_CEILING}], got {limit}")
-    primes = _least_prime_factors(limit)[1]
-    powers = [primes.astype(np.int64)]
-    bases = [powers[0]]
-    p = powers[0][: int(np.searchsorted(powers[0], math.isqrt(limit), side="right"))]
+    primes = _primes_upto(limit)
+    # the powers p^e <= limit with e >= 2, of the primes p <= sqrt(limit)
+    p = primes[: int(np.searchsorted(primes, math.isqrt(limit), side="right"))]
+    powers, bases = [p[:0]], [p[:0]]
     pe = p * p
     while p.size:
         keep = pe <= limit
@@ -122,28 +129,59 @@ def build_tables(limit: int) -> MultiplicativeTables:
         bases.append(p)
         pe = pe * p
     powers = np.concatenate(powers)
-    bases = np.concatenate(bases)
-    order = np.argsort(powers, kind="stable")
+    order = np.argsort(powers)
+    powers, bases = powers[order], np.concatenate(bases)[order]
+    # each power goes in before the least prime above it; powers are
+    # never prime, so the merge is strictly increasing
+    at = np.searchsorted(primes, powers)
+    logs = np.insert(primes.astype(np.float64), at, bases.astype(np.float64))
     return MultiplicativeTables(
         limit=int(limit),
         primes=primes,
-        prime_powers=powers[order],
-        prime_power_logs=np.log(bases[order].astype(np.float64)),
+        prime_powers=np.insert(primes, at, powers),
+        prime_power_logs=np.log(logs, out=logs),
     )
 
 
-def _least_prime_factors(limit: int) -> tuple[np.ndarray, np.ndarray]:
-    """The uint32 smallest prime factors of 0..limit (0 at 0 and 1) and the
-    primes <= limit, ascending.
+def _primes_upto(limit: int) -> np.ndarray:
+    """The primes <= limit, ascending, as an intp array.
+
+    One bool per odd number, entry i for 2i + 1. Each SEGMENT of entries
+    takes the strided stores of the odd primes p <= sqrt(limit) that reach
+    it: from p^2, at entry (p^2 - 1) / 2, every p-th entry is the next odd
+    multiple of p. Those primes come from this same routine on
+    sqrt(limit). The entries still set are the odd primes."""
+    import numpy as np
+    odd = np.ones((limit + 1) // 2 if limit >= 2 else 0, dtype=bool)
+    root = math.isqrt(limit)
+    small = _primes_upto(root)[1:].tolist() if root >= 3 else []
+    for lo in range(0, len(odd), SEGMENT):
+        hi = min(lo + SEGMENT, len(odd))
+        segment = odd[lo:hi]
+        for p in small[: bisect.bisect_right(small, math.isqrt(2 * hi - 1))]:
+            # the first entry >= lo that is an odd multiple of p, or p^2
+            start = max(p * p // 2, lo + (p // 2 - lo) % p)
+            segment[start - lo :: p] = False
+    # entry 0 (the number 1) is still set and holds the place of 2
+    primes = np.flatnonzero(odd)
+    primes *= 2
+    primes += 1
+    primes[:1] = 2
+    return primes
+
+
+def _least_prime_factors(limit: int) -> np.ndarray:
+    """The uint32 smallest prime factors of 0..limit (0 at 0 and 1).
 
     Each SEGMENT of the table takes the strided stores spf[p^2 ::p] = p of
     the primes p <= sqrt(limit) that reach it, largest p first, so the
-    least prime factor is written last; those primes come from this same
-    routine on sqrt(limit). The entries >= 2 still 0 are the primes."""
+    least prime factor is written last; those primes come from
+    ``_primes_upto(sqrt(limit))``. The entries >= 2 still 0 are the primes,
+    their own least factors."""
     import numpy as np
     spf = np.zeros(limit + 1, dtype=np.uint32)
     root = math.isqrt(limit)
-    small = _least_prime_factors(root)[1].tolist() if root >= 2 else []
+    small = _primes_upto(root).tolist() if root >= 2 else []
     for lo in range(0, limit + 1, SEGMENT):
         hi = min(lo + SEGMENT, limit + 1)
         segment = spf[lo:hi]
@@ -152,7 +190,7 @@ def _least_prime_factors(limit: int) -> tuple[np.ndarray, np.ndarray]:
             segment[start - lo :: p] = p
     primes = np.flatnonzero(spf[2:] == 0) + 2
     spf[primes] = primes
-    return spf, primes
+    return spf
 
 
 @dataclass(frozen=True)

@@ -171,9 +171,34 @@ def truncated_perron(
     """Evaluate the truncated contour integral in closed form and pair it
     with the exact partial sum from the convolution arrays (checked against
     ``exact_partial_sum_bruteforce`` in the tests, not on every call)."""
-    import numpy as np
-    from scipy.special import exp1  # deferred: importing scipy.special is slow
+    exact, c, lam = _perron_terms(family, y)
+    return PerronResult(y=y, height=spec.height, approx=_closed_form(c, lam, spec),
+                        exact=exact)
 
+
+def height_trend(
+    family: list[DirichletPolynomial],
+    y: float,
+    heights: tuple[float, ...],
+    rel_tol: float = 1e-8,
+) -> list[PerronResult]:
+    """Truncation study at increasing heights on default_contour's line
+    (errors reported, not asserted): ``truncated_perron`` at each height,
+    with the product coefficients and the exact sum built once. rel_tol
+    is accepted for compatibility; the closed form does not read it."""
+    specs = [default_contour(y, h) for h in heights]
+    exact, c, lam = _perron_terms(family, y)
+    return [PerronResult(y=y, height=spec.height, approx=_closed_form(c, lam, spec),
+                         exact=exact) for spec in specs]
+
+
+def _perron_terms(
+    family: list[DirichletPolynomial], y: float
+) -> tuple[complex, np.ndarray, np.ndarray]:
+    """What the integral at y reads of the family on any contour: the exact
+    partial sum, and the nonzero float product coefficients c_n with their
+    lambda_n = log(y/n)."""
+    import numpy as np
     if not 0 < y < math.inf:
         raise ValueError("y must be positive and finite")
     if abs(y - round(y)) < 1e-9:
@@ -185,24 +210,19 @@ def truncated_perron(
     roots = np.array([unit_root(j, L) for j in range(L)])
     coeffs = coeffs_exact.astype(np.float64) @ roots
     ns = np.nonzero(coeffs)[0]
-    lam = np.log(y / ns.astype(np.float64))
+    return exact, coeffs[ns], np.log(y / ns.astype(np.float64))
+
+
+def _closed_form(c: np.ndarray, lam: np.ndarray, spec: ContourSpec) -> complex:
+    """sum_n c_n [(E1(-lambda_n a) - E1(-lambda_n b)) / (2 pi i)
+    + 1{lambda_n > 0}] on the segment from a = sigma0 - iT to b = sigma0 + iT."""
+    import numpy as np
+    from scipy.special import exp1  # deferred: importing scipy.special is slow
+
     a = complex(spec.sigma0, -spec.height)
     b = complex(spec.sigma0, spec.height)
     terms = (exp1(-lam * a) - exp1(-lam * b)) / (2j * math.pi) + (lam > 0)
-    approx = complex(np.dot(coeffs[ns], terms))
-    return PerronResult(y=y, height=spec.height, approx=approx, exact=exact)
-
-
-def height_trend(
-    family: list[DirichletPolynomial],
-    y: float,
-    heights: tuple[float, ...],
-    rel_tol: float = 1e-8,
-) -> list[PerronResult]:
-    """Truncation study at increasing heights on default_contour's line
-    (errors reported, not asserted). rel_tol is accepted for
-    compatibility; the closed form does not read it."""
-    return [truncated_perron(family, y, default_contour(y, h)) for h in heights]
+    return complex(np.dot(c, terms))
 
 
 def horizontal_bound_check(

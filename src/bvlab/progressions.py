@@ -7,15 +7,18 @@ this is exact and avoids an O(x) scan per modulus.
 
 Every sum here reads Lambda through ``tables.jumps(y)``, the prime powers
 n <= y and their weights, which raises ValueError for y past the table.
-One walk over the jumps serves E* and E-dagger:
-``_class_sums`` groups the prime powers n <= x by n mod q with one
-stable argsort (a radix sort for q <= 2^16) and takes a cumulative sum
-per class, giving every class sum just before and just after each jump.
-That costs one sort and one np.cumsum call per class that holds a jump,
-and each class sum is added one weight at a time in jump order, so it is
-bit-equal to a running ``+=`` over the jumps. E* and E-dagger need only
-the largest deviation and the least jump reaching it, so both read the
-sums in class order, and nothing scatters them back to jump order.
+One walk over the jumps serves E* and E-dagger: ``_ClassBlocks`` takes
+the prime powers n <= x BLOCK at a time, in jump order, and lays each
+block out by n mod q with a stable argsort of its residues (a radix sort
+for q <= 2^16). Each class's running sum carries from block to block, so
+every class sum just before and just after each jump is added one weight
+at a time in jump order, bit-equal to a running ``+=`` over the jumps.
+Within a block the classes are summed together, as the rows of one padded
+matrix summed by one np.cumsum. E* and
+E-dagger need only the largest deviation and the least jump reaching it,
+so both read each block in class order and keep the first block that
+reaches the maximum. Every array they make is one block long or holds one
+entry per class met.
 """
 
 from __future__ import annotations
@@ -32,6 +35,9 @@ from .exponents import THETA_MAX
 
 if TYPE_CHECKING:
     import numpy as np
+
+# jumps per block of the class walk behind E* and E-dagger
+BLOCK = 1 << 14
 
 
 @dataclass
@@ -59,32 +65,27 @@ def e_star(x: float, q: int, tables: MultiplicativeTables) -> ErrorTermRecord:
     import numpy as np
     _check_modulus(q)
     pp, logs = tables.jumps(x)
-    inv_phi = 1.0 / euler_phi(q)
-    order, starts, ends, class_coprime, sums, totals = _class_sums(pp, logs, q)
+    walk = _ClassBlocks(pp, logs, q)
+    inv_phi = 1.0 / walk.phi
     best, y_star = 0.0, 1.0
-    if len(pp):
-        # in class order the right limit at a jump is its class's running
-        # sum and the left limit the sum one jump earlier (0 at a start)
-        jumps = pp[order]
+    for lo, order, starts, ends, shared, sums, before in walk:
+        # the right limit at a jump is its class's running sum and the
+        # left limit the sum one jump of the class earlier
+        jumps = pp[lo : lo + len(order)][order]
         line = jumps * inv_phi
-        dev = np.empty_like(sums)
-        dev[1:] = sums[:-1]
-        dev[starts] = 0
-        dev -= line
-        np.abs(dev, out=dev)
+        before -= line
         sums -= line
-        np.maximum(dev, np.abs(sums, out=sums), out=dev)
+        dev = np.maximum(np.abs(before, out=before), np.abs(sums, out=sums), out=before)
         # a class not coprime to q holds only powers of the primes of q,
         # so these classes are few and short
-        shared = ~class_coprime
-        for lo, hi in zip(starts[shared].tolist(), ends[shared].tolist()):
-            dev[lo:hi] = 0
+        for a, b in zip(starts[shared].tolist(), ends[shared].tolist()):
+            dev[a:b] = 0
         top = dev.max()
+        # blocks come in jump order, so the first block reaching the
+        # maximum holds the least jump reaching it
         if top > best:
-            # both limits of a jump share its y, and pp increases, so the
-            # least jump reaching the maximum is the first one in y
             best, y_star = float(top), float(jumps[dev == top].min())
-    endpoint = float(np.max(np.abs(totals - x * inv_phi)))
+    endpoint = float(np.max(np.abs(walk.totals() - x * inv_phi)))
     if endpoint > best:
         best, y_star = endpoint, float(x)
     return ErrorTermRecord(q=q, y_star=y_star, E_value=best)
@@ -111,40 +112,48 @@ def e_dagger(x: float, q: int, tables: MultiplicativeTables) -> ErrorTermRecord:
 
     The centre c = psi/phi(q) rises strictly (every weight is at least
     log 2), so while a class holds one sum its deviation above c is
-    largest at the first jump and below c at the last. Float subtraction
-    is monotone and the steps of c span many ulps, so these run ends give
-    the floats and the first jump of a running loop over the jumps."""
+    largest at the first jump and below c at the last: the jump before
+    the class's next one, or the last jump. Float subtraction is monotone
+    and the steps of c span many ulps, so these run ends give the floats
+    and the first jump of a running loop over the jumps."""
     import numpy as np
     _check_modulus(q)
     pp, logs = tables.jumps(x)
-    inv_phi = 1.0 / euler_phi(q)
+    walk = _ClassBlocks(pp, logs, q)
+    inv_phi = 1.0 / walk.phi
     best, y_star = 0.0, 1.0
-    if len(pp):
-        order, starts, ends, class_coprime, sums, totals = _class_sums(pp, logs, q)
-        center = np.cumsum(logs) * inv_phi
-        # sums[i] holds from jump order[i] to held_to[i], the jump before
-        # its class's next one (the last jump for a class's final entry)
-        held_to = np.empty_like(order)
-        np.subtract(order[1:], 1, out=held_to[:-1])
-        held_to[ends - 1] = len(pp) - 1
-        below = center[held_to] - sums
-        above = np.subtract(sums, center[order], out=sums)
+    psi_before = 0.0
+    for lo, order, starts, ends, shared, sums, before in walk:
+        # center[k + 1] is c at jump lo + k and center[0] just before the
+        # block; psi is added one weight at a time, as by np.cumsum(logs)
+        center = np.empty(len(order) + 1)
+        center[0] = psi_before
+        center[1:] = logs[lo : lo + len(order)]
+        np.cumsum(center, out=center)
+        psi_before = center[-1]
+        center *= inv_phi
+        # each sum sits above c from its jump on; the sum before it sat
+        # below c up to the jump before
+        above = np.subtract(sums, center[1:][order], out=sums)
+        below = np.subtract(center[order], before, out=before)
         # a class not coprime to q holds only powers of the primes of q,
         # so these classes are few and short
-        shared = ~class_coprime
-        for lo, hi in zip(starts[shared].tolist(), ends[shared].tolist()):
-            above[lo:hi] = below[lo:hi] = 0
-        # a coprime class holds 0 up to its first jump, or to the last
-        # jump if it has none (the 0 appended to totals)
-        firsts = order[starts[class_coprime]]
-        zero_to = len(pp) - 1 if len(firsts) < len(totals) else firsts.max() - 1
-        zero = center[zero_to] if zero_to >= 0 else 0.0
-        top = max(above.max(), below.max(), zero)
+        for a, b in zip(starts[shared].tolist(), ends[shared].tolist()):
+            above[a:b] = below[a:b] = 0
+        top = max(above.max(), below.max())
+        # a block's candidates lie at its jumps and, for below, at jump
+        # lo - 1, none before a candidate of an earlier block: so the
+        # first block reaching the maximum holds the least jump reaching it
         if top > best:
-            at = min(order[above == top].min(initial=len(pp)),
-                     held_to[below == top].min(initial=len(pp)),
-                     zero_to if zero == top else len(pp))
-            best, y_star = float(top), float(pp[at])
+            at = min(order[above == top].min(initial=len(order)),
+                     order[below == top].min(initial=len(order) + 1) - 1)
+            best, y_star = float(top), float(pp[lo + at])
+    if len(pp):
+        # each coprime class holds its last sum, or 0 if it has no jump,
+        # from its last jump to the last jump of all
+        top = (psi_before * inv_phi - walk.totals()).max()
+        if top > best:
+            best, y_star = float(top), float(pp[-1])
     return ErrorTermRecord(q=q, y_star=y_star, E_value=best)
 
 
@@ -240,41 +249,106 @@ def _check_modulus(q: int) -> None:
         raise ValueError(f"modulus must be at least 1, got {q}")
 
 
-def _class_sums(pp: np.ndarray, weights: np.ndarray, q: int):
-    """Group the jumps pp by class mod q, each class in jump order, and
-    keep one running sum of the weights per class. Returns (order, starts,
-    ends, class_coprime, sums, totals): the permutation of the jumps into
-    class order, the bounds [starts[k], ends[k]) of each class in it,
-    whether each class is coprime to q, the running sums in class order
-    (sums[i] is the sum of jump order[i]'s class over the jumps <= it),
-    and the sums of the phi(q) coprime classes over all jumps.
+class _ClassBlocks:
+    """The jumps pp in blocks of BLOCK in jump order, each block laid out
+    in class order: by residue mod q, each class in jump order.
 
-    A stable argsort of the residues gives the class order. The residues
-    are kept in the narrowest unsigned dtype that holds q - 1, so numpy
-    sorts 8- and 16-bit keys by radix and no other full-length integer
-    array is made; a stable order is unique, so the cast changes no index.
-    Each class is then summed by np.cumsum, which adds its weights one at
-    a time in jump order for real and complex weights alike, so every sum
-    is bit-equal to a running ``+=`` over the jumps. Coprimality to q is
-    tested once per class."""
+    Iterating yields per block (lo, order, starts, ends, shared, sums,
+    before): the index of the block's first jump, the permutation of its
+    jumps into class order, the bounds [starts[k], ends[k]) of each class
+    in it, whether each class shares a factor with q, and in class order
+    each class's running sum of the weights over its jumps up to each one
+    (sums) and up to the one before (before; 0 before the first). Once
+    the walk is done, ``totals()`` gives the sums of the phi(q) coprime
+    classes over all jumps. The caller may overwrite sums and before.
+    ``phi`` is phi(q), from ``euler_phi``.
+
+    A stable argsort of the block's residues gives its class order. The
+    residues are kept in the narrowest unsigned dtype that holds q - 1,
+    so numpy sorts 8- and 16-bit keys by radix; a stable order is unique,
+    so the cast changes no index. Each class's running sum is carried
+    across block edges, kept per class in residue order, and every sum is
+    added one weight at a time in jump order, for real and complex
+    weights alike, so it is bit-equal to a running ``+=`` over the jumps.
+    Every array is one block long or holds one entry per class."""
+
+    def __init__(self, pp: np.ndarray, weights: np.ndarray, q: int):
+        import numpy as np
+        self.pp, self.weights = pp, weights
+        self.q, self.phi = q, euler_phi(q)
+        # the classes met so far, ascending, and the running sum of each
+        self.classes = np.zeros(0, dtype=np.min_scalar_type(q - 1))
+        self.running = np.zeros(0, dtype=weights.dtype)
+
+    def __iter__(self):
+        import numpy as np
+        pp, weights, q = self.pp, self.weights, self.q
+        residues = np.empty(min(BLOCK, len(pp)), dtype=self.classes.dtype)
+        for lo in range(0, len(pp), BLOCK):
+            size = min(BLOCK, len(pp) - lo)
+            r = np.remainder(pp[lo : lo + size], q, out=residues[:size], casting="unsafe")
+            order = np.argsort(r, kind="stable")
+            r = r[order]
+            # a class starts at the first jump and where the residue
+            # changes, and ends where the next one starts
+            new_class = np.ones(size, dtype=bool)
+            np.not_equal(r[1:], r[:-1], out=new_class[1:])
+            starts = np.flatnonzero(new_class)
+            ends = np.empty_like(starts)
+            ends[:-1] = starts[1:]
+            ends[-1] = size
+            classes = r[starts]
+            # the sums carried in by the classes met in earlier blocks
+            at = np.searchsorted(self.classes, classes)
+            met = at < len(self.classes)
+            met[met] = self.classes[at[met]] == classes[met]
+            carried = np.zeros(len(classes), dtype=weights.dtype)
+            carried[met] = self.running[at[met]]
+            sums = weights[lo : lo + size][order]
+            sums[starts[met]] += carried[met]
+            _running_sums(sums, starts, ends)
+            before = np.empty_like(sums)
+            before[1:] = sums[:-1]
+            before[starts] = carried
+            last = sums[ends - 1]
+            self.running[at[met]] = last[met]
+            if not met.all():
+                self.classes = np.insert(self.classes, at[~met], classes[~met])
+                self.running = np.insert(self.running, at[~met], last[~met])
+            yield lo, order, starts, ends, self._shared(classes), sums, before
+
+    def _shared(self, classes: np.ndarray) -> np.ndarray:
+        """Whether each residue shares a prime factor with q."""
+        import numpy as np
+        return np.gcd(classes.astype(np.int64), self.q) > 1
+
+    def totals(self) -> np.ndarray:
+        """The sums of the coprime classes met, in residue order, and a 0
+        if a coprime class holds no jump."""
+        import numpy as np
+        totals = self.running[~self._shared(self.classes)]
+        if len(totals) < self.phi:
+            totals = np.append(totals, 0)
+        return totals
+
+
+def _running_sums(sums: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> None:
+    """Replace each class [starts[k], ends[k]) of sums by its running sum,
+    in place, added one entry at a time in order.
+
+    The classes become the rows of a zero-padded matrix, as wide as the
+    longest, and one np.cumsum runs along the rows: it adds a row's
+    entries one at a time, and the padding follows each row's last entry,
+    so every sum is bit-equal to a running ``+=``. The classes of a block
+    of prime powers are near equal in length, so the matrix stays within
+    a few blocks' worth of entries."""
     import numpy as np
-    r = (pp % q).astype(np.min_scalar_type(q - 1))
-    order = np.argsort(r, kind="stable")
-    sorted_r = r[order]
-    # a class starts at the first jump and where the sorted residue
-    # changes, and ends where the next one starts
-    new_class = np.ones(len(pp), dtype=bool)
-    np.not_equal(sorted_r[1:], sorted_r[:-1], out=new_class[1:])
-    starts = np.flatnonzero(new_class)
-    ends = np.empty_like(starts)
-    ends[:-1] = starts[1:]
-    ends[-1:] = len(pp)
-    sums = weights[order]
-    for lo, hi in zip(starts.tolist(), ends.tolist()):
-        np.cumsum(sums[lo:hi], out=sums[lo:hi])
-    # int64, as uint8 residues cannot meet q = 256 in np.gcd
-    class_coprime = np.gcd(sorted_r[starts].astype(np.int64), q) == 1
-    totals = sums[ends - 1][class_coprime]
-    if len(totals) < euler_phi(q):  # a coprime class without jumps sums to 0
-        totals = np.append(totals, 0)
-    return order, starts, ends, class_coprime, sums, totals
+    size = ends - starts
+    width = int(size.max())
+    # entry i of class k, at rank i - starts[k] in it, goes to row k
+    cell = np.arange(len(sums)) + np.repeat(np.arange(len(size)) * width - starts, size)
+    flat = np.zeros(len(size) * width, dtype=sums.dtype)
+    flat[cell] = sums
+    rows = flat.reshape(len(size), width)
+    np.cumsum(rows, axis=1, out=rows)
+    np.take(flat, cell, out=sums)

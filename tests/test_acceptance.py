@@ -86,7 +86,7 @@ def test_criterion_2_identity_exactness():
     rec = reconstruct(float(x), x, tables)
     lam = np.zeros(x + 1)
     pp = tables.prime_powers
-    spf = _least_prime_factors(x)[0]
+    spf = _least_prime_factors(x)
     for n, p in zip(pp.tolist(), spf[pp].tolist()):
         lam[n] = math.log(p)
     budget = 1e-9 * (1.0 + np.log(np.maximum(np.arange(x + 1), 1)))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bvlab.arith import (
+    SEGMENT,
     LimitError,
     ModuliSet,
     _least_prime_factors,
@@ -49,7 +50,7 @@ def _naive_phi(n):
 def _support(tables):
     """The von Mangoldt support as a dict n -> p over every n = p^e."""
     pp = tables.prime_powers
-    spf = _least_prime_factors(tables.limit)[0]
+    spf = _least_prime_factors(tables.limit)
     return dict(zip(pp.tolist(), spf[pp].tolist()))
 
 
@@ -95,12 +96,19 @@ def _sieve_reference(limit):
 @pytest.mark.parametrize(
     "limit",
     [2, 3, 4, 8, 9, 25, 48, 49, 50, 97, 121, 1000, 9973, 10**4, 2**16,
-     10**5, 2**18 - 1, 2**18, 2**18 + 1, 3 * 2**18 + 7, 10**6],
+     10**5, 2**18 - 1, 2**18, 2**18 + 1, 3 * 2**18 + 7, 10**6,
+     # the odd-only prime sieve holds 2 * SEGMENT numbers per segment:
+     # limits that fill one segment, meet its edge and pass it, and one
+     # two entries into a third segment
+     2 * SEGMENT - 1, 2 * SEGMENT, 2 * SEGMENT + 1, 4 * SEGMENT + 3,
+     # 1619^2, the last number of its segment, is marked only if 1619
+     # counts as reaching it; it lies 140 entries before a segment edge
+     1619**2],
 )
 def test_sieve_matches_reference_bit_for_bit(limit):
     ref = _sieve_reference(limit)
     tables = build_tables(limit)
-    spf = _least_prime_factors(limit)[0]
+    spf = _least_prime_factors(limit)
     assert spf.dtype == ref["smallest_prime_factor"].dtype
     assert np.array_equal(spf, ref["smallest_prime_factor"])
     for name in ("prime_powers", "prime_power_logs"):
@@ -198,7 +206,7 @@ def test_von_mangoldt_upto_is_dense_von_mangoldt(limit):
         f = factorize(m)
         oracle.append(math.log(f[0][0]) if len(f) == 1 else 0.0)
     assert lam.tolist() == oracle
-    bases = _least_prime_factors(limit)[0][tables.prime_powers]
+    bases = _least_prime_factors(limit)[tables.prime_powers]
     assert lam[tables.prime_powers].tolist() == [math.log(p) for p in bases.tolist()]
 
 

@@ -318,7 +318,7 @@ def _spf_phi(spf, n):
 
 
 def test_factorize_helpers_match_sieve(tables):
-    spf = _least_prime_factors(tables.limit)[0]
+    spf = _least_prime_factors(tables.limit)
     for n in range(1, tables.limit + 1):
         f = factorize(n)
         assert math.prod(p**e for p, e in f) == n
@@ -336,7 +336,7 @@ def test_factorize_helpers_match_sieve(tables):
 def test_primitive_count_matches_mobius_sum(tables):
     # the closed form against sum over d|q of mu(d) phi(q/d), with mu from
     # the sieve and phi from its smallest prime factors
-    spf = _least_prime_factors(tables.limit)[0]
+    spf = _least_prime_factors(tables.limit)
     mobius = tables.mobius_upto(3000)
     for q in range(1, 3001):
         total = sum(int(mobius[d]) * _spf_phi(spf, q // d)

@@ -113,3 +113,47 @@ def test_int_arguments_are_checked_by_one_helper():
                 copies.append(f"{path.name}:{node.lineno}")
             stack.extend(ast.iter_child_nodes(node))
     assert not copies, copies
+
+
+def _calls_by_function(name):
+    """Every call of ``name`` in the package, as "module.function" of the
+    innermost function around it."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        stack = [(ast.parse(path.read_text(), str(path)), None)]
+        while stack:
+            node, owner = stack.pop()
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id == name:
+                found.append(f"{path.stem}.{owner}")
+            if isinstance(node, ast.FunctionDef):
+                owner = node.name
+            stack.extend((child, owner) for child in ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+def test_each_sieve_has_one_reader():
+    # the smallest prime factors are sieved only for mu, and the primes
+    # only by the odd-only sieve, which also gives the first sieve its
+    # primes <= sqrt(limit)
+    assert _calls_by_function("_least_prime_factors") == ["arith.mobius_upto"]
+    assert _calls_by_function("_primes_upto") == [
+        "arith._least_prime_factors", "arith._primes_upto", "arith.build_tables"]
+
+
+def test_table_primes_come_from_the_odd_only_sieve():
+    # build_tables makes the only MultiplicativeTables in the package, and
+    # its primes are the name bound to _primes_upto(limit) and nothing else
+    assert _calls_by_function("MultiplicativeTables") == ["arith.build_tables"]
+    tree = ast.parse((PACKAGE / "arith.py").read_text())
+    build = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "build_tables")
+    made = next(node for node in ast.walk(build) if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "MultiplicativeTables")
+    primes = next(k.value for k in made.keywords if k.arg == "primes")
+    assert isinstance(primes, ast.Name)
+    bound = [node.value for node in ast.walk(build) if isinstance(node, ast.Assign)
+             and any(isinstance(n, ast.Name) and n.id == primes.id
+                     for t in node.targets for n in ast.walk(t))]
+    assert [ast.unparse(value) for value in bound] == ["_primes_upto(limit)"]

@@ -9,8 +9,10 @@ import pytest
 
 from bvlab.arith import _least_prime_factors, build_tables, enumerate_moduli_set
 from bvlab.characters import CharacterGroup, character_group, euler_phi
+from bvlab import progressions
 from bvlab.progressions import (
-    _class_sums,
+    BLOCK,
+    _ClassBlocks,
     e_dagger,
     e_dagger_bruteforce,
     e_star,
@@ -55,7 +57,7 @@ def test_psi_coprime_removes_bad_primes(tables):
     pp = tables.prime_powers
     expected = math.fsum(
         math.log(p) for n, p in
-        zip(pp.tolist(), _least_prime_factors(tables.limit)[0][pp].tolist())
+        zip(pp.tolist(), _least_prime_factors(tables.limit)[pp].tolist())
         if n <= 100 and p in (2, 3)
     )
     assert removed == pytest.approx(expected, abs=1e-12)
@@ -336,76 +338,152 @@ def test_e_dagger_matches_loop_in_class_order(tables_large, x, q):
         _e_dagger_loop(float(x), q, tables_large)
 
 
-def test_e_dagger_allocates_no_scatter(tables_large):
-    # the traced peak of one call, in full-length 8-byte arrays of the
-    # jumps: the class-order read needs about 6 (e_star about 5); the
-    # scatter back to jump order took about 8
-    pp, _ = tables_large.jumps(10**6)
-    e_dagger(10**6, 23, tables_large)
+def _traced_peak(error_term, x, q, tables):
+    """The traced peak of one call, after a first call has warmed up."""
+    error_term(x, q, tables)
     tracemalloc.start()
     try:
-        e_dagger(10**6, 23, tables_large)
-        peak = tracemalloc.get_traced_memory()[1]
+        error_term(x, q, tables)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 7 * 8 * len(pp)
 
 
-def _class_sums_loop(pp, weights, q):
-    """Reference for _class_sums: one running += per class, jump by jump,
-    then the classes laid out in residue order, each in jump order, with
-    the coprime class totals and a 0 for the coprime classes without
-    jumps."""
-    members, running = {}, {}
-    for i, (n, w) in enumerate(zip(pp.tolist(), weights.tolist())):
-        r = n % q
-        if r in running:
-            running[r].append(running[r][-1] + w)
-        else:
-            running[r] = [w]
-        members.setdefault(r, []).append(i)
-    residues = sorted(running)
-    sizes = np.array([len(running[r]) for r in residues], dtype=np.intp)
-    ends = np.cumsum(sizes)
-    coprime = [gcd(r, q) == 1 for r in residues]
-    totals = [running[r][-1] for r, c in zip(residues, coprime) if c]
+def test_e_dagger_allocates_no_scatter(tables_large):
+    # the traced peak of one call, in full-length 8-byte arrays of the
+    # jumps: the walk in blocks holds no array as long as the jumps (about
+    # 1.8 of them, all block-sized); the class order read in full took
+    # about 6, and the scatter back to jump order about 8
+    pp, _ = tables_large.jumps(10**6)
+    # the padded matrix of the class sums stays within a few blocks,
+    # with 23 classes per block or 37
+    for q in (23, 37):
+        assert _traced_peak(e_dagger, 10**6, q, tables_large) <= 4 * 8 * len(pp)
+
+
+def test_e_star_allocates_no_full_length_array(tables_large):
+    # as for E-dagger: about 1.8 full-length arrays in blocks, where the
+    # class order read in full took about 5
+    pp, _ = tables_large.jumps(10**6)
+    for q in (23, 37):
+        assert _traced_peak(e_star, 10**6, q, tables_large) <= 3 * 8 * len(pp)
+
+
+def _class_blocks_loop(pp, weights, q, block):
+    """Reference for _ClassBlocks: one running += per class, jump by jump;
+    each block of ``block`` jumps laid out by residue, each class in jump
+    order, with the running sums after and before each jump; then the
+    coprime class totals in residue order and a 0 for the coprime classes
+    without jumps."""
+    running, blocks = {}, []
+    for lo in range(0, len(pp), block):
+        members = {}
+        for i in range(lo, min(lo + block, len(pp))):
+            r, w = int(pp[i]) % q, weights[i].item()
+            before = running.get(r, 0)
+            running[r] = running[r] + w if r in running else w
+            members.setdefault(r, []).append((i - lo, running[r], before))
+        residues = sorted(members)
+        sizes = np.array([len(members[r]) for r in residues], dtype=np.intp)
+        ends = np.cumsum(sizes, dtype=np.intp)
+        entries = [e for r in residues for e in members[r]]
+        blocks.append((lo, np.array([e[0] for e in entries], dtype=np.intp),
+                       ends - sizes, ends,
+                       np.array([gcd(r, q) > 1 for r in residues]),
+                       np.array([e[1] for e in entries], dtype=weights.dtype),
+                       np.array([e[2] for e in entries], dtype=weights.dtype)))
+    totals = [running[r] for r in sorted(running) if gcd(r, q) == 1]
     if len(totals) < euler_phi(q):
         totals.append(0)
-    return (np.array([i for r in residues for i in members[r]], dtype=np.intp),
-            ends - sizes, ends, np.array(coprime),
-            np.array([s for r in residues for s in running[r]], dtype=weights.dtype),
-            np.array(totals, dtype=weights.dtype))
+    return blocks, np.array(totals, dtype=weights.dtype)
+
+
+def _assert_walk_matches_loop(pp, weights, q, block):
+    walk = _ClassBlocks(pp, weights, q)
+    blocks, totals = _class_blocks_loop(pp, weights, q, block)
+    for got, want in zip(walk, blocks, strict=True):
+        assert got[0] == want[0]
+        for g, w in zip(got[1:], want[1:], strict=True):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    got = walk.totals()
+    assert got.dtype == totals.dtype and got.tobytes() == totals.tobytes()
+
+
+def _weights(pp, logs):
+    """The real weights Lambda(n) and the complex weights Lambda(n) chi(n)
+    for a character chi mod 7 of order 6."""
+    values = np.asarray(CharacterGroup(7).characters()[1].value_table())
+    assert np.any(values.imag != 0)
+    return logs, logs * values[pp % 7]
 
 
 @pytest.mark.parametrize("q", [1, 2, 37, 121, 10**5 + 3])
 def test_class_prefix_sums_match_running_sums_bit_for_bit(tables_large, q):
-    # 9700 jumps up to 10^5: from one class (q = 1) through classes of
-    # about sqrt(9700) jumps each (q = 121, with non-coprime classes) to
-    # one jump per class (q > x); every output of _class_sums is checked:
-    # the class order, the class bounds, the coprimality of each class,
-    # the running sums in class order and the totals
-    pp, logs = tables_large.jumps(10**5)
-    values = np.asarray(CharacterGroup(7).characters()[1].value_table())
-    assert np.any(values.imag != 0)
-    for weights in (logs, logs * values[pp % 7]):
-        got = _class_sums(pp, weights, q)
-        for g, w in zip(got, _class_sums_loop(pp, weights, q), strict=True):
-            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    # 33,860 jumps up to 4 * 10^5, two full blocks and a part: from one
+    # class (q = 1) through classes of about sqrt(33860) jumps each
+    # (q = 121, with non-coprime classes) to one jump per class (q > x);
+    # every output of every block is checked: the class order, the class
+    # bounds, the shared classes, the running sums after and before each
+    # jump, and the totals
+    pp, logs = tables_large.jumps(4 * 10**5)
+    assert 2 * BLOCK < len(pp) < 3 * BLOCK
+    for weights in _weights(pp, logs):
+        _assert_walk_matches_loop(pp, weights, q, BLOCK)
 
 
-def test_ties_resolve_to_the_first_jump():
-    # small integer weights on made-up jumps make exactly equal deviations
-    # common; the strict > of the loops keeps the first of them
+@pytest.mark.parametrize("block", [1, 2, 3, 7, 64])
+@pytest.mark.parametrize("q", [1, 2, 6, 37, 121, 1009])
+def test_class_walk_carries_across_small_blocks(tables, monkeypatch, block, q):
+    # blocks far shorter than a class: every class straddles block edges,
+    # starts on one, or holds one jump per block; 1229 jumps up to 10^4
+    monkeypatch.setattr(progressions, "BLOCK", block)
+    pp, logs = tables.jumps(10**4)
+    for weights in _weights(pp, logs):
+        _assert_walk_matches_loop(pp, weights, q, block)
+
+
+@pytest.mark.parametrize("size", [1, 2, 17, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK])
+def test_error_terms_match_loop_at_block_edges(size):
+    # made-up jumps with small integer weights, so deviations tie often:
+    # n below, at, just past and at twice BLOCK. Classes mod 3, 4 and 7
+    # straddle every edge; the class 6 mod 7 starts on the first edge, as
+    # no earlier jump is 6 mod 7; and mod 2 * size + 1 each class holds
+    # one jump, so a class starts at every jump
     base = build_tables(100)
-    rng = random.Random(5)
-    for _ in range(150):
-        pp = np.array(sorted(rng.sample(range(2, 61), rng.randrange(1, 12))))
-        logs = np.array([float(rng.randrange(1, 4)) for _ in pp])
-        fake = dataclasses.replace(base, prime_powers=pp, prime_power_logs=logs)
-        x = float(rng.choice([60, 60.5, pp[-1]]))
-        for q in (1, 2, 3, 4, 6):
-            assert _record(e_star(x, q, fake)) == _e_star_loop(x, q, fake)
-            assert _record(e_dagger(x, q, fake)) == _e_dagger_loop(x, q, fake)
+    rng = random.Random(size)
+    pp, n = [], 1
+    for i in range(size):
+        n += rng.randrange(1, 4)
+        while (n % 7 == 6) != (i == BLOCK):
+            n += 1
+        pp.append(n)
+    pp = np.array(pp)
+    logs = np.array([float(rng.randrange(1, 4)) for _ in range(size)])
+    fake = dataclasses.replace(base, limit=int(pp[-1]) + 1, prime_powers=pp,
+                               prime_power_logs=logs)
+    for x in (float(pp[-1]), pp[-1] + 0.5):
+        for q in (1, 3, 4, 7, 2 * size + 1):
+            assert _record(e_star(x, q, fake)) == _e_star_loop(x, q, fake), q
+        for q in (1, 3, 4, 7):
+            assert _record(e_dagger(x, q, fake)) == _e_dagger_loop(x, q, fake), q
+
+
+def test_ties_resolve_to_the_first_jump(monkeypatch):
+    # small integer weights on made-up jumps make exactly equal deviations
+    # common; the strict > of the loops keeps the first of them, also
+    # when the tied jumps lie in different blocks
+    base = build_tables(100)
+    for block in (BLOCK, 1, 2, 5):
+        monkeypatch.setattr(progressions, "BLOCK", block)
+        rng = random.Random(5)
+        for _ in range(150):
+            pp = np.array(sorted(rng.sample(range(2, 61), rng.randrange(1, 12))))
+            logs = np.array([float(rng.randrange(1, 4)) for _ in pp])
+            fake = dataclasses.replace(base, prime_powers=pp, prime_power_logs=logs)
+            x = float(rng.choice([60, 60.5, pp[-1]]))
+            for q in (1, 2, 3, 4, 6):
+                assert _record(e_star(x, q, fake)) == _e_star_loop(x, q, fake)
+                assert _record(e_dagger(x, q, fake)) == _e_dagger_loop(x, q, fake)
 
 
 def test_max_modulus_is_exact():
