@@ -16,9 +16,11 @@ powers, with the weights log p of their base primes taken once, into
 primes in place of a sort of the whole support.
 ``MultiplicativeTables.jumps`` is the one reader of those weights, and it
 refuses any range beyond the table. No Mobius table is kept:
-``MultiplicativeTables.mobius_upto(y)`` sieves [0, y] on each call, from
-lambda(n) = -lambda(n / spf(n)) zeroed on the multiples of each p^2; it is
-the one reader of the smallest prime factors, and it sieves them itself.
+``MultiplicativeTables.mobius_upto(y)`` sieves [0, y] on each call with
+the tables' own primes p <= sqrt(y), so the odd-only sieve is the only
+sieve here: each p negates mu on its multiples and zeroes it on those of
+p^2, and the one prime factor above sqrt(y) that a squarefree m <= y can
+have is counted by a last negation where m is not yet divided down to 1.
 No Euler-phi table is sieved: phi(q) enters only the main term x/phi(q),
 once per modulus, and ``characters.euler_phi`` supplies it.
 """
@@ -37,8 +39,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 DEFAULT_LIMIT_CEILING = 10**8
-# entries per block of the prime and least-prime-factor stores and the
-# Liouville walk
+# entries per block of the odd-only prime sieve's stores
 SEGMENT = 1 << 18
 
 
@@ -86,28 +87,28 @@ class MultiplicativeTables:
     def mobius_upto(self, y: float) -> np.ndarray:
         """Dense int8 mu(m) for 0 <= m <= floor(y), empty for y < 0;
         ValueError if y > limit or y is NaN. Sieved on each call over
-        [0, floor(y)] only."""
+        [0, floor(y)] only, from the primes p <= sqrt(y) of ``primes``:
+        each negates mu on the multiples of p, divides their cofactor
+        (m at the start) by p once and zeroes mu on the multiples of p^2.
+        A squarefree m <= y has at most one prime factor above sqrt(y),
+        and it is exactly what is left of the cofactor when that is > 1,
+        so one last negation there counts it; where m is not squarefree,
+        mu is already 0 and stays 0."""
         import numpy as np
         if not y <= self.limit:
             raise ValueError(f"y={y} exceeds the table limit {self.limit}")
         if y < 0:
             return np.zeros(0, dtype=np.int8)
         n = math.floor(y)
-        spf = _least_prime_factors(n)
-        # Liouville lambda(m) = -lambda(m / spf(m)); a block [lo, hi) with
-        # hi <= 2 lo reads only m / spf(m) <= m / 2 < lo, already filled.
-        mobius = np.zeros(n + 1, dtype=np.int8)
-        mobius[1:2] = 1
-        lo = 2
-        while lo <= n:
-            hi = min(2 * lo, lo + SEGMENT, n + 1)
-            cofactor = np.arange(lo, hi, dtype=np.uint32) // spf[lo:hi]
-            np.negative(mobius[cofactor], out=mobius[lo:hi])
-            lo = hi
-        # mu is lambda off the multiples of a square p^2
+        mobius = np.ones(n + 1, dtype=np.int8)
+        mobius[0] = 0
+        cofactor = np.arange(n + 1, dtype=np.uint32)
         primes = self.primes
         for p in primes[: int(np.searchsorted(primes, math.isqrt(n), side="right"))].tolist():
+            mobius[p::p] *= -1
+            cofactor[p::p] //= p
             mobius[p * p :: p * p] = 0
+        np.negative(mobius, out=mobius, where=cofactor > 1)
         return mobius
 
 
@@ -168,29 +169,6 @@ def _primes_upto(limit: int) -> np.ndarray:
     primes += 1
     primes[:1] = 2
     return primes
-
-
-def _least_prime_factors(limit: int) -> np.ndarray:
-    """The uint32 smallest prime factors of 0..limit (0 at 0 and 1).
-
-    Each SEGMENT of the table takes the strided stores spf[p^2 ::p] = p of
-    the primes p <= sqrt(limit) that reach it, largest p first, so the
-    least prime factor is written last; those primes come from
-    ``_primes_upto(sqrt(limit))``. The entries >= 2 still 0 are the primes,
-    their own least factors."""
-    import numpy as np
-    spf = np.zeros(limit + 1, dtype=np.uint32)
-    root = math.isqrt(limit)
-    small = _primes_upto(root).tolist() if root >= 2 else []
-    for lo in range(0, limit + 1, SEGMENT):
-        hi = min(lo + SEGMENT, limit + 1)
-        segment = spf[lo:hi]
-        for p in reversed(small[: bisect.bisect_right(small, math.isqrt(hi - 1))]):
-            start = max(p * p, -(-lo // p) * p)
-            segment[start - lo :: p] = p
-    primes = np.flatnonzero(spf[2:] == 0) + 2
-    spf[primes] = primes
-    return spf
 
 
 @dataclass(frozen=True)

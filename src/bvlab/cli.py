@@ -214,9 +214,8 @@ def _validate(cfg: ExperimentConfig) -> None:
     if cfg.n_min_exp > cfg.n_max_exp:
         raise InvalidValueError(f"n_min_exp {cfg.n_min_exp} exceeds "
                                 f"n_max_exp {cfg.n_max_exp}")
-    if abs(cfg.y - round(cfg.y)) < 1e-9:
-        raise InvalidValueError(f"y {cfg.y} must not be an integer")
     try:
+        perron._check_y(cfg.y)
         progressions.threshold_scale(cfg.x, progressions.max_modulus(cfg.x), cfg.A)
     except ValueError as exc:
         raise InvalidValueError(str(exc)) from exc

@@ -90,9 +90,9 @@ def _base_coefficients(kind, ns, tables, explicit):
     if kind == "unit":
         return np.ones(len(ns), dtype=np.complex128)
     if kind == "mobius":
-        top = int(ns[-1]) if len(ns) else 0
-        if tables is None or top > tables.limit:
+        if tables is None:
             raise ValueError("mobius coefficients need tables covering N'")
+        top = int(ns[-1]) if len(ns) else 0
         return tables.mobius_upto(top)[ns].astype(np.complex128)
     if kind == "explicit":
         if explicit is None:

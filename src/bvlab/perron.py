@@ -192,6 +192,14 @@ def height_trend(
                          exact=exact) for spec in specs]
 
 
+def _check_y(y: float) -> None:
+    """ValueError when y lies within 1e-9 of an integer n: there the
+    partial sum jumps, and lambda_n = log(y/n) nears 0, where E1 is
+    singular. Callers check first that y is finite."""
+    if abs(y - round(y)) < 1e-9:
+        raise ValueError(f"y = {y} must stay away from integers")
+
+
 def _perron_terms(
     family: list[DirichletPolynomial], y: float
 ) -> tuple[complex, np.ndarray, np.ndarray]:
@@ -201,8 +209,7 @@ def _perron_terms(
     import numpy as np
     if not 0 < y < math.inf:
         raise ValueError("y must be positive and finite")
-    if abs(y - round(y)) < 1e-9:
-        raise ValueError("y must stay away from integers")
+    _check_y(y)
     coeffs_exact = product_coefficients(family)
     L = coeffs_exact.shape[1]
     exact = _to_complex(_ring_partial_sum(coeffs_exact, y))

@@ -4,6 +4,8 @@ Each function is a test-side computation built on the library: the
 progression sums and the character decomposition of psi(y; q, a), the
 character extremum, the inducing primitive character, the divisor
 moment and the exact partial sum of a product of Dirichlet polynomials.
+``least_prime_factors`` is a plain sieve the tests read the smallest
+prime factors from, where the library sieves only primes.
 The library keeps only what its commands, scripts and benchmark run.
 """
 
@@ -24,6 +26,22 @@ from bvlab.characters import (
 from bvlab.dpoly import DEFAULT_X_SCALE
 from bvlab.perron import _ring_partial_sum, _to_complex, product_coefficients
 from bvlab.reports import BoundReport
+
+
+def least_prime_factors(limit):
+    """The uint32 smallest prime factors of 0..limit (0 at 0 and 1), from
+    the unsegmented sieve: each prime p <= sqrt(limit) marks the multiples
+    of p from p^2 on that no smaller prime marked, and every entry >= 2
+    left unmarked is a prime, its own least factor."""
+    spf = np.zeros(limit + 1, dtype=np.uint32)
+    for i in range(2, math.isqrt(limit) + 1):
+        if spf[i] == 0:
+            block = spf[i * i :: i]
+            block[block == 0] = i
+    n = np.arange(limit + 1, dtype=np.uint32)
+    unmarked = (spf == 0) & (n >= 2)
+    spf[unmarked] = n[unmarked]
+    return spf
 
 
 def psi_ap(y, q, a, tables):

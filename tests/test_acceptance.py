@@ -13,7 +13,7 @@ from math import gcd
 import numpy as np
 import pytest
 
-from bvlab.arith import _least_prime_factors, build_tables, enumerate_moduli_set
+from bvlab.arith import build_tables, enumerate_moduli_set
 from bvlab.characters import CharacterGroup, character_group, primitive_count
 from bvlab.dpoly import (
     DirichletPolynomial,
@@ -48,7 +48,11 @@ from bvlab.progressions import (
     exception_scan,
     psi,
 )
-from paper_checks import divisor_moment_report, progression_identity_residual
+from paper_checks import (
+    divisor_moment_report,
+    least_prime_factors,
+    progression_identity_residual,
+)
 
 
 def _report(n, ok, detail):
@@ -86,7 +90,7 @@ def test_criterion_2_identity_exactness():
     rec = reconstruct(float(x), x, tables)
     lam = np.zeros(x + 1)
     pp = tables.prime_powers
-    spf = _least_prime_factors(x)
+    spf = least_prime_factors(x)
     for n, p in zip(pp.tolist(), spf[pp].tolist()):
         lam[n] = math.log(p)
     budget = 1e-9 * (1.0 + np.log(np.maximum(np.arange(x + 1), 1)))

@@ -10,7 +10,6 @@ from bvlab.arith import (
     SEGMENT,
     LimitError,
     ModuliSet,
-    _least_prime_factors,
     build_tables,
     enumerate_moduli_set,
 )
@@ -23,7 +22,14 @@ from bvlab.progressions import (
     e_star_bruteforce,
     psi,
 )
-from paper_checks import character_extremum, psi_ap, psi_chi, psi_coprime, tau_b
+from paper_checks import (
+    character_extremum,
+    least_prime_factors,
+    psi_ap,
+    psi_chi,
+    psi_coprime,
+    tau_b,
+)
 
 
 def _naive_mobius(n):
@@ -50,22 +56,15 @@ def _naive_phi(n):
 def _support(tables):
     """The von Mangoldt support as a dict n -> p over every n = p^e."""
     pp = tables.prime_powers
-    spf = _least_prime_factors(tables.limit)
+    spf = least_prime_factors(tables.limit)
     return dict(zip(pp.tolist(), spf[pp].tolist()))
 
 
 def _sieve_reference(limit):
     """Reference sieve: the per-prime loop over every prime <= limit, with
     the von Mangoldt support built as a dict and sorted."""
-    spf = np.zeros(limit + 1, dtype=np.uint32)
-    root = math.isqrt(limit)
-    for i in range(2, root + 1):
-        if spf[i] == 0:
-            block = spf[i * i :: i]
-            block[block == 0] = i
+    spf = least_prime_factors(limit)
     n = np.arange(limit + 1, dtype=np.uint32)
-    unmarked = (spf == 0) & (n >= 2)
-    spf[unmarked] = n[unmarked]
     primes = n[2:][spf[2:] == n[2:]]
 
     mobius = np.ones(limit + 1, dtype=np.int8)
@@ -87,7 +86,6 @@ def _sieve_reference(limit):
         "smallest_prime_factor": spf,
         "mobius": mobius,
         "prime_powers": prime_powers,
-        "prime_power_bases": bases,
         "prime_power_logs": np.log(bases.astype(np.float64)),
         "lambda_support": lambda_support,
     }
@@ -108,9 +106,6 @@ def _sieve_reference(limit):
 def test_sieve_matches_reference_bit_for_bit(limit):
     ref = _sieve_reference(limit)
     tables = build_tables(limit)
-    spf = _least_prime_factors(limit)
-    assert spf.dtype == ref["smallest_prime_factor"].dtype
-    assert np.array_equal(spf, ref["smallest_prime_factor"])
     for name in ("prime_powers", "prime_power_logs"):
         got = getattr(tables, name)
         assert got.dtype == ref[name].dtype, name
@@ -118,7 +113,6 @@ def test_sieve_matches_reference_bit_for_bit(limit):
     mobius = tables.mobius_upto(limit)
     assert mobius.dtype == ref["mobius"].dtype
     assert np.array_equal(mobius, ref["mobius"])
-    assert np.array_equal(spf[tables.prime_powers], ref["prime_power_bases"])
     assert _support(tables) == ref["lambda_support"]
     n = np.arange(2, limit + 1)
     ref_primes = n[ref["smallest_prime_factor"][2:] == n]
@@ -206,7 +200,7 @@ def test_von_mangoldt_upto_is_dense_von_mangoldt(limit):
         f = factorize(m)
         oracle.append(math.log(f[0][0]) if len(f) == 1 else 0.0)
     assert lam.tolist() == oracle
-    bases = _least_prime_factors(limit)[tables.prime_powers]
+    bases = least_prime_factors(limit)[tables.prime_powers]
     assert lam[tables.prime_powers].tolist() == [math.log(p) for p in bases.tolist()]
 
 

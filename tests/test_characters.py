@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bvlab
-from bvlab.arith import _least_prime_factors
 from bvlab.characters import (
     CharacterGroup,
     character_group,
@@ -20,7 +19,11 @@ from bvlab.characters import (
     unit_root,
 )
 from bvlab.dpoly import DirichletPolynomial
-from paper_checks import conductor_and_primitivity, exact_partial_sum
+from paper_checks import (
+    conductor_and_primitivity,
+    exact_partial_sum,
+    least_prime_factors,
+)
 
 
 def test_unit_root_reads_the_reduced_fraction():
@@ -318,7 +321,7 @@ def _spf_phi(spf, n):
 
 
 def test_factorize_helpers_match_sieve(tables):
-    spf = _least_prime_factors(tables.limit)
+    spf = least_prime_factors(tables.limit)
     for n in range(1, tables.limit + 1):
         f = factorize(n)
         assert math.prod(p**e for p, e in f) == n
@@ -336,7 +339,7 @@ def test_factorize_helpers_match_sieve(tables):
 def test_primitive_count_matches_mobius_sum(tables):
     # the closed form against sum over d|q of mu(d) phi(q/d), with mu from
     # the sieve and phi from its smallest prime factors
-    spf = _least_prime_factors(tables.limit)
+    spf = least_prime_factors(tables.limit)
     mobius = tables.mobius_upto(3000)
     for q in range(1, 3001):
         total = sum(int(mobius[d]) * _spf_phi(spf, q // d)

@@ -51,6 +51,18 @@ def test_mobius_eval_closed_form(tables):
     assert P.eval(0.0, sigma=0.0) == pytest.approx(-1.0, abs=1e-12)
 
 
+def test_mobius_kind_needs_tables_covering_n_prime(tables):
+    # mu is read from tables: none at all, or tables that end below N', is
+    # refused; N' at the table limit is read
+    with pytest.raises(ValueError, match="need tables"):
+        _poly(2, 4, "mobius", None)
+    with pytest.raises(ValueError, match="exceeds the table limit"):
+        _poly(tables.limit // 2 + 1, tables.limit + 1, "mobius", tables)
+    P = _poly(tables.limit // 2 + 1, tables.limit, "mobius", tables)
+    mobius = tables.mobius_upto(tables.limit)
+    assert np.array_equal(P.base_coefficients(), mobius[P.support])
+
+
 def test_empty_interval(tables):
     P = _poly(5, 5, "unit", tables)
     assert P.eval(1.0) == 0j

@@ -133,12 +133,21 @@ def _calls_by_function(name):
 
 
 def test_each_sieve_has_one_reader():
-    # the smallest prime factors are sieved only for mu, and the primes
-    # only by the odd-only sieve, which also gives the first sieve its
-    # primes <= sqrt(limit)
-    assert _calls_by_function("_least_prime_factors") == ["arith.mobius_upto"]
+    # the odd-only prime sieve is the package's only sieve: build_tables
+    # reads it, and it reads itself for its primes <= sqrt(limit). No
+    # least-prime-factor sieve is defined, and mu is sieved from the
+    # tables' own primes, so mobius_upto runs no sieve of its own
     assert _calls_by_function("_primes_upto") == [
-        "arith._least_prime_factors", "arith._primes_upto", "arith.build_tables"]
+        "arith._primes_upto", "arith.build_tables"]
+    functions = [(path.stem, node) for path in sorted(PACKAGE.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                 if isinstance(node, ast.FunctionDef)]
+    assert not [f"{stem}.{node.name}" for stem, node in functions
+                if node.name == "_least_prime_factors"]
+    mobius = [node for stem, node in functions
+              if (stem, node.name) == ("arith", "mobius_upto")]
+    assert len(mobius) == 1
+    assert "_primes_upto" not in _references(mobius[0])
 
 
 def test_table_primes_come_from_the_odd_only_sieve():

@@ -7,7 +7,7 @@ from math import gcd
 import numpy as np
 import pytest
 
-from bvlab.arith import _least_prime_factors, build_tables, enumerate_moduli_set
+from bvlab.arith import build_tables, enumerate_moduli_set
 from bvlab.characters import CharacterGroup, character_group, euler_phi
 from bvlab import progressions
 from bvlab.progressions import (
@@ -25,6 +25,7 @@ from bvlab.reports import write_csv, write_json
 from paper_checks import (
     character_extremum,
     conductor_and_primitivity,
+    least_prime_factors,
     progression_identity_residual,
     psi_ap,
     psi_chi,
@@ -57,7 +58,7 @@ def test_psi_coprime_removes_bad_primes(tables):
     pp = tables.prime_powers
     expected = math.fsum(
         math.log(p) for n, p in
-        zip(pp.tolist(), _least_prime_factors(tables.limit)[pp].tolist())
+        zip(pp.tolist(), least_prime_factors(tables.limit)[pp].tolist())
         if n <= 100 and p in (2, 3)
     )
     assert removed == pytest.approx(expected, abs=1e-12)
